@@ -249,7 +249,7 @@ async def run_cell(
             await http.request(method, target, body, deadline_s=timeout_s)
         except RetriesExhausted:
             pass  # warmups prime caches; their failures are not measured
-    http.stats = {"requests": 0, "retries": 0, "gave_up": 0}  # measure post-warmup only
+    http.stats = dict.fromkeys(http.stats, 0)  # measure post-warmup only
 
     queue: asyncio.Queue = asyncio.Queue()
     for kind in schedule:

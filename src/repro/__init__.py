@@ -124,6 +124,11 @@ def compress(
             api.build_request(codec="fzgpu", eb=1e-3)
             api.build_request(mode="tp", eb=1e-3, tiles=(128,)*3, workers=4)
     """
+    if isinstance(eb, api.CompressionRequest):
+        raise TypeError(
+            "compress() got a CompressionRequest as the error bound; "
+            "pass it by keyword: compress(data, request=...)"
+        )
     if request is not None:
         # A request is self-contained: any keyword alongside it (including
         # eb — the request already carries its bound) is a conflict, never

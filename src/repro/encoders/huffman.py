@@ -8,9 +8,13 @@ IPDPS'22].  This implementation reproduces that execution shape in NumPy:
 * **encode** — code/length lookup is one gather; bit placement runs one
   vectorized pass per *bit plane* (≤ ``max_code_len`` passes total) instead of
   one step per symbol;
-* **decode** — one symbol is decoded *per chunk per iteration*, across all
-  chunks simultaneously; the iteration count is the chunk size, not the
-  stream length, exactly like the SM-parallel decoder.
+* **decode** — one symbol is decoded *per lane per iteration*, across all
+  lanes simultaneously, like the SM-parallel decoder.  A long stream has
+  one lane per chunk and iterates once per symbol of a chunk.  A short one
+  has few chunks, so that loop would run thousands of times over a handful
+  of lanes: it first finds the start of every :data:`SUBCHUNK`-symbol
+  sub-chunk from a table of code boundaries at every payload bit, then runs
+  the same loop for just SUBCHUNK iterations over all sub-chunks.
 
 Code lengths are limited to :data:`MAX_CODE_LEN` bits with the zlib-style
 Kraft rebalancing so the decoder can use a flat 2^L lookup table.
@@ -43,6 +47,12 @@ __all__ = [
 
 MAX_CODE_LEN = 16
 DEFAULT_CHUNK = 4096
+#: symbols per lane of the sub-chunked decode (a power of two)
+SUBCHUNK = 16
+#: payload bits per lockstep iteration saved below which sub-chunking pays
+SUBCHUNK_BREAK_EVEN = 1 << 10
+#: payload bytes (8 bit positions each) per block of the jump-table build
+_JUMP_BLOCK = 1 << 13
 
 
 # --------------------------------------------------------------------------
@@ -211,29 +221,58 @@ class HuffmanCodec:
         off += 256
         if n == 0:
             return b""
+        if chunk_size == 0:
+            raise ValueError("Huffman header has a zero chunk size")
+        total_bits = int(nbits)
+        if n > total_bits:  # every code is at least one bit long
+            raise ValueError(f"Huffman header claims {n} symbols in {total_bits} bits")
         nchunks = (n + chunk_size - 1) // chunk_size
+        chunk_size = min(chunk_size, n)  # a lone chunk may be short
         offsets64 = np.frombuffer(buf, dtype=np.uint64, count=nchunks - 1, offset=off)
         off += offsets64.nbytes
         payload = np.frombuffer(buf, dtype=np.uint8, offset=off)
+        if total_bits > 8 * payload.size:
+            raise ValueError(
+                f"Huffman header claims {total_bits} payload bits, "
+                f"but the payload holds {8 * payload.size}"
+            )
+        if offsets64.size and (
+            int(offsets64.max()) > total_bits or bool((offsets64[1:] < offsets64[:-1]).any())
+        ):
+            raise ValueError(
+                f"Huffman chunk offsets must be non-decreasing and at most {total_bits}"
+            )
 
         L = int(lengths.max())
+        if not 1 <= L <= 24:
+            raise ValueError(f"Huffman code lengths must be in [1, 24], got a maximum of {L}")
         lut_sym, lut_len = self._build_lut(lengths, L)
-
-        pos = np.zeros(nchunks, dtype=np.int64)
-        pos[1:] = offsets64.astype(np.int64)
-        out = np.zeros((nchunks, chunk_size), dtype=np.uint8)
-        total_bits = int(nbits)
         # Pad the payload once: the window peek runs per decoded symbol, and
         # the defensive per-call copy used to dominate the whole decode.
         padded = pad_stream_for_windows(payload)
-        # One symbol per chunk per iteration; lanes that run past their chunk
-        # decode harmless padding which is sliced away below.
-        for it in range(min(chunk_size, n)):
+        pos = np.zeros(nchunks, dtype=np.int64)
+        pos[1:] = offsets64
+        stride = chunk_size
+        # Sub-chunking saves chunk_size - SUBCHUNK lockstep iterations of
+        # ~15 us and costs a jump table of ~13 ns per payload bit (2-vCPU
+        # Xeon VM, numpy 2.4).  Forcing each path on the same streams, it
+        # broke even at ~1.2k bits per saved iteration with 4096-symbol
+        # chunks and ~1k with 64-symbol ones.  The cut-over, 1k, is 4.2M
+        # bits (~1 bit/symbol at 1,000 chunks, ~5 at 200) for the default
+        # chunk; the chunk count alone cannot place it.
+        if total_bits < (chunk_size - SUBCHUNK) * SUBCHUNK_BREAK_EVEN:
+            stride = SUBCHUNK
+            pos = _subchunk_starts(padded, pos, total_bits, L, lut_len, -(-chunk_size // stride))
+        out = np.zeros((pos.size, stride), dtype=np.uint8)
+        # One symbol per lane per iteration; lanes that run past their
+        # (sub-)chunk decode harmless padding or their neighbour's symbols,
+        # which are sliced away below.
+        for it in range(stride):
             win = extract_bit_windows(padded, pos, L, prepadded=True)
             out[:, it] = lut_sym[win]
             pos += lut_len[win]
             np.minimum(pos, total_bits, out=pos)
-        return out.reshape(-1)[:n].tobytes()
+        return out.reshape(nchunks, -1)[:, :chunk_size].reshape(-1)[:n].tobytes()
 
     @staticmethod
     def _build_lut(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +288,7 @@ class HuffmanCodec:
             return cached
         codes = canonical_codes(lengths)
         lut_sym = np.zeros(1 << L, dtype=np.uint8)
-        lut_len = np.ones(1 << L, dtype=np.int64)  # len>=1 guarantees progress
+        lut_len = np.ones(1 << L, dtype=np.uint8)  # len>=1 guarantees progress
         for s in range(256):
             l = int(lengths[s])
             if l == 0:
@@ -259,3 +298,48 @@ class HuffmanCodec:
             lut_sym[base : base + span] = s
             lut_len[base : base + span] = l
         return _TABLES.store(key, (_readonly(lut_sym), _readonly(lut_len)))
+
+
+def _subchunk_starts(
+    padded: np.ndarray, chunk_starts: np.ndarray, total_bits: int, L: int,
+    lut_len: np.ndarray, per_chunk: int,
+) -> np.ndarray:
+    """Bit offset of every :data:`SUBCHUNK`-symbol sub-chunk of every chunk.
+
+    ``jump[p]`` is the start of the code after the one starting at bit
+    ``p``, clamped at ``total_bits``.  It is built in fixed-size blocks
+    from the L-bit window at every bit position, then squared
+    ``log2(SUBCHUNK)`` times into a SUBCHUNK-symbol jump that is walked
+    ``per_chunk`` times from each chunk's stored offset.  int32 keeps the
+    table at 4 bytes per payload bit.  Returns int64 offsets, chunk-major.
+    """
+    dtype = np.int32 if total_bits < 1 << 30 else np.int64  # headroom for pos + L
+    # The big-endian word at every byte offset, as an overlapping strided
+    # view of the padded payload: the window at bit 8*b + k is word b
+    # shifted left by k, keeping its top L bits.
+    nbytes = total_bits // 8 + 1
+    words = np.ndarray((nbytes,), dtype=">u4", buffer=padded, strides=(1,))
+    shifts = np.arange(8, dtype=np.uint32)
+    jump = np.empty(8 * nbytes, dtype=dtype)
+    for lo in range(0, nbytes, _JUMP_BLOCK):
+        win = words[lo : lo + _JUMP_BLOCK].astype(np.uint32)[:, None] << shifts
+        win >>= np.uint32(32 - L)
+        step = lut_len[win].reshape(-1)
+        at = np.arange(8 * lo, 8 * lo + step.size, dtype=dtype)
+        np.add(at, step, out=jump[8 * lo : 8 * lo + step.size])
+    np.minimum(jump, total_bits, out=jump)
+    # Square in place, block by block upwards.  No jump points backwards,
+    # except past total_bits to that fixed point, so every entry a block
+    # reads is still unsquared, inside the block (gathered before the
+    # write) or the fixed point: one table, no second copy.
+    block = 8 * _JUMP_BLOCK
+    for _ in range(SUBCHUNK.bit_length() - 1):
+        for lo in range(0, jump.size, block):
+            # np.take gathers int32 ~2x faster than fancy indexing
+            jump[lo : lo + block] = np.take(jump, jump[lo : lo + block])
+    starts = np.empty((chunk_starts.size, per_chunk), dtype=np.int64)
+    p = chunk_starts.astype(dtype)
+    for j in range(per_chunk):
+        starts[:, j] = p
+        p = jump[p]
+    return starts.reshape(-1)

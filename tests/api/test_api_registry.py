@@ -253,6 +253,14 @@ class TestLegacyShims:
         blob = repro.compress(smooth2d, request=build_request(eb=1e-2))
         assert isinstance(blob, CompressedBlob)
 
+    def test_positional_request_is_a_type_error(self, smooth2d):
+        """A request passed positionally lands in ``eb``; the error must
+        point at ``request=`` instead of complaining about a bad bound."""
+        import repro
+
+        with pytest.raises(TypeError, match="request="):
+            repro.compress(smooth2d, build_request(eb=1e-2))
+
     def test_eb_alongside_request_is_a_conflict(self, smooth2d):
         """Regression: an explicit eb next to a request was silently ignored
         in favor of the request's (possibly much looser) bound."""

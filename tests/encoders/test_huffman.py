@@ -1,15 +1,45 @@
 """Chunk-parallel canonical Huffman codec."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encoders import huffman
+from repro.encoders.bitio import extract_bit_windows, pad_stream_for_windows
 from repro.encoders.huffman import (
     HuffmanCodec,
     canonical_codes,
     code_lengths_from_frequencies,
 )
+
+_HEADER = struct.calcsize("<QIQ")
+
+
+def _lockstep_decode(buf: bytes) -> bytes:
+    """Reference decoder: one symbol per chunk per iteration, for
+    ``chunk_size`` iterations (the codec's decoder before sub-chunking)."""
+    n, chunk_size, nbits = struct.unpack_from("<QIQ", buf, 0)
+    lengths = np.frombuffer(buf, dtype=np.uint8, count=256, offset=_HEADER)
+    if n == 0:
+        return b""
+    nchunks = (n + chunk_size - 1) // chunk_size
+    offsets = np.frombuffer(buf, dtype=np.uint64, count=nchunks - 1, offset=_HEADER + 256)
+    payload = np.frombuffer(buf, dtype=np.uint8, offset=_HEADER + 256 + offsets.nbytes)
+    L = int(lengths.max())
+    lut_sym, lut_len = HuffmanCodec._build_lut(lengths, L)
+    pos = np.zeros(nchunks, dtype=np.int64)
+    pos[1:] = offsets.astype(np.int64)
+    out = np.zeros((nchunks, chunk_size), dtype=np.uint8)
+    padded = pad_stream_for_windows(payload)
+    for it in range(min(chunk_size, n)):
+        win = extract_bit_windows(padded, pos, L, prepadded=True)
+        out[:, it] = lut_sym[win]
+        pos += lut_len[win]
+        np.minimum(pos, int(nbits), out=pos)
+    return out.reshape(-1)[:n].tobytes()
 
 
 class TestCodeLengths:
@@ -119,6 +149,162 @@ class TestValidation:
             HuffmanCodec(chunk_size=0)
         with pytest.raises(ValueError):
             HuffmanCodec(max_len=30)
+
+
+def _sixteen_bit_stream(gen) -> bytes:
+    """All 256 symbols, with frequencies skewed enough for 16-bit codes."""
+    counts = np.ones(256, np.int64)
+    counts[:15] = [2 ** (15 - i) for i in range(15)]
+    data = gen.permutation(np.repeat(np.arange(256, dtype=np.uint8), counts))
+    return data.tobytes()
+
+
+def _cr_quant_codes(name: str, shape: tuple, eb: float) -> bytes:
+    """The byte stream the CR pipeline hands its Huffman stage."""
+    import repro.api as api
+    from repro import datasets
+
+    seen = []
+    encode = HuffmanCodec.encode
+
+    def spy(self, buf):
+        seen.append(bytes(buf))
+        return encode(self, buf)
+
+    field = datasets.load(name, shape=shape, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HuffmanCodec, "encode", spy)
+        api.compress(field, api.build_request(mode="cr", eb=eb))
+    return max(seen, key=len)
+
+
+@pytest.fixture
+def gen():
+    """A private generator, so these tests leave the shared ``rng`` alone."""
+    return np.random.default_rng(20240613)
+
+
+@pytest.fixture(params=["subchunks", "lockstep"])
+def decode_path(request, monkeypatch):
+    """Run a test once per decode path: the sub-chunked decode for short
+    payloads, and the one-lane-per-chunk loop for long ones."""
+    if request.param == "lockstep":
+        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 0)
+    else:
+        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 1 << 40)
+    return request.param
+
+
+class TestDecodeMatchesLockstepOracle:
+    """The decoder must return exactly what the lockstep reference does."""
+
+    @staticmethod
+    def check(data: bytes, chunk_size: int = 4096) -> None:
+        enc = HuffmanCodec(chunk_size=chunk_size).encode(data)
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == data
+
+    @pytest.mark.parametrize("chunk_size", [64, 4096])
+    @pytest.mark.parametrize("nchunks", [1, 2, 255, 256, 257])
+    def test_chunk_counts(self, nchunks, chunk_size, gen, decode_path):
+        n = nchunks * chunk_size - chunk_size // 3
+        self.check(gen.integers(0, 24, n).astype(np.uint8).tobytes(), chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [8, 64, 4096])
+    @pytest.mark.parametrize("n", [1, 5, 15, 16, 17])
+    def test_fewer_symbols_than_a_subchunk(self, n, chunk_size, gen, decode_path):
+        self.check(gen.integers(0, 7, n).astype(np.uint8).tobytes(), chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [64, 4096])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_one_symbol_past_a_chunk_boundary(self, chunks, chunk_size, gen, decode_path):
+        n = chunks * chunk_size + 1
+        self.check(gen.integers(0, 40, n).astype(np.uint8).tobytes(), chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [64, 4096])
+    @pytest.mark.parametrize("n", [1, 100, 9000])
+    def test_single_symbol_stream(self, n, chunk_size, decode_path):
+        self.check(b"\xa5" * n, chunk_size)
+
+    def test_all_symbols_with_16_bit_codes(self, gen, decode_path):
+        data = _sixteen_bit_stream(gen)
+        lengths = HuffmanCodec().encode(data)[_HEADER : _HEADER + 256]
+        assert max(lengths) == 16 and min(lengths) >= 1
+        self.check(data)
+
+    @pytest.mark.parametrize(
+        "name, shape, eb",
+        [("jhtdb", (32, 32, 32), 1e-3), ("cesm-atm", (96, 192), 1e-3), ("rtm", (64, 64, 64), 1e-4)],
+    )
+    def test_cr_quant_code_streams(self, name, shape, eb, decode_path):
+        self.check(_cr_quant_codes(name, shape, eb))
+
+    def test_quantcode_fixture(self, quantcode_bytes, decode_path):
+        self.check(quantcode_bytes)
+
+
+def test_small_stream_decode_makes_few_window_calls(gen, monkeypatch):
+    """An 8-chunk (32^3-sized) stream decodes in SUBCHUNK lockstep
+    iterations, each one window call, not one per symbol of a chunk."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return extract_bit_windows(*args, **kwargs)
+
+    data = gen.integers(0, 12, 32**3).astype(np.uint8).tobytes()
+    enc = HuffmanCodec().encode(data)
+    monkeypatch.setattr(huffman, "extract_bit_windows", counting)
+    assert HuffmanCodec().decode(enc) == data
+    assert len(calls) <= huffman.SUBCHUNK == 16
+
+
+class TestMalformedHeaders:
+    """Bad headers raise ValueError, never IndexError or garbage output."""
+
+    @pytest.fixture
+    def stream(self, gen):
+        data = gen.integers(0, 20, 3 * 4096 + 7).astype(np.uint8).tobytes()
+        return bytearray(HuffmanCodec().encode(data))
+
+    @staticmethod
+    def set_offset(buf: bytearray, i: int, value: int) -> None:
+        struct.pack_into("<Q", buf, _HEADER + 256 + 8 * i, value)
+
+    def test_decreasing_offsets(self, stream, decode_path):
+        first = struct.unpack_from("<Q", stream, _HEADER + 256)[0]
+        self.set_offset(stream, 1, first - 1)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            HuffmanCodec().decode(bytes(stream))
+
+    @pytest.mark.parametrize("past", [1, 1 << 40, (1 << 64) - 1])
+    def test_offset_past_nbits(self, stream, past, decode_path):
+        nbits = struct.unpack_from("<Q", stream, 12)[0]
+        self.set_offset(stream, 2, min(nbits + past, (1 << 64) - 1))
+        with pytest.raises(ValueError, match="at most"):
+            HuffmanCodec().decode(bytes(stream))
+
+    def test_nbits_beyond_payload(self, stream, decode_path):
+        payload_bytes = len(stream) - (_HEADER + 256 + 3 * 8)
+        struct.pack_into("<Q", stream, 12, 8 * payload_bytes + 1)
+        with pytest.raises(ValueError, match="payload"):
+            HuffmanCodec().decode(bytes(stream))
+
+    def test_more_symbols_than_bits(self, stream):
+        struct.pack_into("<Q", stream, 0, 1 << 40)
+        with pytest.raises(ValueError, match="symbols"):
+            HuffmanCodec().decode(bytes(stream))
+
+    def test_code_length_past_the_limit(self, stream):
+        stream[_HEADER] = 40
+        with pytest.raises(ValueError, match="code lengths"):
+            HuffmanCodec().decode(bytes(stream))
+
+    def test_zero_chunk_size(self, stream):
+        struct.pack_into("<I", stream, 8, 0)
+        with pytest.raises(ValueError, match="chunk size"):
+            HuffmanCodec().decode(bytes(stream))
 
 
 def test_compression_tracks_entropy(rng):

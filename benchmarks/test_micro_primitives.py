@@ -14,6 +14,8 @@ from repro.core.compressor import resolve_error_bound
 from repro.encoders.ans import RansCodec
 from repro.encoders.components import BIT, RRE, RZE, TCMS
 from repro.encoders.huffman import HuffmanCodec
+from repro.datasets import load
+from repro.predictor.autotune import autotune_levels
 from repro.predictor.interpolation import InterpolationPredictor
 from repro.predictor.lorenzo import lorenzo_decode, lorenzo_encode
 from repro.predictor.reorder import reorder_permutation
@@ -70,6 +72,14 @@ class TestPredictors:
                 abs_eb, res.level_configs, nyx_field.dtype,
             )
         )
+
+    @pytest.mark.parametrize("side", [32, 64])
+    def test_autotune_levels(self, benchmark, side):
+        """The fixed per-call cost of small fields: one sampled block, three
+        spline evaluations per level shared by all six candidates."""
+        field = load("jhtdb", shape=(side, side, side), seed=0)
+        chosen = benchmark(lambda: autotune_levels(field, 16))
+        assert set(chosen) == {8, 4, 2, 1}
 
     def test_lorenzo_roundtrip(self, benchmark, nyx_field):
         abs_eb = resolve_error_bound(nyx_field, 1e-3, "rel")

@@ -1,11 +1,17 @@
 """Workload-balanced interpolation auto-tuning (paper §5.1.3).
 
-cuSZ-Hi samples ~0.2 % of the data as per-thread-block-sized blocks, runs
-every (scheme, spline) candidate on every level, and keeps — per level — the
-configuration with the lowest aggregated prediction error.  The GPU version
-balances candidates across thread blocks (6 blocks for the expensive level-1
-test); here each candidate scoring call is one vectorized dry-run pass, so
-the balancing concern disappears but the selection logic is identical.
+cuSZ-Hi samples the data as per-thread-block-sized blocks, runs every
+(scheme, spline) candidate on every level, and keeps — per level — the
+configuration with the lowest aggregated prediction error.  Here
+:func:`sample_blocks` draws ``ceil(target_fraction * N / block)`` blocks of
+side ``2 * anchor_stride + 1`` (clipped to the field), at least one and at
+most ``max_blocks``.  At the default 0.2 % that is a single 33³ block until
+``N`` passes ~18M points: all of a 32³ field, 13.7 % of a 64³ one and 0.2 %
+only from ~262³ up.  The GPU version balances candidates across thread
+blocks (6 blocks for the expensive level-1 test); here a level is scored by
+:meth:`~repro.predictor.interpolation.InterpolationPredictor.level_errors`,
+which evaluates each spline family once and derives all six candidates from
+it, so the balancing concern disappears but the selection logic is identical.
 
 Scoring predicts from *original* values rather than reconstructed ones (the
 QoZ approximation) so candidates can be evaluated independently of each
@@ -39,6 +45,9 @@ def sample_blocks(
     seed: int = 0,
 ) -> list[np.ndarray]:
     """Uniformly sample sub-blocks covering ~``target_fraction`` of ``data``.
+
+    At least one block is drawn, so a field of fewer than
+    ``block_side**d / target_fraction`` points is sampled by one block.
 
     Blocks have side ``block_side`` per dimension (clipped by the array), the
     same footprint a thread block owns, so level populations in the sample
@@ -77,12 +86,13 @@ def autotune_levels(
     blocks = sample_blocks(data, block_side=2 * anchor_stride + 1, target_fraction=target_fraction, seed=seed)
     chosen: dict[int, LevelConfig] = {}
     for s in level_strides(anchor_stride):
+        errs = [0.0] * len(candidates)
+        for blk in blocks:
+            for i, err in enumerate(predictor.level_errors(blk, s, candidates)):
+                errs[i] += err
         best_cfg = candidates[0]
         best_err = np.inf
-        for cfg in candidates:
-            err = 0.0
-            for blk in blocks:
-                err += predictor.pass_error(blk, s, cfg)
+        for cfg, err in zip(candidates, errs):
             if err < best_err:
                 best_err = err
                 best_cfg = cfg

@@ -18,33 +18,47 @@ any value whose reconstruction would breach the bound after casting back to
 the storage dtype) are emitted as outliers: code byte 0 plus the exact value.
 
 GPU mapping: in CUDA each 17^3 block is one thread block; here every pass is
-one fused vector operation per boundary-class sub-block.  Interpolation is
-performed globally (no halo truncation at block borders); DESIGN.md §3
-records this as the one deliberate deviation from the CUDA kernel.
+a handful of whole-block vector operations.  Interpolation is performed
+globally (no halo truncation at block borders); DESIGN.md §3 records this as
+the one deliberate deviation from the CUDA kernel.
 
 Execution model (the single-thread hot path)
 --------------------------------------------
-All pass geometry — target meshes, boundary-class runs, neighbor addressing,
-highest-order-wins winner sets — depends only on ``(shape, stride, scheme,
-spline)``, never on the data.  It is therefore computed once into a
-:class:`LevelPlan` and memoized (:func:`level_plan`), shared by
-:meth:`InterpolationPredictor.compress`, ``decompress`` *and* ``pass_error``
-(the auto-tuner scores six candidate configs per level on the same sampled
-blocks, so plan reuse there is 6x by construction).  Every index vector of a
-pass is an arithmetic progression, so sub-block targets and their neighbors
-are addressed with **basic slices** — strided views, no ``np.ix_`` gather
-copies — and prediction + quantization run fused into preallocated
-:class:`ScratchPool` buffers.  The arithmetic per point is the exact
-expression tree of the reference :func:`_predict_block`/
-:class:`~repro.quantizer.linear.ByteQuantizer` path, so the emitted codes
-(and the serialized blob) are bit-identical to the unfused implementation —
-``tests/predictor`` asserts the equivalence directly.
+All pass geometry depends only on ``(shape, stride, scheme, spline)``, never
+on the data, so it is computed once into a :class:`LevelPlan` and memoized
+(:func:`level_plan`).  A pass stores, per interpolated axis, its <= 4
+boundary-class runs along that axis (:func:`~repro.predictor.splines.axis_kind_segments`
+plus the basic-slice neighbor views each run reads).  Predicting a pass:
+
+1. each axis's runs evaluate one spline formula apiece into a pass-block
+   buffer — strided views of the field, no ``np.ix_`` gather copies;
+2. with two or more axes, highest-order-wins averaging: wherever the axes'
+   1-D orders agree every axis wins, so the plain mean ``((p0 + p1) + ...)
+   / k`` is exact; the boundary rows where they disagree are gathered and
+   redone from the plan's boundary bookkeeping (first winner copied, later
+   winners added, sum divided by the winner count);
+3. ``compress`` quantizes the whole pass with one
+   :meth:`~repro.quantizer.linear.ByteQuantizer.quantize_into` call;
+   ``decompress`` dequantizes and fills outliers once per pass.
+
+The arithmetic per point is the expression tree of the earlier sub-block
+formulation (one sub-block per product of the axes' runs), so codes,
+outliers, reconstructions and auto-tune scores are bit-identical to it;
+``tests/predictor/test_interp_passes.py`` pins that against a copy of the
+sub-block path kept in ``tests/`` as an oracle.
+
+Scoring (:meth:`InterpolationPredictor.level_errors`) predicts from raw
+values, so the prediction along an axis at a target depends on neither the
+pass nor the scheme: each spline family's per-axis predictions over the
+stride-``s`` lattice are computed once per level, and every md or 1d pass
+of every candidate reads basic-slice views of them.  Six candidates cost
+three spline evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -55,7 +69,6 @@ from .splines import (
     KIND_ORDER,
     SPLINES,
     axis_kind_segments,
-    axis_predict,
     predict_kind_into,
 )
 
@@ -117,106 +130,8 @@ def level_strides(anchor_stride: int) -> list[int]:
     return out
 
 
-def level_passes(shape: tuple[int, ...], stride: int, scheme: str):
-    """Yield ``(vectors, axes)`` for each prediction pass of one level.
-
-    ``vectors`` are per-axis index vectors forming the target open mesh;
-    ``axes`` are the dimensions whose coordinate is an odd multiple of
-    ``stride`` (the dimensions interpolated along).
-    """
-    nd = len(shape)
-    s = stride
-    if scheme == "1d":
-        for d in range(nd):
-            vectors = []
-            for j, dim in enumerate(shape):
-                if j < d:
-                    vectors.append(np.arange(0, dim, s))
-                elif j == d:
-                    vectors.append(np.arange(s, dim, 2 * s))
-                else:
-                    vectors.append(np.arange(0, dim, 2 * s))
-            yield vectors, (d,)
-    elif scheme == "md":
-        for k in range(1, nd + 1):
-            for S in combinations(range(nd), k):
-                vectors = [
-                    np.arange(s, dim, 2 * s) if j in S else np.arange(0, dim, 2 * s)
-                    for j, dim in enumerate(shape)
-                ]
-                yield vectors, S
-    else:  # pragma: no cover - guarded by LevelConfig
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _predict_block(
-    R: np.ndarray, vectors: list[np.ndarray], axes: tuple[int, ...], s: int, spline: str
-) -> np.ndarray:
-    """Reference combined prediction for one pass (highest-order-wins).
-
-    The mask-based formulation the fused plan path must reproduce bit for
-    bit; kept as the equivalence oracle for ``tests/predictor``.
-    """
-    if len(axes) == 1:
-        pred, _ = axis_predict(R, axes[0], vectors, s, spline)
-        return pred
-    preds = []
-    orders = []
-    for d in axes:
-        p, o = axis_predict(R, d, vectors, s, spline)
-        preds.append(p)
-        orders.append(np.broadcast_to(o, p.shape))
-    P = np.stack(preds)
-    O = np.stack(orders)
-    max_order = O.max(axis=0)
-    W = O == max_order
-    return (P * W).sum(axis=0) / W.sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Cached level plans: the data-independent geometry of every pass.
-# ---------------------------------------------------------------------------
-
-
-class _SubBlock:
-    """One constant-boundary-class region of a pass (basic slices only)."""
-
-    __slots__ = ("slices", "shape", "rel_slices", "preds", "n_winners")
-
-    def __init__(self, slices, shape, rel_slices, preds):
-        self.slices = slices  # target region in the full array
-        self.shape = shape  # region extents
-        self.rel_slices = rel_slices  # region position inside the pass block
-        self.preds = preds  # ((axis, kind, neighbor slice tuples), ...)
-        self.n_winners = len(preds)
-
-
-class _Pass:
-    """One prediction pass: its full block plus the sub-block decomposition."""
-
-    __slots__ = ("axes", "block_shape", "sub_blocks")
-
-    def __init__(self, axes, block_shape, sub_blocks):
-        self.axes = axes
-        self.block_shape = block_shape
-        self.sub_blocks = sub_blocks
-
-
-class LevelPlan:
-    """All passes of one (shape, stride, scheme, spline) level."""
-
-    __slots__ = ("shape", "stride", "scheme", "spline", "passes")
-
-    def __init__(self, shape, stride, scheme, spline, passes):
-        self.shape = shape
-        self.stride = stride
-        self.scheme = scheme
-        self.spline = spline
-        self.passes = passes
-
-
 def _pass_descriptors(shape: tuple[int, ...], stride: int, scheme: str):
-    """(start, step) per dimension for every pass — mirrors level_passes."""
+    """``(start, step)`` per dimension and the interpolated axes of every pass."""
     nd = len(shape)
     s = stride
     if scheme == "1d":
@@ -230,44 +145,156 @@ def _pass_descriptors(shape: tuple[int, ...], stride: int, scheme: str):
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def level_passes(shape: tuple[int, ...], stride: int, scheme: str):
+    """Yield ``(vectors, axes)`` for each prediction pass of one level.
+
+    ``vectors`` are per-axis index vectors forming the target open mesh;
+    ``axes`` are the dimensions whose coordinate is an odd multiple of
+    ``stride`` (the dimensions interpolated along).
+    """
+    for descr, axes in _pass_descriptors(shape, stride, scheme):
+        yield [np.arange(start, dim, step) for (start, step), dim in zip(descr, shape)], axes
+
+
+# ---------------------------------------------------------------------------
+# Cached level plans: the data-independent geometry of every pass.
+# ---------------------------------------------------------------------------
+
+
+def _axis_runs(slices: tuple[slice, ...], d: int, stride: int, spline: str, dim: int) -> tuple:
+    """Boundary-class runs of the targets along axis ``d`` of a region.
+
+    ``slices`` address the region; along ``d`` they cover the targets
+    ``stride, 3*stride, ...``.  Returns ``((rel, kind, neighbors), ...)``:
+    the run's slices inside the region, its class, and one basic-slice
+    tuple per neighbor the class reads (:data:`KIND_OFFSETS` order).
+    """
+    s = stride
+    runs = []
+    for i0, i1, kind in axis_kind_segments(dim, s, spline):
+        rel = [slice(None)] * len(slices)
+        rel[d] = slice(i0, i1)
+        first, last = s + 2 * s * i0, s + 2 * s * (i1 - 1)
+        neighbors = []
+        for off in KIND_OFFSETS[kind]:
+            nsl = list(slices)
+            nsl[d] = slice(first + off * s, last + off * s + 1, 2 * s)
+            neighbors.append(tuple(nsl))
+        runs.append((tuple(rel), kind, tuple(neighbors)))
+    return tuple(runs)
+
+
+class _Pass:
+    """One prediction pass: its target block; per interpolated axis, the class
+    runs and the view of the level's lattice predictions it reads; and, for
+    two or more axes, the :func:`_boundary_winners` of the block."""
+
+    __slots__ = ("axes", "slices", "shape", "runs", "views", "winners")
+
+    def __init__(self, axes, slices, shape, runs, views, winners):
+        self.axes = axes
+        self.slices = slices
+        self.shape = shape
+        self.runs = runs
+        self.views = views
+        self.winners = winners
+
+
+def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    out = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        out[d] = out[d + 1] * shape[d + 1]
+    return tuple(out)
+
+
+def _boundary_winners(runs: tuple, axes: tuple[int, ...], shape: tuple[int, ...]):
+    """Highest-order-wins bookkeeping where a pass's axes disagree.
+
+    Each axis's :data:`KIND_ORDER` is a 1-D vector along it, so the orders
+    of a point depend on its interpolated coordinates only.  Every axis wins
+    wherever all orders agree; elsewhere (the block's boundary rows) the
+    winners are the axes reaching the highest order.  Returns ``(flat,
+    steps, count)``: ``flat[i, j]`` is the flat block position of boundary
+    point ``i`` of the interpolated axes at offset ``j`` along the others;
+    per axis after the first, the ``(m, 1)`` masks of the points where it is
+    the first winner and where it is a later one; and the winner count.
+    Everything is sized by the boundary, never by the block.
+    """
+    nd = len(shape)
+    orders = []
+    for d, axis_runs in zip(axes, runs):
+        order = np.empty([shape[d] if j == d else 1 for j in range(nd)], dtype=np.int8)
+        for rel, kind, _ in axis_runs:
+            order[rel] = KIND_ORDER[kind]
+        orders.append(order)
+    mixed = orders[0] != orders[1]
+    for a, b in zip(orders[1:], orders[2:]):
+        mixed = mixed | (a != b)
+    hit = np.nonzero(mixed)
+    row = _row_strides(shape)
+    base = sum(hit[d] * row[d] for d in axes)
+    offsets = np.zeros(1, dtype=np.intp)
+    for j in range(nd):
+        if j not in axes:
+            offsets = (offsets[:, None] + np.arange(shape[j]) * row[j]).reshape(-1)
+    order = [o.reshape(-1)[hit[d]] for o, d in zip(orders, axes)]
+    top = order[0]
+    for o in order[1:]:
+        top = np.maximum(top, o)
+    seen = order[0] == top
+    count = seen.astype(np.uint8)
+    steps = []
+    for o in order[1:]:
+        win = o == top
+        steps.append(((win & ~seen)[:, None], (win & seen)[:, None]))
+        seen = seen | win
+        count = count + win
+    return base[:, None] + offsets, tuple(steps), count[:, None]
+
+
+class LevelPlan:
+    """All passes of one (shape, stride, scheme, spline) level.
+
+    ``lattice`` holds, per dimension ``d``, ``(shape, runs)`` of the 1-D
+    predictions along ``d`` at every stride-``s`` lattice point whose
+    ``d`` coordinate is a target — the arrays every pass of the scorer views.
+    """
+
+    __slots__ = ("shape", "stride", "scheme", "spline", "passes", "lattice")
+
+    def __init__(self, shape, stride, scheme, spline, passes, lattice):
+        self.shape = shape
+        self.stride = stride
+        self.scheme = scheme
+        self.spline = spline
+        self.passes = passes
+        self.lattice = lattice
+
+
 def _build_level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> LevelPlan:
     s = int(stride)
+    lattice = []
+    for d, dim in enumerate(shape):
+        slices = [slice(0, n, s) for n in shape]
+        slices[d] = slice(s, dim, 2 * s)
+        lshape = tuple(len(range(sl.start, n, sl.step)) for sl, n in zip(slices, shape))
+        lattice.append((lshape, _axis_runs(tuple(slices), d, s, spline, dim)))
     passes = []
     for descr, axes in _pass_descriptors(shape, s, scheme):
-        counts = [len(range(start, dim, step)) for (start, step), dim in zip(descr, shape)]
-        if any(c == 0 for c in counts):
-            continue  # matches the empty-vector skip of the mask path
-        base_slices = [slice(start, dim, step) for (start, step), dim in zip(descr, shape)]
-        seg_lists = [axis_kind_segments(shape[d], s, spline) for d in axes]
-        sub_blocks = []
-        for combo in product(*seg_lists):
-            orders = [KIND_ORDER[kind] for (_, _, kind) in combo]
-            max_order = max(orders)
-            slices = list(base_slices)
-            sub_shape = list(counts)
-            rel = [slice(None)] * len(shape)
-            for d, (i0, i1, _) in zip(axes, combo):
-                c0 = s + 2 * s * i0
-                cl = s + 2 * s * (i1 - 1)
-                slices[d] = slice(c0, cl + 1, 2 * s)
-                sub_shape[d] = i1 - i0
-                rel[d] = slice(i0, i1)
-            preds = []
-            for d, (_, _, kind), order in zip(axes, combo, orders):
-                if order != max_order:
-                    continue  # highest-order-wins: losers never evaluated
-                neighbors = []
-                for off in KIND_OFFSETS[kind]:
-                    nsl = list(slices)
-                    tsl = slices[d]
-                    nsl[d] = slice(tsl.start + off * s, tsl.stop + off * s, tsl.step)
-                    neighbors.append(tuple(nsl))
-                preds.append((d, kind, tuple(neighbors)))
-            sub_blocks.append(
-                _SubBlock(tuple(slices), tuple(sub_shape), tuple(rel), tuple(preds))
-            )
-        passes.append(_Pass(tuple(axes), tuple(counts), tuple(sub_blocks)))
-    return LevelPlan(tuple(shape), s, scheme, spline, tuple(passes))
+        counts = tuple(len(range(start, dim, step)) for (start, step), dim in zip(descr, shape))
+        if 0 in counts:
+            continue  # matches the empty-vector skip of level_passes users
+        slices = tuple(slice(start, dim, step) for (start, step), dim in zip(descr, shape))
+        runs = tuple(_axis_runs(slices, d, s, spline, shape[d]) for d in axes)
+        winners = _boundary_winners(runs, axes, counts) if len(axes) > 1 else None
+        # Lattice index e of a (start, step) progression is start/s + e*step/s.
+        lattice_slices = [slice(start // s, None, step // s) for start, step in descr]
+        views = tuple(
+            tuple(slice(None) if j == d else sl for j, sl in enumerate(lattice_slices))
+            for d in axes
+        )
+        passes.append(_Pass(tuple(axes), slices, counts, runs, views, winners))
+    return LevelPlan(tuple(shape), s, scheme, spline, tuple(passes), tuple(lattice))
 
 
 _PLANS = CountedTableCache(capacity=128)
@@ -296,8 +323,8 @@ class ScratchPool:
 
     One pool serves every pass of a compress/decompress call: buffers are
     keyed by name, grown to the largest shape requested, and re-sliced per
-    sub-block — so the hot loop performs no large allocations after the
-    first (finest-level) pass.  Not thread-safe; use one pool per thread.
+    pass — so the hot loop performs no large allocations after the first
+    (finest-level) pass.  Not thread-safe; use one pool per thread.
     """
 
     def __init__(self):
@@ -316,38 +343,71 @@ class ScratchPool:
         return buf[:n].reshape(shape)
 
 
-def _predict_sub(R: np.ndarray, sb: _SubBlock, spline: str, scratch: ScratchPool) -> np.ndarray:
-    """Fused highest-order-wins prediction of one sub-block into scratch."""
-    acc = scratch.get("pred_acc", sb.shape)
-    tmp = scratch.get("pred_tmp", sb.shape)
-    _, kind0, neighbors0 = sb.preds[0]
-    predict_kind_into(R, kind0, neighbors0, spline, out=acc, tmp=tmp)
-    if sb.n_winners > 1:
-        alt = scratch.get("pred_alt", sb.shape)
-        for _, kind, neighbors in sb.preds[1:]:
-            predict_kind_into(R, kind, neighbors, spline, out=alt, tmp=tmp)
-            np.add(acc, alt, out=acc)
-        np.divide(acc, float(sb.n_winners), out=acc)
-    return acc
-
-
-def _sub_flat_indices(
-    sb: _SubBlock, mask_idx: tuple[np.ndarray, ...], row_strides: tuple[int, ...]
+def _predict_axis(
+    R: np.ndarray, runs: tuple, spline: str, out: np.ndarray, scratch: ScratchPool
 ) -> np.ndarray:
-    """Flat array positions of masked sub-block points (exact int64 math)."""
+    """Evaluate one axis's class runs of ``R`` into the block buffer ``out``.
+
+    Each run is computed in a reused contiguous buffer and copied into
+    place: one strided write instead of one per arithmetic step.
+    """
+    for rel, kind, neighbors in runs:
+        view = out[rel]
+        run = scratch.get("pred_run", view.shape)
+        tmp = scratch.get("pred_tmp", view.shape)
+        predict_kind_into(R, kind, neighbors, spline, out=run, tmp=tmp)
+        np.copyto(view, run)
+    return out
+
+
+def _average_winners(preds: list, winners: tuple, out: np.ndarray) -> np.ndarray:
+    """Highest-order-wins average of per-axis predictions into ``out``.
+
+    ``preds`` holds one prediction per interpolated axis, in axis order, and
+    ``winners`` is the pass's :func:`_boundary_winners`.  Every axis wins
+    wherever the orders agree, so the block-wide mean ``((p0 + p1) + ...)
+    / k`` is the answer there.  The boundary points are then gathered and
+    redone: the first winner's prediction copied (a zero accumulator would
+    turn ``-0.0`` into ``+0.0``), later winners added left to right, and the
+    sum divided by the winner count.  Losing axes never reach those points,
+    so their non-finite values cannot leak.
+    """
+    flat, steps, count = winners
+    vals = [pred.reshape(-1)[flat] for pred in preds]
+    np.add(preds[0], preds[1], out=out)
+    for pred in preds[2:]:
+        np.add(out, pred, out=out)
+    np.divide(out, float(len(preds)), out=out)
+    acc = vals[0]
+    for val, (first, later) in zip(vals[1:], steps):
+        np.copyto(acc, val, where=first)
+        np.add(acc, val, out=acc, where=later)
+    np.divide(acc, count, out=acc)
+    out.reshape(-1)[flat] = acc
+    return out
+
+
+def _predict_pass(R: np.ndarray, p: _Pass, spline: str, scratch: ScratchPool) -> np.ndarray:
+    """Highest-order-wins prediction of one whole pass into scratch."""
+    preds = [
+        _predict_axis(R, runs, spline, scratch.get(f"pred_{i}", p.shape), scratch)
+        for i, runs in enumerate(p.runs)
+    ]
+    if len(preds) == 1:
+        return preds[0]
+    return _average_winners(preds, p.winners, preds[0])
+
+
+def _flat_positions(
+    slices: tuple[slice, ...], mask_idx: tuple[np.ndarray, ...], row_strides: tuple[int, ...]
+) -> np.ndarray:
+    """Flat array positions of masked pass-block points (exact int64 math)."""
     flat = None
-    for d, sl in enumerate(sb.slices):
+    for d, sl in enumerate(slices):
         coords = np.arange(sl.start, sl.stop, sl.step, dtype=np.int64)
         contrib = coords[mask_idx[d]] * row_strides[d]
         flat = contrib if flat is None else flat + contrib
     return flat
-
-
-def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(shape)
-    for d in range(len(shape) - 2, -1, -1):
-        out[d] = out[d + 1] * shape[d + 1]
-    return tuple(out)
 
 
 class InterpolationPredictor:
@@ -355,20 +415,10 @@ class InterpolationPredictor:
 
     def __init__(self, anchor_stride: int = 16):
         self.anchor_stride = anchor_stride
-        self.strides = None  # set per-array in compress/decompress
         self._scratch = ScratchPool()
-
-    # ------------------------------------------------------------- helpers
-    def _anchor_vectors(self, shape: tuple[int, ...]) -> list[np.ndarray]:
-        return [np.arange(0, dim, self.anchor_stride) for dim in shape]
 
     def _anchor_slices(self, shape: tuple[int, ...]) -> tuple[slice, ...]:
         return tuple(slice(0, dim, self.anchor_stride) for dim in shape)
-
-    @staticmethod
-    def _flat_indices(vectors: list[np.ndarray], mask_idx: tuple[np.ndarray, ...], shape) -> np.ndarray:
-        coords = tuple(vectors[d][mask_idx[d]] for d in range(len(vectors)))
-        return np.ravel_multi_index(coords, shape)
 
     # ------------------------------------------------------------ compress
     def compress(
@@ -403,16 +453,13 @@ class InterpolationPredictor:
         scratch = self._scratch
         for s in strides:
             cfg = configs[s]
-            plan = level_plan(shape, s, cfg.scheme, cfg.spline)
-            for p in plan.passes:
-                for sb in p.sub_blocks:
-                    pred = _predict_sub(R, sb, cfg.spline, scratch)
-                    # Byte codes land directly in the strided destination —
-                    # no intermediate contiguous copy.
-                    recon = quantizer.quantize_into(
-                        data[sb.slices], pred, dtype, scratch, codes[sb.slices]
-                    )
-                    R[sb.slices] = recon
+            for p in level_plan(shape, s, cfg.scheme, cfg.spline).passes:
+                pred = _predict_pass(R, p, cfg.spline, scratch)
+                # Byte codes land directly in the strided destination —
+                # no intermediate contiguous copy.
+                R[p.slices] = quantizer.quantize_into(
+                    data[p.slices], pred, dtype, scratch, codes[p.slices]
+                )
 
         out_pos = np.flatnonzero(codes.reshape(-1) == 0)
         # Anchor positions can never be outliers (byte 128), so out_pos are
@@ -449,28 +496,62 @@ class InterpolationPredictor:
         scratch = self._scratch
         for s in strides:
             cfg = level_configs.get(s, LevelConfig())
-            plan = level_plan(tuple(shape), s, cfg.scheme, cfg.spline)
-            for p in plan.passes:
-                for sb in p.sub_blocks:
-                    pred = _predict_sub(R, sb, cfg.spline, scratch)
-                    byte = codes[sb.slices]
-                    q = scratch.get("quant_q", sb.shape)
-                    np.copyto(q, byte)
-                    np.subtract(q, 128.0, out=q)
-                    recon = scratch.get("quant_recon", sb.shape)
-                    np.multiply(q, twoeb, out=recon)
-                    np.add(pred, recon, out=recon)
-                    omask = scratch.get("quant_outlier", sb.shape, np.bool_)
-                    np.equal(byte, 0, out=omask)
-                    if omask.any():
-                        midx = np.nonzero(omask)
-                        flat = _sub_flat_indices(sb, midx, row_strides)
-                        vidx = np.searchsorted(out_pos, flat)
-                        recon[midx] = outlier_values[vidx].astype(np.float64)
-                    R[sb.slices] = recon
+            for p in level_plan(tuple(shape), s, cfg.scheme, cfg.spline).passes:
+                pred = _predict_pass(R, p, cfg.spline, scratch)
+                byte = codes[p.slices]
+                step = scratch.get("dequant_step", p.shape)
+                np.subtract(byte, 128.0, out=step)  # exact for every byte
+                np.multiply(step, twoeb, out=step)
+                target = R[p.slices]
+                np.add(pred, step, out=target)
+                omask = scratch.get("quant_outlier", p.shape, np.bool_)
+                np.equal(byte, 0, out=omask)
+                if omask.any():
+                    midx = np.nonzero(omask)
+                    vidx = np.searchsorted(out_pos, _flat_positions(p.slices, midx, row_strides))
+                    target[midx] = outlier_values[vidx].astype(np.float64)
         return R.astype(dtype)
 
     # ------------------------------------------------------------- dry run
+    def level_errors(
+        self,
+        X: np.ndarray,
+        stride: int,
+        configs: tuple[LevelConfig, ...],
+    ) -> list[float]:
+        """:meth:`pass_error` of one level for each of ``configs``.
+
+        Scoring predicts from raw values, so the prediction along axis ``d``
+        at a target depends on neither the pass nor the scheme.  Each spline
+        family's per-axis predictions over the stride-``s`` lattice are
+        computed once, and every pass of every config reads basic-slice
+        views of them.
+        """
+        Xf = X.astype(np.float64, copy=False)
+        scratch = self._scratch
+        lattices: dict[str, list[np.ndarray]] = {}
+        totals = []
+        for config in configs:
+            plan = level_plan(X.shape, stride, config.scheme, config.spline)
+            lattice = lattices.get(config.spline)
+            if lattice is None:
+                lattice = lattices[config.spline] = [
+                    _predict_axis(Xf, runs, config.spline, np.empty(lshape), scratch)
+                    for lshape, runs in plan.lattice
+                ]
+            total = 0.0
+            for p in plan.passes:
+                preds = [lattice[d][view] for d, view in zip(p.axes, p.views)]
+                pred = preds[0]
+                if len(preds) > 1:
+                    pred = _average_winners(preds, p.winners, scratch.get("pred_sum", p.shape))
+                diff = scratch.get("pass_diff", p.shape)
+                np.subtract(Xf[p.slices], pred, out=diff)
+                np.abs(diff, out=diff)
+                total += float(diff.sum())
+            totals.append(total)
+        return totals
+
     def pass_error(
         self,
         X: np.ndarray,
@@ -481,20 +562,8 @@ class InterpolationPredictor:
 
         Auto-tuning (§5.1.3) scores candidate configurations by predicting a
         level's points *from the original data* — the cheap surrogate QoZ
-        introduced — so no quantization state is needed.  Per-pass errors are
-        accumulated through a pass-block-shaped scratch buffer so the
-        reduction tree matches the mask-based implementation exactly.
+        introduced — so no quantization state is needed.  Each pass's errors
+        are written to one pass-block buffer and summed, so the reduction
+        tree is that of the mask-based implementation.
         """
-        Xf = X.astype(np.float64, copy=False)
-        scratch = self._scratch
-        total = 0.0
-        plan = level_plan(X.shape, stride, config.scheme, config.spline)
-        for p in plan.passes:
-            diff = scratch.get("pass_diff", p.block_shape)
-            for sb in p.sub_blocks:
-                pred = _predict_sub(Xf, sb, config.spline, scratch)
-                view = diff[sb.rel_slices]
-                np.subtract(Xf[sb.slices], pred, out=view)
-                np.abs(view, out=view)
-            total += float(diff.sum())
-        return total
+        return self.level_errors(X, stride, (config,))[0]

@@ -137,9 +137,9 @@ def axis_predict(
 # a handful of *contiguous runs* of constant class (interior targets are the
 # 4-point spline, one or two targets per edge fall back to quadratic/linear/
 # copy forms).  The fused path in repro.predictor.interpolation therefore
-# splits each pass into per-run sub-blocks and evaluates exactly one formula
-# per sub-block, on strided views, into preallocated scratch — bit-identical
-# results at a quarter of the arithmetic and none of the gather copies.
+# evaluates each axis of a pass run by run, exactly one formula per run, on
+# strided views, into preallocated scratch — bit-identical results at a
+# quarter of the arithmetic and none of the gather copies.
 # --------------------------------------------------------------------------
 
 #: boundary classes of one target run, ordered by interpolation order
@@ -209,7 +209,7 @@ def predict_kind_into(
     out: np.ndarray,
     tmp: np.ndarray,
 ) -> None:
-    """One-class prediction of a sub-block into preallocated ``out``.
+    """One-class prediction of a run of targets into preallocated ``out``.
 
     ``nb_slices`` holds one basic-slice tuple per neighbor of the class (in
     :data:`KIND_OFFSETS` order); the reads are strided views of ``R`` — no

@@ -4,17 +4,17 @@ The tentpole optimization rewrote the predictor hot path (cached pass plans,
 basic-slice sub-blocks, scratch-fused quantization).  These tests pin the
 contract that made the rewrite safe: for finite inputs, the emitted codes,
 outliers and reconstructions are *bit-identical* to the straightforward
-mask-based formulation (kept in-tree as ``_predict_block``).
+mask-based formulation (the test-only oracle ``interp_oracle.predict_block``).
 """
 
 import numpy as np
 import pytest
+from interp_oracle import predict_block as _predict_block
 
 from repro.predictor.interpolation import (
     InterpolationPredictor,
     LevelConfig,
     ScratchPool,
-    _predict_block,
     level_passes,
     level_plan,
     level_plan_stats,

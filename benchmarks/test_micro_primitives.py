@@ -28,6 +28,15 @@ def codes_1mb(nyx_field):
     return res.codes.reshape(-1).tobytes()
 
 
+@pytest.fixture(scope="module")
+def codes_64():
+    """Quantization codes of a 64^3 field: the size serving sees, where the
+    Huffman stream takes the sub-chunked, per-bit-table decode."""
+    field = load("jhtdb", shape=(64, 64, 64), seed=0)
+    abs_eb = resolve_error_bound(field, 1e-3, "rel")
+    return InterpolationPredictor(16).compress(field, abs_eb).codes.reshape(-1).tobytes()
+
+
 class TestEntropyCoders:
     def test_huffman_encode(self, benchmark, codes_1mb):
         codec = HuffmanCodec()
@@ -38,6 +47,12 @@ class TestEntropyCoders:
         enc = codec.encode(codes_1mb)
         out = benchmark(lambda: codec.decode(enc))
         assert out == codes_1mb
+
+    def test_huffman_decode_64(self, benchmark, codes_64):
+        codec = HuffmanCodec()
+        enc = codec.encode(codes_64)
+        out = benchmark(lambda: codec.decode(enc))
+        assert out == codes_64
 
     def test_rans_encode(self, benchmark, codes_1mb):
         codec = RansCodec()
@@ -54,6 +69,18 @@ class TestComponents:
     @pytest.mark.parametrize("comp", [TCMS(1), BIT(1), RRE(1), RZE(1)], ids=lambda c: c.name)
     def test_component_encode(self, benchmark, comp, codes_1mb):
         benchmark(lambda: comp.encode(codes_1mb))
+
+    @pytest.mark.parametrize("stage", ["BIT1", "RRE1"])
+    def test_tp_stage_decode(self, benchmark, stage, codes_64):
+        """The TP chain TCMS1-BIT1-RRE1 on 64^3 codes: each stage decodes
+        the stream its encoder wrote from its real input."""
+        stream = TCMS(1).encode(codes_64)
+        if stage == "RRE1":
+            stream = BIT(1).encode(stream)
+        comp = BIT(1) if stage == "BIT1" else RRE(1)
+        enc = comp.encode(stream)
+        out = benchmark(lambda: comp.decode(enc))
+        assert out == stream
 
 
 class TestPredictors:

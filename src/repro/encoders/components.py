@@ -28,7 +28,10 @@ name        class      semantics
 Every component is self-describing: ``encode`` output embeds whatever header
 ``decode`` needs, so pipelines can be chained blindly on byte strings.
 GPU kernels for these stages are element-parallel scatters/gathers; here every
-stage is a handful of whole-array NumPy operations.
+stage is a handful of whole-array NumPy operations, on the widest unit that
+keeps the layout: ``BITn`` transposes 8x8 bit matrices held in ``uint64``
+words (never one byte per bit), and ``RREn`` rebuilds dropped symbols with
+one ``np.repeat`` over the run lengths (never a per-symbol index).
 """
 
 from __future__ import annotations
@@ -132,13 +135,41 @@ class TCMS(Component):
 
 
 # ---------------------------------------------------------------------- BIT
+#: masks of the three swap steps (4x4 blocks, 2x2 blocks, single bits)
+_K4 = np.uint64(0xF0F0F0F00F0F0F0F)
+_K2 = np.uint64(0xCCCC0000CCCC0000)
+_K1 = np.uint64(0xAA00AA00AA00AA00)
+
+
+def _transpose8x8(w: np.ndarray) -> None:
+    """Transpose the 8x8 bit matrix of every little-endian ``uint64``, in place.
+
+    Row ``r`` is byte ``r`` and column ``c`` its bit ``7 - c`` (MSB first),
+    so the transpose is a flip about the anti-diagonal of the word's bits:
+    eight symbols' bytes go in, eight bytes of their bit planes come out.
+    It is its own inverse.
+    """
+    t = w ^ (w << 36)
+    w ^= _K4 & (t ^ (w >> 36))
+    t = _K2 & (w ^ (w << 18))
+    w ^= t ^ (t >> 18)
+    t = _K1 & (w ^ (w << 9))
+    w ^= t ^ (t >> 9)
+
+
 class BIT(Component):
     """Bit shuffle: regroup the i-th bit of every symbol contiguously.
 
     After TCMS the high bit planes are almost constant; shuffling turns them
     into long identical byte runs that the following RRE stage collapses.
-    A 12-byte header records the payload geometry; input that does not fill a
-    whole symbol is carried as an uncompressed tail.
+    Plane ``q = 8*byte + bit`` (MSB first) holds bit ``q`` of every symbol
+    and starts at bit ``q * nsym`` of the body.  Both directions run on
+    64-bit words: the bytes of one byte lane of 8 consecutive symbols form
+    an 8x8 bit matrix, and transposing it yields 8 bytes of 8 planes.  A
+    symbol count that is not a multiple of 8 is padded for the transpose,
+    then the planes are compacted to their bit offsets.  A 12-byte header
+    records the payload geometry; input that does not fill a whole symbol
+    is carried as an uncompressed tail.
     """
 
     kind = "BIT"
@@ -146,29 +177,49 @@ class BIT(Component):
     def encode(self, buf: bytes) -> bytes:
         arr = np.frombuffer(buf, dtype=np.uint8)
         nsym = arr.size // self.width
-        body = arr[: nsym * self.width]
         tail = arr[nsym * self.width :]
-        if nsym:
-            bits = np.unpackbits(body).reshape(nsym, 8 * self.width)
-            shuffled = np.packbits(bits.T)
-        else:
-            shuffled = np.zeros(0, dtype=np.uint8)
+        groups = -(-nsym // 8)
+        # (group, symbol, lane) -> (group, lane, symbol): one word per lane
+        rows = np.zeros((8 * groups, self.width), dtype=np.uint8)
+        rows[:nsym] = arr[: nsym * self.width].reshape(nsym, self.width)
+        words = np.ascontiguousarray(rows.reshape(groups, 8, self.width).transpose(0, 2, 1))
+        _transpose8x8(words.view("<u8"))
+        # (group, lane, plane bit) -> (lane, plane bit, group): plane-major
+        planes = words.reshape(groups, 8 * self.width).T
         header = struct.pack("<QI", nsym, len(tail))
-        return header + shuffled.tobytes() + tail.tobytes()
+        return header + _compact_planes(planes, nsym).tobytes() + tail.tobytes()
 
     def decode(self, buf: bytes) -> bytes:
         nsym, ntail = struct.unpack_from("<QI", buf, 0)
         off = struct.calcsize("<QI")
-        nbits = nsym * 8 * self.width
-        nbody = (nbits + 7) // 8
+        nbody = nsym * self.width
         body = np.frombuffer(buf, dtype=np.uint8, count=nbody, offset=off)
         tail = buf[off + nbody : off + nbody + ntail]
-        if nsym:
-            planes = np.unpackbits(body, count=nbits).reshape(8 * self.width, nsym)
-            out = np.packbits(planes.T)
-        else:
-            out = np.zeros(0, dtype=np.uint8)
-        return out.tobytes() + tail
+        groups = -(-nsym // 8)
+        planes = _expand_planes(body, nsym, 8 * self.width)
+        words = planes.T.copy().reshape(groups, self.width, 8)
+        _transpose8x8(words.view("<u8"))
+        rows = words.transpose(0, 2, 1).reshape(8 * groups, self.width)
+        return rows[:nsym].tobytes() + tail
+
+
+def _compact_planes(planes: np.ndarray, nsym: int) -> np.ndarray:
+    """Pack ``(nplanes, ceil(nsym/8))`` byte-padded planes back to back.
+
+    Plane ``q`` starts at bit ``q * nsym``; when ``nsym`` is a multiple of 8
+    that is its byte offset already and this is a copy.
+    """
+    if nsym % 8 == 0:
+        return np.ascontiguousarray(planes).reshape(-1)
+    return np.packbits(np.unpackbits(planes, axis=1, count=nsym))
+
+
+def _expand_planes(body: np.ndarray, nsym: int, nplanes: int) -> np.ndarray:
+    """Inverse of :func:`_compact_planes`: one zero-padded byte row per plane."""
+    if nsym % 8 == 0:
+        return body.reshape(nplanes, nsym // 8)
+    bits = np.unpackbits(body, count=nplanes * nsym).reshape(nplanes, nsym)
+    return np.packbits(bits, axis=1)
 
 
 # --------------------------------------------------------------------- DIFF
@@ -312,8 +363,21 @@ def _rre_bytes_decode(buf: bytes) -> bytes:
     keep = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=bmap_len, offset=off), count=n)
     off += bmap_len
     kept = np.frombuffer(buf, dtype=np.uint8, count=nkept, offset=off)
-    idx = np.cumsum(keep) - 1
-    return kept[idx].tobytes()
+    return _fill_runs(keep, kept).tobytes()
+
+
+def _fill_runs(keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Repeat each kept symbol up to the next set bit of the 0/1 ``keep``.
+
+    ``keep[0]`` must be set and the set bits must number ``kept.size``.
+    """
+    starts = np.flatnonzero(keep.view(bool))  # ~10x faster than on uint8
+    if starts.size != kept.size or (starts.size and starts[0] != 0):
+        raise ValueError(
+            f"run bitmap marks {starts.size} kept symbols (first at "
+            f"{starts[0] if starts.size else None}), but {kept.size} are stored"
+        )
+    return np.repeat(kept, np.diff(starts, append=keep.size))
 
 
 def _rre_bytes_measure(buf: bytes, depth: int) -> tuple[bytes, int]:
@@ -329,9 +393,9 @@ class _MaskReducer(Component):
     """Shared machinery of RRE (repeat elimination) and RZE (zero elimination).
 
     Encode layout: ``u32 tail_len, bitmap blob, kept symbols, tail``.
-    Decode rebuilds dropped symbols from the mask: RRE forward-fills the last
-    kept symbol (a vectorized gather through ``cumsum(mask)-1``); RZE fills
-    zeros.
+    Decode rebuilds dropped symbols from the mask: RRE repeats each kept
+    symbol over its run (``np.repeat`` by the distances between set bits);
+    RZE fills zeros.
     """
 
     is_reducer = True
@@ -339,7 +403,8 @@ class _MaskReducer(Component):
     def _mask(self, syms: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def _fill(self, out: np.ndarray, mask: np.ndarray, kept: np.ndarray) -> None:  # pragma: no cover
+    def _fill(self, bits: np.ndarray, kept: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """All ``bits.size`` symbols, from the 0/1 mask and the kept ones."""
         raise NotImplementedError
 
     def encode(self, buf: bytes) -> bytes:
@@ -356,13 +421,9 @@ class _MaskReducer(Component):
         (ntail,) = struct.unpack_from("<I", buf, 0)
         bits, consumed = _decompress_bitmap(buf[4:])
         off = 4 + consumed
-        n = bits.size
         kept_bytes_end = len(buf) - ntail
         kept = np.frombuffer(buf[off:kept_bytes_end], dtype=_UINT[self.width])
-        out = np.zeros(n, dtype=_UINT[self.width])
-        mask = bits.astype(bool)
-        self._fill(out, mask, kept)
-        return out.tobytes() + buf[kept_bytes_end:]
+        return self._fill(bits, kept).tobytes() + buf[kept_bytes_end:]
 
 
 class RRE(_MaskReducer):
@@ -376,11 +437,8 @@ class RRE(_MaskReducer):
         np.not_equal(syms[1:], syms[:-1], out=mask[1:])
         return mask
 
-    def _fill(self, out: np.ndarray, mask: np.ndarray, kept: np.ndarray) -> None:
-        if out.size == 0:
-            return
-        idx = np.cumsum(mask) - 1  # index of the governing kept symbol
-        out[:] = kept[idx]
+    def _fill(self, bits: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        return _fill_runs(bits, kept)
 
 
 class RZE(_MaskReducer):
@@ -391,8 +449,10 @@ class RZE(_MaskReducer):
     def _mask(self, syms: np.ndarray) -> np.ndarray:
         return syms != 0
 
-    def _fill(self, out: np.ndarray, mask: np.ndarray, kept: np.ndarray) -> None:
-        out[mask] = kept
+    def _fill(self, bits: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        out = np.zeros(bits.size, dtype=kept.dtype)
+        out[bits.view(bool)] = kept
+        return out
 
 
 # --------------------------------------------------------------------- CLOG

@@ -10,11 +10,13 @@ IPDPS'22].  This implementation reproduces that execution shape in NumPy:
   one step per symbol;
 * **decode** — one symbol is decoded *per lane per iteration*, across all
   lanes simultaneously, like the SM-parallel decoder.  A long stream has
-  one lane per chunk and iterates once per symbol of a chunk.  A short one
-  has few chunks, so that loop would run thousands of times over a handful
-  of lanes: it first finds the start of every :data:`SUBCHUNK`-symbol
-  sub-chunk from a table of code boundaries at every payload bit, then runs
-  the same loop for just SUBCHUNK iterations over all sub-chunks.
+  one lane per chunk and iterates once per symbol of a chunk, one window
+  peek and one gather from a ``symbol | length << 8`` LUT per step.  A
+  short one has few chunks, so that loop would run thousands of times over
+  a handful of lanes: it first gathers the LUT entry at every payload bit,
+  finds the start of every :data:`SUBCHUNK`-symbol sub-chunk from the code
+  boundaries those entries give, then runs SUBCHUNK iterations over all
+  sub-chunks, each one gather from the per-bit table.
 
 Code lengths are limited to :data:`MAX_CODE_LEN` bits with the zlib-style
 Kraft rebalancing so the decoder can use a flat 2^L lookup table.
@@ -246,13 +248,12 @@ class HuffmanCodec:
         L = int(lengths.max())
         if not 1 <= L <= 24:
             raise ValueError(f"Huffman code lengths must be in [1, 24], got a maximum of {L}")
-        lut_sym, lut_len = self._build_lut(lengths, L)
+        lut = self._build_lut(lengths, L)
         # Pad the payload once: the window peek runs per decoded symbol, and
         # the defensive per-call copy used to dominate the whole decode.
         padded = pad_stream_for_windows(payload)
         pos = np.zeros(nchunks, dtype=np.int64)
         pos[1:] = offsets64
-        stride = chunk_size
         # Sub-chunking saves chunk_size - SUBCHUNK lockstep iterations of
         # ~15 us and costs a jump table of ~13 ns per payload bit (2-vCPU
         # Xeon VM, numpy 2.4).  Forcing each path on the same streams, it
@@ -261,23 +262,30 @@ class HuffmanCodec:
         # bits (~1 bit/symbol at 1,000 chunks, ~5 at 200) for the default
         # chunk; the chunk count alone cannot place it.
         if total_bits < (chunk_size - SUBCHUNK) * SUBCHUNK_BREAK_EVEN:
-            stride = SUBCHUNK
-            pos = _subchunk_starts(padded, pos, total_bits, L, lut_len, -(-chunk_size // stride))
-        out = np.zeros((pos.size, stride), dtype=np.uint8)
-        # One symbol per lane per iteration; lanes that run past their
-        # (sub-)chunk decode harmless padding or their neighbour's symbols,
-        # which are sliced away below.
-        for it in range(stride):
-            win = extract_bit_windows(padded, pos, L, prepadded=True)
-            out[:, it] = lut_sym[win]
-            pos += lut_len[win]
-            np.minimum(pos, total_bits, out=pos)
+            tab, pos = _subchunk_table(padded, pos, total_bits, L, lut, -(-chunk_size // SUBCHUNK))
+            out = np.empty((pos.size, SUBCHUNK), dtype=np.uint8)
+            # One table entry per step: the entry at every payload bit
+            # already holds the symbol and the (clamped) code length.
+            for it in range(SUBCHUNK):
+                v = np.take(tab, pos)
+                out[:, it] = v
+                pos += v >> 8
+        else:
+            out = np.empty((nchunks, chunk_size), dtype=np.uint8)
+            for it in range(chunk_size):
+                v = lut[extract_bit_windows(padded, pos, L, prepadded=True)]
+                out[:, it] = v
+                pos += v >> 8
+                np.minimum(pos, total_bits, out=pos)
+        # Lanes that run past their (sub-)chunk decode harmless padding or
+        # their neighbour's symbols, which are sliced away here.
         return out.reshape(nchunks, -1)[:, :chunk_size].reshape(-1)[:n].tobytes()
 
     @staticmethod
-    def _build_lut(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat 2^L decode table: every L-bit window -> (symbol, code length).
+    def _build_lut(lengths: np.ndarray, L: int) -> np.ndarray:
+        """Flat 2^L decode table: every L-bit window -> ``symbol | length << 8``.
 
+        One ``uint16`` entry, so the decoder gathers once per symbol.
         Memoized by ``(length-table bytes, L)`` — repeated decodes of streams
         sharing one code table (tiles, timesteps) skip the 2^L fill.
         """
@@ -287,31 +295,31 @@ class HuffmanCodec:
         if cached is not None:
             return cached
         codes = canonical_codes(lengths)
-        lut_sym = np.zeros(1 << L, dtype=np.uint8)
-        lut_len = np.ones(1 << L, dtype=np.uint8)  # len>=1 guarantees progress
+        lut = np.full(1 << L, 1 << 8, dtype=np.uint16)  # len>=1 guarantees progress
         for s in range(256):
             l = int(lengths[s])
             if l == 0:
                 continue
             base = int(codes[s]) << (L - l)
-            span = 1 << (L - l)
-            lut_sym[base : base + span] = s
-            lut_len[base : base + span] = l
-        return _TABLES.store(key, (_readonly(lut_sym), _readonly(lut_len)))
+            lut[base : base + (1 << (L - l))] = s | l << 8
+        return _TABLES.store(key, _readonly(lut))
 
 
-def _subchunk_starts(
+def _subchunk_table(
     padded: np.ndarray, chunk_starts: np.ndarray, total_bits: int, L: int,
-    lut_len: np.ndarray, per_chunk: int,
-) -> np.ndarray:
-    """Bit offset of every :data:`SUBCHUNK`-symbol sub-chunk of every chunk.
+    lut: np.ndarray, per_chunk: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode table at every payload bit, and every sub-chunk's start.
 
-    ``jump[p]`` is the start of the code after the one starting at bit
-    ``p``, clamped at ``total_bits``.  It is built in fixed-size blocks
-    from the L-bit window at every bit position, then squared
-    ``log2(SUBCHUNK)`` times into a SUBCHUNK-symbol jump that is walked
-    ``per_chunk`` times from each chunk's stored offset.  int32 keeps the
-    table at 4 bytes per payload bit.  Returns int64 offsets, chunk-major.
+    ``tab[p]`` is the LUT entry of the L-bit window at bit ``p`` (symbol in
+    the low byte, code length in the high byte), its length clamped so that
+    ``p + length <= total_bits``.  The lockstep loop then decodes a symbol
+    with one gather.  ``jump[p] = p + length`` is the start of the next
+    code; it is squared ``log2(SUBCHUNK)`` times into a SUBCHUNK-symbol
+    jump that is walked ``per_chunk`` times from each chunk's stored
+    offset.  Both are built in fixed-size blocks; together they take 6
+    bytes per payload bit (int32 jump, uint16 entry).  Returns ``(tab,
+    starts)``, the starts chunk-major in the table's index dtype.
     """
     dtype = np.int32 if total_bits < 1 << 30 else np.int64  # headroom for pos + L
     # The big-endian word at every byte offset, as an overlapping strided
@@ -320,14 +328,23 @@ def _subchunk_starts(
     nbytes = total_bits // 8 + 1
     words = np.ndarray((nbytes,), dtype=">u4", buffer=padded, strides=(1,))
     shifts = np.arange(8, dtype=np.uint32)
+    tab = np.empty(8 * nbytes, dtype=np.uint16)
     jump = np.empty(8 * nbytes, dtype=dtype)
     for lo in range(0, nbytes, _JUMP_BLOCK):
         win = words[lo : lo + _JUMP_BLOCK].astype(np.uint32)[:, None] << shifts
         win >>= np.uint32(32 - L)
-        step = lut_len[win].reshape(-1)
-        at = np.arange(8 * lo, 8 * lo + step.size, dtype=dtype)
-        np.add(at, step, out=jump[8 * lo : 8 * lo + step.size])
-    np.minimum(jump, total_bits, out=jump)
+        entry = tab[8 * lo : 8 * lo + win.size]
+        np.take(lut, win.reshape(-1), out=entry)
+        at = np.arange(8 * lo, 8 * lo + entry.size, dtype=dtype)
+        np.add(at, entry >> 8, out=jump[8 * lo : 8 * lo + entry.size])
+    # Only a window starting within L bits of the end can reach past it
+    # (codes are at most L bits): clamp those jumps, and their lengths too,
+    # so a lane never steps past total_bits (the entry there, a zero-length
+    # step, is where finished lanes park).
+    near = max(0, total_bits - L)
+    np.minimum(jump[near:], total_bits, out=jump[near:])
+    tail = slice(near, total_bits + 1)
+    tab[tail] = (tab[tail] & 0xFF) | ((jump[tail] - np.arange(near, total_bits + 1)) << 8)
     # Square in place, block by block upwards.  No jump points backwards,
     # except past total_bits to that fixed point, so every entry a block
     # reads is still unsquared, inside the block (gathered before the
@@ -337,9 +354,9 @@ def _subchunk_starts(
         for lo in range(0, jump.size, block):
             # np.take gathers int32 ~2x faster than fancy indexing
             jump[lo : lo + block] = np.take(jump, jump[lo : lo + block])
-    starts = np.empty((chunk_starts.size, per_chunk), dtype=np.int64)
+    starts = np.empty((chunk_starts.size, per_chunk), dtype=dtype)
     p = chunk_starts.astype(dtype)
     for j in range(per_chunk):
         starts[:, j] = p
         p = jump[p]
-    return starts.reshape(-1)
+    return tab, starts.reshape(-1)

@@ -11,9 +11,11 @@ puts ``N`` **worker processes** behind the frontend:
   with the same :mod:`repro.api` calls the in-process path uses — blobs are
   byte-identical to the single-process server;
 * tasks travel as small picklable tuples over per-worker
-  ``multiprocessing`` queues (pipe transport); results return on one shared
-  result queue drained by a dispatcher thread that resolves asyncio futures
-  via ``loop.call_soon_threadsafe``;
+  ``multiprocessing`` queues (pipe transport); each worker sends its
+  results back over its own pipe, and a dispatcher thread waits on all of
+  them and resolves asyncio futures via ``loop.call_soon_threadsafe``.  No
+  lock is shared between processes: a worker killed mid-write can break
+  only its own pipes, and its respawn gets new ones;
 * archive reads are **sharded by consistent hashing** on
   ``(archive, field)`` (:class:`HashRing`), so each worker's byte-budgeted
   blob cache holds a disjoint slice of the corpus instead of ``N`` copies
@@ -52,10 +54,10 @@ import asyncio
 import hashlib
 import itertools
 import multiprocessing
-import queue as queue_mod
 import signal
 import threading
 import time
+from multiprocessing.connection import wait
 
 __all__ = [
     "HashRing",
@@ -224,7 +226,7 @@ def _run_task(kind: str, payload: dict, cache) -> dict:
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
-def _worker_main(worker_id: int, task_q, result_q, cache_bytes: int) -> None:
+def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
     """One worker process: blocking task loop until the ``None`` sentinel.
 
     Top-level (not a closure) so the ``spawn`` start method can import it;
@@ -244,24 +246,24 @@ def _worker_main(worker_id: int, task_q, result_q, cache_bytes: int) -> None:
     # frontend before blocking on the queue so start() can wait for a pool
     # that actually dequeues promptly (deadlined tasks submitted while a
     # worker is still importing would all expire at the dequeue pre-check).
-    result_q.put((0, "ready", worker_id))
+    result_conn.send((0, "ready", worker_id))
     while True:
         item = task_q.get()
         if item is None:
             break
         task_id, kind, deadline_ts, payload = item
         if deadline_ts is not None and time.time() > deadline_ts:
-            result_q.put((task_id, "expired", None))
+            result_conn.send((task_id, "expired", None))
             continue
         try:
             # Chaos hook ("pool.worker-task"): SIGKILL at task K, injected
             # error, or stall — after the dequeue pre-check, so the fault
             # lands on *started* work.
             _fault_fire("pool.worker-task", worker=worker_id, kind=kind)
-            result_q.put((task_id, "ok", _run_task(kind, payload, cache)))
+            result_conn.send((task_id, "ok", _run_task(kind, payload, cache)))
         except Exception as exc:  # noqa: BLE001 — per-task isolation boundary
             status, failure_kind = _task_failure_for(exc)
-            result_q.put((task_id, "error", (status, f"{exc}", failure_kind)))
+            result_conn.send((task_id, "error", (status, f"{exc}", failure_kind)))
 
 
 # ----------------------------------------------------------------- dispatcher
@@ -316,7 +318,8 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(start_method)
         self._ring = HashRing(self.workers)
         self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
-        self._result_queue = self._ctx.Queue()
+        #: the read end of each worker's result pipe (None once it hit EOF)
+        self._result_conns: list = [None] * self.workers
         self._procs: list = [None] * self.workers
         self._pending: dict[int, _Pending] = {}
         self._ids = itertools.count(1)
@@ -362,28 +365,56 @@ class WorkerPool:
         broken.
         """
         deadline = time.monotonic() + timeout_s
-        ready = 0
-        while ready < self.workers and time.monotonic() < deadline:
-            try:
-                item = self._result_queue.get(timeout=0.5)
-            except queue_mod.Empty:
-                for wid, proc in enumerate(self._procs):
-                    if proc is not None and not proc.is_alive():
-                        self._spawn_worker(wid)
-                continue
-            if item is not None and item[1] == "ready":
-                ready += 1
+        booting = set(range(self.workers))
+        while booting and time.monotonic() < deadline:
+            for wid in booting & self._poll_results():
+                booting.discard(wid)
+            for wid in booting:
+                if self._result_conns[wid] is None:  # died while booting
+                    self._spawn_worker(wid)
 
     def _spawn_worker(self, wid: int) -> None:
-        shard_bytes = self.cache_bytes // self.workers
+        """Start worker ``wid`` on its task queue, with a new result pipe."""
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self._task_queues[wid], self._result_queue, shard_bytes),
+            args=(wid, self._task_queues[wid], writer, self.cache_bytes // self.workers),
             name=f"repro-worker-{wid}",
             daemon=True,
         )
         proc.start()
+        writer.close()  # the worker holds the write end: its exit is our EOF
+        self._result_conns[wid] = reader
         self._procs[wid] = proc
+
+    def _poll_results(self, timeout_s: float = 0.5) -> set[int]:
+        """Wait up to ``timeout_s`` for results, handle every message that
+        arrived, and return the ids of the workers that sent one.
+
+        A pipe at EOF (its worker exited) is dropped from the wait set;
+        :meth:`_reap_dead_workers` fails its tasks and respawns it.
+        """
+        live = {conn: wid for wid, conn in enumerate(self._result_conns) if conn is not None}
+        senders = set()
+        for conn in wait(list(live), timeout=timeout_s):
+            wid = live[conn]
+            if self._drain(wid):
+                senders.add(wid)
+        return senders
+
+    def _drain(self, wid: int) -> bool:
+        """Handle every message waiting on worker ``wid``'s pipe; returns
+        whether there was one.  Closes and drops the pipe at EOF."""
+        conn = self._result_conns[wid]
+        got = False
+        try:
+            while conn.poll():
+                self._handle_result(*conn.recv())
+                got = True
+        except (EOFError, OSError):
+            conn.close()
+            self._result_conns[wid] = None
+        return got
 
     def close(self, join_s: float = 5.0) -> None:
         """Stop admissions, fail whatever is still pending, stop the workers."""
@@ -464,7 +495,9 @@ class WorkerPool:
             self._dispatched += 1
             self._per_worker[wid] += 1
             self._depth_high_water = max(self._depth_high_water, depth + 1)
-        self._task_queues[wid].put((task_id, kind, deadline_ts, payload))
+            # Under the lock, so a respawn's queue swap cannot fall between
+            # routing and the put (put only appends to the feeder's buffer).
+            self._task_queues[wid].put((task_id, kind, deadline_ts, payload))
         return future
 
     def abandon(self, future: asyncio.Future) -> None:
@@ -493,16 +526,8 @@ class WorkerPool:
     # --------------------------------------------------------------- dispatch
     def _dispatch_loop(self) -> None:
         while True:
-            try:
-                item = self._result_queue.get(timeout=0.5)
-            except queue_mod.Empty:
-                if self._closed and not self._pending:
-                    return
+            if not self._poll_results() or None in self._result_conns:
                 self._reap_dead_workers()
-                continue
-            if item is None:
-                return
-            self._handle_result(*item)
             if self._closed and not self._pending:
                 return
 
@@ -553,6 +578,13 @@ class WorkerPool:
         for wid, proc in enumerate(self._procs):
             if proc is None or proc.is_alive() or self._closed:
                 continue
+            if self._result_conns[wid] is not None:
+                self._drain(wid)  # results it sent before it died still count
+            # The respawn gets a new task queue: the kill may have landed
+            # while the worker held the old one's reader lock.  Every task
+            # routed to the old queue is stranded here, in the same critical
+            # section as the swap, so none is left unanswered in it.
+            fresh_q = self._ctx.Queue()
             with self._lock:
                 stranded = [
                     (tid, entry) for tid, entry in self._pending.items() if entry.worker == wid
@@ -561,6 +593,9 @@ class WorkerPool:
                     del self._pending[tid]
                 self._errors += len(stranded)
                 self._worker_restarts += 1
+                old_q, self._task_queues[wid] = self._task_queues[wid], fresh_q
+            old_q.cancel_join_thread()  # nobody will read what it buffered
+            old_q.close()
             # Stranded tasks are idempotent (compress/decompress/read), so the
             # death maps to a retryable 503, not a 500 — a retrying client
             # lands on the respawned (or a surviving) worker.

@@ -16,8 +16,10 @@ from repro.client import AsyncReproClient, RetryPolicy
 from repro.faults import FaultPlan, FaultSpec, ReproFaults
 from repro.service import ArchiveStore
 
-#: retry fast in tests: ignore the server's 1 s Retry-After hint.
-_FAST = dict(base_s=0.02, cap_s=0.2, retry_after_cap_s=0.05)
+#: retry fast in tests: ignore the server's 1 s Retry-After hint, and give
+#: up on an attempt after 15 s, so a lost task fails the test instead of
+#: holding it for max_attempts x the 60 s default.
+_FAST = dict(base_s=0.02, cap_s=0.2, retry_after_cap_s=0.05, attempt_timeout_s=15.0)
 
 
 def _client(server, seed, **kw) -> AsyncReproClient:

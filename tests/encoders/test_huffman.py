@@ -18,6 +18,23 @@ from repro.encoders.huffman import (
 _HEADER = struct.calcsize("<QIQ")
 
 
+def _two_table_lut(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's own flat 2^L tables: window -> symbol, window -> length
+    (the codec's separate symbol and length tables before they merged)."""
+    codes = canonical_codes(lengths)
+    lut_sym = np.zeros(1 << L, dtype=np.uint8)
+    lut_len = np.ones(1 << L, dtype=np.uint8)
+    for s in range(256):
+        l = int(lengths[s])
+        if l == 0:
+            continue
+        base = int(codes[s]) << (L - l)
+        span = 1 << (L - l)
+        lut_sym[base : base + span] = s
+        lut_len[base : base + span] = l
+    return lut_sym, lut_len
+
+
 def _lockstep_decode(buf: bytes) -> bytes:
     """Reference decoder: one symbol per chunk per iteration, for
     ``chunk_size`` iterations (the codec's decoder before sub-chunking)."""
@@ -29,7 +46,7 @@ def _lockstep_decode(buf: bytes) -> bytes:
     offsets = np.frombuffer(buf, dtype=np.uint64, count=nchunks - 1, offset=_HEADER + 256)
     payload = np.frombuffer(buf, dtype=np.uint8, offset=_HEADER + 256 + offsets.nbytes)
     L = int(lengths.max())
-    lut_sym, lut_len = HuffmanCodec._build_lut(lengths, L)
+    lut_sym, lut_len = _two_table_lut(lengths, L)
     pos = np.zeros(nchunks, dtype=np.int64)
     pos[1:] = offsets.astype(np.int64)
     out = np.zeros((nchunks, chunk_size), dtype=np.uint8)
@@ -244,9 +261,47 @@ class TestDecodeMatchesLockstepOracle:
         self.check(quantcode_bytes)
 
 
+def _fibonacci_stream(gen, nsym: int) -> bytes:
+    """``nsym`` symbols with Fibonacci frequencies: code lengths 1..nsym-1."""
+    counts, a, b = [], 1, 1
+    for _ in range(nsym):
+        counts.append(a)
+        a, b = b, a + b
+    data = np.repeat(np.arange(nsym, dtype=np.uint8), counts[::-1])
+    return gen.permutation(data).tobytes()
+
+
+class TestTablePath:
+    """The sub-chunked decode reads one table entry per payload bit; it must
+    match the lockstep oracle at every code length the header allows."""
+
+    @pytest.fixture(autouse=True)
+    def table_path(self, monkeypatch):
+        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 1 << 40)
+
+    @pytest.mark.parametrize("max_len", [17, 20, 24])
+    def test_long_codes(self, max_len, gen):
+        data = _fibonacci_stream(gen, max_len + 1)
+        enc = HuffmanCodec(max_len=24).encode(data)
+        assert max(enc[_HEADER : _HEADER + 256]) == max_len
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == data
+
+    @pytest.mark.parametrize("chunk_size", [8, 64, 4096])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 4096, 4097, 20_000])
+    def test_single_symbol_streams(self, n, chunk_size):
+        data = b"\x00" * n
+        enc = HuffmanCodec(chunk_size=chunk_size).encode(data)
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == data
+
+
 def test_small_stream_decode_makes_few_window_calls(gen, monkeypatch):
-    """An 8-chunk (32^3-sized) stream decodes in SUBCHUNK lockstep
-    iterations, each one window call, not one per symbol of a chunk."""
+    """An 8-chunk (32^3-sized) stream decodes from the per-bit table: the
+    SUBCHUNK lockstep iterations gather table entries, and no iteration
+    extracts bit windows."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -257,7 +312,7 @@ def test_small_stream_decode_makes_few_window_calls(gen, monkeypatch):
     enc = HuffmanCodec().encode(data)
     monkeypatch.setattr(huffman, "extract_bit_windows", counting)
     assert HuffmanCodec().decode(enc) == data
-    assert len(calls) <= huffman.SUBCHUNK == 16
+    assert not calls
 
 
 class TestMalformedHeaders:

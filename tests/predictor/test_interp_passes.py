@@ -136,6 +136,24 @@ class TestCompressDecompress:
         assert (res.recon == 0).all()
         self._check(x, 8, 1e-3, linear)
 
+    def test_replay_contract_is_value_equality(self):
+        """Decompress reproduces compress's reconstruction under IEEE ``==``;
+        the sign of zero is not part of that contract (a residual that
+        quantizes to ``-0.0`` is stored as the zero code, which decodes to
+        ``+0.0``).  Wherever the bit patterns differ, both values are zero."""
+        x = np.full((9, 10, 11), -1e-300)
+        x[::8, ::8, ::8] = -0.0
+        linear = {s: LevelConfig("md", "linear") for s in (4, 2, 1)}
+        pred = InterpolationPredictor(8)
+        res = pred.compress(x, 1e-3, linear)
+        out = pred.decompress(
+            res.codes, res.anchors, res.outlier_values, x.shape, 1e-3, res.level_configs, x.dtype
+        )
+        assert np.signbit(res.recon).any()  # the field exercises signed zeros
+        assert (out == res.recon).all()
+        differ = out.view(np.uint64) != res.recon.view(np.uint64)
+        assert (out[differ] == 0).all() and (res.recon[differ] == 0).all()
+
     @staticmethod
     def _check(x, anchor, eb, cfgs):
         new = InterpolationPredictor(anchor)

@@ -9,10 +9,16 @@ consistent-hash cache shards end to end.
 
 from __future__ import annotations
 
+import asyncio
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.server import STATS_SCHEMA, HashRing
+from repro.server.pool import PoolTaskError, WorkerPool
 
 
 class TestHashRing:
@@ -161,3 +167,42 @@ def test_worker_runs_in_separate_process(serve, http):
     pids = serve(scenario, worker_procs=2)
     assert os.getpid() not in pids
     assert len(set(pids)) == 2
+
+
+def test_no_task_is_lost_when_workers_are_sigkilled(field16):
+    """SIGKILL workers while tasks stream in, with more workers than cores:
+    every future resolves within the timeout, to a result or to a typed
+    worker-death 503, and respawned workers keep serving.  A respawn that
+    reused a queue or pipe the dead worker held a lock on, or a task routed
+    into a queue being replaced, would leave a future unresolved."""
+    blob = api.compress(field16, api.build_request(eb=1e-3)).to_bytes()
+    want = api.decompress(blob).tobytes()
+    pool = WorkerPool(3, queue_depth=256)
+    pool.start()
+    try:
+
+        async def stream():
+            futures = []
+            for i in range(90):
+                futures.append(pool.submit("decompress", {"data": blob}))
+                if i in (5, 25, 50):
+                    os.kill(pool.stats()["pids"][i % 3], signal.SIGKILL)
+                await asyncio.sleep(0.005)
+            return await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), timeout=90
+            )
+
+        results = asyncio.run(stream())
+        deaths = [r for r in results if isinstance(r, PoolTaskError)]
+        assert all(e.status == 503 and e.kind == "worker-death" for e in deaths)
+        served = [r for r in results if isinstance(r, dict)]
+        assert len(served) + len(deaths) == len(results)
+        assert all(r["payload"] == want for r in served)
+        assert pool.stats()["worker_restarts"] >= 1
+
+        async def after():
+            return await asyncio.wait_for(pool.submit("decompress", {"data": blob}), timeout=60)
+
+        assert asyncio.run(after())["payload"] == want
+    finally:
+        pool.close()

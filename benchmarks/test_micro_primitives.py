@@ -48,6 +48,11 @@ class TestEntropyCoders:
         out = benchmark(lambda: codec.decode(enc))
         assert out == codes_1mb
 
+    def test_huffman_encode_64(self, benchmark, codes_64):
+        codec = HuffmanCodec()
+        enc = benchmark(lambda: codec.encode(codes_64))
+        assert codec.decode(enc) == codes_64
+
     def test_huffman_decode_64(self, benchmark, codes_64):
         codec = HuffmanCodec()
         enc = codec.encode(codes_64)

@@ -5,6 +5,9 @@ GPU these are warp-cooperative bit scatters; here each primitive is expressed
 as a whole-array NumPy operation so the same data movement happens in a few
 fused passes instead of a Python loop per symbol (see the chunk-parallel
 Huffman codec in :mod:`repro.encoders.huffman` for the main consumer).
+Variable-length fields are packed a 64-bit word at a time
+(:class:`BitfieldWriter`); windows are read at any bit offset
+(:func:`extract_bit_windows`).
 
 All bitstreams use **MSB-first** bit order inside each byte, matching
 ``numpy.packbits``/``numpy.unpackbits`` defaults, so round-trips compose with
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BitfieldWriter",
     "pack_bitfields",
     "unpack_bitfields",
     "extract_bit_windows",
@@ -40,92 +44,81 @@ def bytes_to_bits(buf: bytes | np.ndarray, nbits: int) -> np.ndarray:
     return bits
 
 
-def pack_bitfields(
-    values: np.ndarray, lengths: np.ndarray, starts: np.ndarray | None = None
-) -> tuple[bytes, int]:
+class BitfieldWriter:
+    """Variable-length bitfields ORed into big-endian ``uint64`` words.
+
+    The writer owns a zeroed word array sized for ``nbits`` payload bits,
+    plus one leading guard word, and a running bit offset.  Each
+    :meth:`write` places a run of fields after the previous one; the Huffman
+    encoder writes its stream in cache-sized blocks this way, and
+    :meth:`tobytes` emits the payload with one byteswap.
+    """
+
+    def __init__(self, nbits: int):
+        self.nbits = int(nbits)
+        self.end = 0
+        self.words = np.zeros(-(-self.nbits // 64) + 1, dtype=np.uint64)
+
+    def write(self, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """OR fields ``values`` (``uint64``, each in its low ``lengths`` bits,
+        nothing above) into the words; returns each field's exclusive end
+        bit offset (``int64``).
+
+        ``lengths`` are ``int64`` in [1, 64].  Field ``i`` ends in word
+        ``(end_i - 1) >> 6`` with ``r_i = (-end_i) & 63`` bits of that word
+        after it, so it contributes ``values << r`` there and, when it starts
+        in the previous word, ``values >> (64 - r)`` to that one (NumPy
+        shifts of 64 give 0).  No field is longer than a word, so the end
+        word steps by at most one per field: every word of the run gets the
+        OR of the low parts of a contiguous field range
+        (``bitwise_or.reduceat``), and only the first field of each range
+        can spill into the word before.
+        """
+        if values.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        ends += self.end
+        q = ends + 63  # q >> 6: word of the field's last bit, past the guard
+        slot = q >> 6
+        r = (~q & 63).view(np.uint64)
+        first = np.flatnonzero(slot[1:] != slot[:-1])
+        first += 1
+        first = np.concatenate(([0], first))
+        s0, s1 = int(slot[0]), int(slot[-1]) + 1
+        self.words[s0:s1] |= np.bitwise_or.reduceat(values << r, first)
+        self.words[s0 - 1 : s1 - 1] |= values[first] >> (64 - r[first])
+        self.end = int(ends[-1])
+        return ends
+
+    def tobytes(self) -> bytes:
+        """The packed payload: ``ceil(nbits / 8)`` bytes, MSB first."""
+        return self.words[1:].astype(">u8").tobytes()[: (self.nbits + 7) // 8]
+
+
+def pack_bitfields(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Concatenate variable-length bitfields into a packed bitstream.
 
-    ``values[i]`` holds the field in its low ``lengths[i]`` bits; fields are
-    emitted MSB-first in index order.  This is the workhorse of the Huffman
-    encoder: instead of looping over symbols we loop over *bit planes* (at most
-    ``max(lengths)`` iterations, each fully vectorized), mirroring how the GPU
-    kernel assigns one thread per symbol and scatters by precomputed offsets.
-
-    ``starts`` may pass in the exclusive prefix sum of ``lengths`` when the
-    caller already computed it (the Huffman encoder reuses it for its chunk
-    offset table, so the 16M-element cumsum runs once, not twice).
-
-    Unsigned ``values`` dtypes are honored rather than upcast: the Huffman
-    encoder gathers 16-bit codes and 8-bit lengths, so the full-size plane-0
-    temporaries shrink 4-8x versus a blanket uint64 promotion (the emitted
-    bits are dtype-independent).
-
-    The plane loop iterates over a *shrinking index set*: entropy-coded
-    streams are dominated by short codes, so after the first plane only a
-    small fraction of fields is still active — re-deriving the active set
-    from the previous plane's indices touches just those survivors instead
-    of boolean-scanning the full array ``max(lengths)`` times.
-
-    Returns ``(packed_bytes, total_bits)``.
+    ``values[i]`` holds the field in its low ``lengths[i]`` bits (higher
+    bits are ignored); fields are emitted MSB-first in index order, through
+    one :class:`BitfieldWriter`.  Lengths must be in [0, 64].  Returns
+    ``(packed_bytes, total_bits)``.
     """
     values = np.asarray(values)
-    if values.dtype.kind != "u":
-        values = values.astype(np.uint64)
     lengths = np.asarray(lengths)
-    if lengths.dtype.kind not in ("u", "i"):
-        lengths = lengths.astype(np.int64)
     if values.shape != lengths.shape:
         raise ValueError("values and lengths must have identical shapes")
     if values.size == 0:
         return b"", 0
-    lmin = int(lengths.min())
-    if lmin < 0 or int(lengths.max()) > 64:
+    if int(lengths.min()) < 0 or int(lengths.max()) > 64:
         raise ValueError("bitfield lengths must be in [0, 64]")
-    total = int(lengths.sum(dtype=np.int64))
-    if starts is None:
-        # Exclusive prefix sum of lengths = start bit offset of each field.
-        starts = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], dtype=np.int64, out=starts[1:])
-    # Every bit position belongs to exactly one (field, plane) pair and the
-    # per-field ranges tile [0, total) exactly, so the scatters below write
-    # every element: np.empty is safe and skips a full zero fill.
-    bits = np.empty(total, dtype=np.uint8)
-    maxlen = int(lengths.max())
-    # None = every field is active (all-nonzero lengths let plane 0 skip the
-    # index set entirely); zero-length fields must never reach the scatter.
-    idx: np.ndarray | None = None if lmin >= 1 else np.flatnonzero(lengths > 0)
-    for plane in range(maxlen):
-        if idx is None:
-            # Shift/mask computed in the lengths' own (small) dtype: plane 0
-            # — the only full-size plane — costs one temporary.
-            shift = _shift_operand(lengths - 1 - plane, values)
-            bitval = values >> shift
-            np.bitwise_and(bitval, 1, out=bitval)
-            bits[starts if plane == 0 else starts + plane] = bitval
-            idx = np.flatnonzero(lengths > plane + 1)
-        else:
-            if idx.size == 0:
-                break
-            sub_len = lengths[idx]
-            shift = _shift_operand(sub_len - 1 - plane, values)
-            bitval = values[idx] >> shift
-            np.bitwise_and(bitval, 1, out=bitval)
-            pos = starts[idx]
-            pos += plane
-            bits[pos] = bitval
-            idx = idx[sub_len > plane + 1]
-    return bits_to_bytes(bits), total
-
-
-def _shift_operand(shift: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Make a non-negative shift array type-compatible with ``values``.
-
-    uint64 values mixed with signed shifts would promote to float64 and
-    break ``>>``; everywhere else NumPy's integer promotion just works.
-    """
-    if values.dtype == np.uint64 and shift.dtype.kind == "i":
-        return shift.view(np.uint64) if shift.dtype == np.int64 else shift.astype(np.uint64)
-    return shift
+    keep = lengths > 0
+    lengths = lengths[keep].astype(np.int64)
+    values = values[keep].astype(np.uint64)
+    # (1 << 64) is 0 in uint64, so a 64-bit field keeps all its bits.
+    values &= (np.uint64(1) << lengths.view(np.uint64)) - np.uint64(1)
+    writer = BitfieldWriter(int(lengths.sum()))
+    writer.write(values, lengths)
+    return writer.tobytes(), writer.nbits
 
 
 def unpack_bitfields(buf: bytes, lengths: np.ndarray) -> np.ndarray:

@@ -5,9 +5,14 @@ fixed-size chunks, every thread block encodes/decodes one chunk, and a table
 of per-chunk bit offsets makes decode embarrassingly parallel [Rivera et al.,
 IPDPS'22].  This implementation reproduces that execution shape in NumPy:
 
-* **encode** — code/length lookup is one gather; bit placement runs one
-  vectorized pass per *bit plane* (≤ ``max_code_len`` passes total) instead of
-  one step per symbol;
+* **encode** — runs in blocks of :data:`ENCODE_BLOCK` symbols, so every
+  temporary stays cache-sized.  Per block, one gather from a table over
+  symbol *pairs* (indexed by the ``uint16`` of two bytes) yields merged
+  codes, and pairs merge again into fields of at most 64 bits: 4 codes
+  when every code has at most 16 bits, else 2.  A
+  :class:`~repro.encoders.bitio.BitfieldWriter` ORs the fields into
+  big-endian 64-bit words, and each chunk's bit offset comes from the
+  field prefix sums;
 * **decode** — one symbol is decoded *per lane per iteration*, across all
   lanes simultaneously, like the SM-parallel decoder.  A long stream has
   one lane per chunk and iterates once per symbol of a chunk, one window
@@ -37,7 +42,7 @@ import struct
 import numpy as np
 
 from ..core.cache import CountedTableCache
-from .bitio import extract_bit_windows, pack_bitfields, pad_stream_for_windows
+from .bitio import BitfieldWriter, extract_bit_windows, pad_stream_for_windows
 
 __all__ = [
     "HuffmanCodec",
@@ -55,6 +60,8 @@ SUBCHUNK = 16
 SUBCHUNK_BREAK_EVEN = 1 << 10
 #: payload bytes (8 bit positions each) per block of the jump-table build
 _JUMP_BLOCK = 1 << 13
+#: symbols per block of the encoder (a multiple of every field group size)
+ENCODE_BLOCK = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -116,22 +123,26 @@ def _code_lengths_uncached(freq: np.ndarray, max_len: int) -> np.ndarray:
     if symbols.size == 1:
         lengths[symbols[0]] = 1
         return lengths
-    # (weight, tiebreak, [symbols in subtree])
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(freq[s]), int(s), [int(s)]) for s in symbols
-    ]
+    # Heap keys are (weight, tiebreak) packed as weight << 10 | tiebreak,
+    # which orders them exactly as the tuples do.  Leaves tie-break by
+    # symbol; merged nodes by creation order from 256, which is also their
+    # node id.  Each merge records the parent of its two children.
+    heap = ((freq[symbols] << 10) | symbols).tolist()
     heapq.heapify(heap)
-    tie = 256
-    depth = np.zeros(freq.size, dtype=np.int64)
+    parent = [0] * (freq.size + symbols.size - 1)
+    node = freq.size
     while len(heap) > 1:
-        w1, _, s1 = heapq.heappop(heap)
-        w2, _, s2 = heapq.heappop(heap)
-        for s in s1:
-            depth[s] += 1
-        for s in s2:
-            depth[s] += 1
-        heapq.heappush(heap, (w1 + w2, tie, s1 + s2))
-        tie += 1
+        a = heapq.heappop(heap)
+        b = heap[0]
+        parent[a & 1023] = parent[b & 1023] = node
+        heapq.heapreplace(heap, ((a >> 10) + (b >> 10)) << 10 | node)
+        node += 1
+    # Depths from the root (the last node) down, then the leaves'.
+    up = [0] * node
+    for i in range(node - 2, freq.size - 1, -1):
+        up[i] = up[parent[i]] + 1
+    depth = np.zeros(freq.size, dtype=np.int64)
+    depth[symbols] = [up[parent[s]] + 1 for s in symbols.tolist()]
     if depth.max() > max_len:
         depth = np.minimum(depth, max_len)
         # Kraft sum in units of 2^-max_len.
@@ -176,6 +187,59 @@ def _canonical_codes_uncached(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _histogram(arr: np.ndarray) -> np.ndarray:
+    """Byte counts of ``arr``, from a 65,536-bin count of its ``uint16``
+    pairs folded into 256 bins: ``bincount`` converts its input to
+    ``intp``, and half as many elements halve that pass."""
+    even = arr.size & ~1
+    pairs = np.bincount(arr[:even].view("<u2"), minlength=1 << 16).reshape(256, 256)
+    freq = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if even < arr.size:
+        freq[arr[-1]] += 1
+    return freq
+
+
+#: the length of a pair-table entry sits above bit 56, its code below
+_PAIR_SHIFT = np.uint64(56)
+_PAIR_CODE = np.uint64((1 << 56) - 1)
+
+
+def _pair_table(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Encode table over symbol pairs, indexed by the little-endian ``uint16``
+    of two consecutive bytes ``a, b`` (``a | b << 8``).
+
+    Entry: the merged code ``code[a] << len[b] | code[b]`` (at most 48 bits)
+    plus ``(len[a] + len[b]) << 56``.  65,536 ``uint64`` entries (512 KB),
+    built per call: row ``b`` is the row of ``code[a] << len[b] + len[a] <<
+    56`` for its length (one of 25), plus ``code[b] + len[b] << 56``.
+    """
+    top = lengths.astype(np.uint64) << _PAIR_SHIFT
+    shifted = np.left_shift(codes, np.arange(25, dtype=np.uint64)[:, None])
+    shifted += top
+    pairs = np.take(shifted, lengths, axis=0)  # [b, a]
+    pairs += (codes | top)[:, None]
+    return pairs.reshape(-1)
+
+
+def _fields(
+    x: np.ndarray, group: int, codes: np.ndarray, lengths: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merged codes of ``group`` consecutive symbols of ``x``: ``(values
+    uint64, lengths int64)``, one field per group.  ``x.size`` is a
+    multiple of ``group``; groups of 2 and 4 gather from the pair table."""
+    if group == 1:
+        return np.take(codes, x), np.take(lengths, x).astype(np.int64)
+    pair = np.take(pairs, x.view("<u2"))
+    if group == 2:
+        return pair & _PAIR_CODE, (pair >> _PAIR_SHIFT).view(np.int64)
+    a, b = pair[0::2], pair[1::2]
+    width = b >> _PAIR_SHIFT
+    values = (a & _PAIR_CODE) << width
+    values |= b & _PAIR_CODE
+    width += a >> _PAIR_SHIFT
+    return values, width.view(np.int64)
+
+
 class HuffmanCodec:
     """Byte-symbol canonical Huffman with chunked parallel decode."""
 
@@ -193,27 +257,37 @@ class HuffmanCodec:
         n = arr.size
         if n == 0:
             return struct.pack("<QIQ", 0, self.chunk_size, 0) + bytes(256)
-        freq = np.bincount(arr, minlength=256)
+        freq = _histogram(arr)
         lengths = code_lengths_from_frequencies(freq, self.max_len)
+        nbits = int(freq @ lengths.astype(np.int64))
         codes = canonical_codes(lengths)
-        # Gather through the narrowest tables that fit (codes are at most
-        # max_len <= 24 bits, lengths one byte): the full-stream temporaries
-        # shrink 4-8x versus gathering uint64/int64.
-        code_table = codes.astype(np.uint16 if self.max_len <= 16 else np.uint32)
-        sym_codes = code_table[arr]
-        sym_lens = lengths[arr]
-        # One exclusive prefix sum serves both the bit packer and the
-        # per-chunk offset table (it is the single largest temporary here).
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(sym_lens[:-1], dtype=np.int64, out=starts[1:])
-        payload, nbits = pack_bitfields(sym_codes, sym_lens, starts=starts)
-        nchunks = (n + self.chunk_size - 1) // self.chunk_size
-        if nchunks > 1:
-            offsets = starts[self.chunk_size :: self.chunk_size].astype(np.uint64)
-        else:
-            offsets = np.zeros(0, dtype=np.uint64)
-        header = struct.pack("<QIQ", n, self.chunk_size, nbits)
-        return header + lengths.tobytes() + offsets.tobytes() + payload
+        pairs = _pair_table(codes, lengths)
+        # Merge consecutive codes into fields of at most 64 bits.
+        group = 4 if int(lengths.max()) <= 16 else 2
+        body = n - n % group
+        blocks = [(lo, min(lo + ENCODE_BLOCK, body), group) for lo in range(0, body, ENCODE_BLOCK)]
+        if body < n:
+            blocks.append((body, n, 1))  # the last n % group codes, one field each
+        writer = BitfieldWriter(nbits)
+        cs = self.chunk_size
+        offsets = np.zeros(-(-n // cs), dtype=np.uint64)
+        for lo, hi, g in blocks:
+            x = arr[lo:hi]
+            values, widths = _fields(x, g, codes, lengths, pairs)
+            ends = writer.write(values, widths)
+            # A chunk starts where the field holding its first symbol
+            # starts, after the codes that precede that symbol in the field.
+            chunks = np.arange(-(-lo // cs), -(-hi // cs))
+            at = chunks * cs - lo
+            field = at // g
+            lead = at - field * g
+            start = ends[field] - widths[field]
+            for j in range(1, g):
+                has = lead >= j
+                start[has] += lengths[x[at[has] - j]]
+            offsets[chunks] = start
+        header = struct.pack("<QIQ", n, cs, nbits)
+        return header + lengths.tobytes() + offsets[1:].tobytes() + writer.tobytes()
 
     # ------------------------------------------------------------------ dec
     def decode(self, buf: bytes) -> bytes:

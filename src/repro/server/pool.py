@@ -45,7 +45,9 @@ puts ``N`` **worker processes** behind the frontend:
 Workers are spawned (never forked) so they hold no inherited locks from the
 frontend's threads, and they ignore SIGINT/SIGTERM: shutdown is owned by
 the frontend's drain sequence, which stops admissions first and sends each
-worker a sentinel once in-flight work has settled.
+worker a sentinel once in-flight work has settled.  A frontend that dies
+without draining (SIGKILL) sends no sentinel; each worker has a thread
+that waits on its parent's sentinel and ends the worker when it fires.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import asyncio
 import hashlib
 import itertools
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -226,12 +229,26 @@ def _run_task(kind: str, payload: dict, cache) -> dict:
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
+def _exit_with_parent() -> None:
+    """Block until this process's parent exits, then end this process.
+
+    A frontend killed by a signal never sends its workers the sentinel;
+    without this they would live on as orphans.  The wait runs in its own
+    thread, so the task loop's blocking dequeue costs nothing extra.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        wait([parent.sentinel])
+        os._exit(0)
+
+
 def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
     """One worker process: blocking task loop until the ``None`` sentinel.
 
     Top-level (not a closure) so the ``spawn`` start method can import it;
     SIGINT/SIGTERM are ignored because shutdown belongs to the frontend's
-    drain sequence, not to whoever signalled the process group.
+    drain sequence, not to whoever signalled the process group.  A watcher
+    thread ends the process when its parent, the frontend, exits.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -247,6 +264,7 @@ def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
     # that actually dequeues promptly (deadlined tasks submitted while a
     # worker is still importing would all expire at the dequeue pre-check).
     result_conn.send((0, "ready", worker_id))
+    threading.Thread(target=_exit_with_parent, name="parent-watch", daemon=True).start()
     while True:
         item = task_q.get()
         if item is None:

@@ -10,12 +10,20 @@ consistent-hash cache shards end to end.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import os
+import re
+import selectors
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro import api
 from repro.server import STATS_SCHEMA, HashRing
 from repro.server.pool import PoolTaskError, WorkerPool
@@ -206,3 +214,71 @@ def test_no_task_is_lost_when_workers_are_sigkilled(field16):
         assert asyncio.run(after())["payload"] == want
     finally:
         pool.close()
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie: the process that adopts an
+    orphan (PID 1 in a container) may never reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _announced_port(proc: subprocess.Popen, deadline_s: float) -> int:
+    """The port in the ``serving ... on http://HOST:PORT`` line."""
+    seen = []
+    end = time.monotonic() + deadline_s
+    with selectors.DefaultSelector() as sel:
+        sel.register(proc.stdout, selectors.EVENT_READ)
+        while time.monotonic() < end:
+            if not sel.select(timeout=max(0.0, end - time.monotonic())):
+                continue
+            line = proc.stdout.readline()
+            if not line:
+                break
+            seen.append(line)
+            match = re.search(r"http://[^\s/]+:(\d+)", line)
+            if match:
+                return int(match.group(1))
+    raise AssertionError("server announced no port: " + "".join(seen)[-2000:])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states in /proc")
+def test_workers_exit_when_the_frontend_is_sigkilled(tmp_path):
+    """A SIGKILLed frontend sends its workers no sentinel; they must notice
+    their parent is gone and exit instead of living on as orphans."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(tmp_path), "--port", "0",
+         "--workers-procs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    pids: list[int] = []
+    try:
+        port = _announced_port(proc, deadline_s=120)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request("GET", "/stats")
+            pids = json.loads(conn.getresponse().read())["pool"]["pids"]
+        finally:
+            conn.close()
+        assert len(pids) == 2 and proc.pid not in pids
+        proc.kill()
+        proc.wait(timeout=10)
+        end = time.monotonic() + 10
+        while time.monotonic() < end and not all(_exited(p) for p in pids):
+            time.sleep(0.05)
+        assert [p for p in pids if not _exited(p)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in pids:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()

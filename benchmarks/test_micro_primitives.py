@@ -30,11 +30,28 @@ def codes_1mb(nyx_field):
 
 @pytest.fixture(scope="module")
 def codes_64():
-    """Quantization codes of a 64^3 field: the size serving sees, where the
-    Huffman stream takes the sub-chunked, per-bit-table decode."""
+    """Quantization codes of a 64^3 field: the size serving sees, where most
+    decode lanes settle in their second round."""
     field = load("jhtdb", shape=(64, 64, 64), seed=0)
     abs_eb = resolve_error_bound(field, 1e-3, "rel")
     return InterpolationPredictor(16).compress(field, abs_eb).codes.reshape(-1).tobytes()
+
+
+@pytest.fixture(scope="module")
+def codes_256(codes_64):
+    """A 256^3-sized CR code stream (the 64^3 codes, 64 times over): the
+    long-stream end of the Huffman decode."""
+    return codes_64 * 64
+
+
+@pytest.fixture(scope="module", params=[4097, 1 << 20], ids=["4097", "1M"])
+def uniform_8(request):
+    """Symbols each of 8 equally often: every code is 3 bits long, so decode
+    lanes never fall into step and every chunk is walked from its stored
+    offset (the decoder's worst case): 2 chunks walked one at a time, or
+    256 in lockstep."""
+    rng = np.random.default_rng(0)
+    return rng.permutation(np.arange(request.param) % 8).astype(np.uint8).tobytes()
 
 
 class TestEntropyCoders:
@@ -58,6 +75,18 @@ class TestEntropyCoders:
         enc = codec.encode(codes_64)
         out = benchmark(lambda: codec.decode(enc))
         assert out == codes_64
+
+    def test_huffman_decode_256(self, benchmark, codes_256):
+        codec = HuffmanCodec()
+        enc = codec.encode(codes_256)
+        out = benchmark.pedantic(lambda: codec.decode(enc), rounds=3)
+        assert out == codes_256
+
+    def test_huffman_decode_uniform_8(self, benchmark, uniform_8):
+        codec = HuffmanCodec()
+        enc = codec.encode(uniform_8)
+        out = benchmark(lambda: codec.decode(enc))
+        assert out == uniform_8
 
     def test_rans_encode(self, benchmark, codes_1mb):
         codec = RansCodec()

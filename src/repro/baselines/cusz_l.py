@@ -71,8 +71,7 @@ class CuszL:
         trace = KernelTrace()
         pipeline = get_pipeline(blob.meta["pipeline"])
         codes = np.frombuffer(pipeline.decode(blob.segments["codes"]), dtype=np.uint8)
-        if pipeline.last_trace is not None:
-            trace.extend(pipeline_kernels(pipeline.last_trace, decode=True))
+        trace.extend(pipeline_kernels(pipeline.last_decode_trace, decode=True))
         residuals = unfold_residuals(codes, blob.get_array("escapes"), width=1)
         out = lorenzo_decode(
             residuals,

@@ -236,8 +236,7 @@ class CuszHi:
         pipeline = get_pipeline(blob.meta["pipeline"])
 
         raw = pipeline.decode(blob.segments["codes"])
-        # Reuse the encode-side stage sizes for the decode schedule.
-        enc_probe = pipeline.last_trace
+        stage_sizes = pipeline.last_decode_trace
         seq = np.frombuffer(raw, dtype=np.uint8)
         n = int(np.prod(blob.shape))
         if seq.size != n:
@@ -259,8 +258,7 @@ class CuszHi:
             blob.dtype,
         )
         self._interp_kernels(trace, blob.shape, blob.dtype.itemsize, level_cfgs, anchor_stride)
-        if enc_probe is not None:
-            trace.extend(pipeline_kernels(enc_probe, decode=True))
+        trace.extend(pipeline_kernels(stage_sizes, decode=True))
         self.last_decomp_trace = trace
         return out
 

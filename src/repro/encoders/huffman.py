@@ -13,18 +13,22 @@ IPDPS'22].  This implementation reproduces that execution shape in NumPy:
   :class:`~repro.encoders.bitio.BitfieldWriter` ORs the fields into
   big-endian 64-bit words, and each chunk's bit offset comes from the
   field prefix sums;
-* **decode** — one symbol is decoded *per lane per iteration*, across all
-  lanes simultaneously, like the SM-parallel decoder.  A long stream has
-  one lane per chunk and iterates once per symbol of a chunk, one window
-  peek and one gather from a ``symbol | length << 8`` LUT per step.  A
-  short one has few chunks, so that loop would run thousands of times over
-  a handful of lanes: it first gathers the LUT entry at every payload bit,
-  finds the start of every :data:`SUBCHUNK`-symbol sub-chunk from the code
-  boundaries those entries give, then runs SUBCHUNK iterations over all
-  sub-chunks, each one gather from the per-bit table.
+* **decode** — reads the payload a byte per step.  The states of the
+  decoder are the internal nodes of the code tree (at most 255 for a
+  complete code), and a memoized table over ``(state, nibble)`` gives the
+  next state, the codes completed and their symbols; each decode composes
+  it into byte rows.  The payload is cut into :data:`LANE`-byte lanes that
+  all step from the root at once.  A decode that starts mid-code usually
+  falls into step with the true one within a few codes, so fix-up rounds
+  re-run only the lanes whose predecessor ended in a different state, until
+  none does.  Codes that never fall into step (every code 3 bits long, say)
+  stop the rounds early, and the chunks still out of step are walked
+  exactly from their stored bit offsets: no decode steps more bytes in
+  sequence than one chunk holds.  The symbols are written at the prefix sum
+  of the per-byte code counts.
 
-Code lengths are limited to :data:`MAX_CODE_LEN` bits with the zlib-style
-Kraft rebalancing so the decoder can use a flat 2^L lookup table.
+Code lengths are limited to :data:`MAX_CODE_LEN` bits by default (at most
+24) with the zlib-style Kraft rebalancing.
 
 Stream layout::
 
@@ -42,7 +46,8 @@ import struct
 import numpy as np
 
 from ..core.cache import CountedTableCache
-from .bitio import BitfieldWriter, extract_bit_windows, pad_stream_for_windows
+from .bitio import BitfieldWriter
+from .bitio import extract_bit_windows  # noqa: F401  (perfbench/spans.py counts its calls)
 
 __all__ = [
     "HuffmanCodec",
@@ -54,32 +59,28 @@ __all__ = [
 
 MAX_CODE_LEN = 16
 DEFAULT_CHUNK = 4096
-#: symbols per lane of the sub-chunked decode (a power of two)
-SUBCHUNK = 16
-#: payload bits per lockstep iteration saved below which sub-chunking pays
-SUBCHUNK_BREAK_EVEN = 1 << 10
-#: payload bytes (8 bit positions each) per block of the jump-table build
-_JUMP_BLOCK = 1 << 13
 #: symbols per block of the encoder (a multiple of every field group size)
 ENCODE_BLOCK = 1 << 16
+#: symbol pairs per ``bincount`` of the encoder's histogram
+_HISTOGRAM_BLOCK = 1 << 17
 
 
 # --------------------------------------------------------------------------
 # Memoized table construction.
 #
-# Building the tree, canonical codes and the flat decode LUT is pure Python
+# Building the tree, canonical codes and the decode state tables is Python
 # over 256 symbols — trivial against one 16M-point field, but the server's
 # micro-batcher and the batch runner push *many* fields with recurring
 # histograms (tiles of one field, timesteps of one variable), where table
 # construction becomes a fixed per-call tax.  All three derivations are pure
 # functions of their byte-level inputs, so they memoize by digest: frequency
-# tables by the histogram bytes, code/LUT tables by the length-table bytes.
+# tables by the histogram bytes, code/state tables by the length-table bytes.
 # Counters are exposed (``table_cache_stats``) and surfaced by the server's
 # GET /stats so cache behaviour is observable from the outside.
 # --------------------------------------------------------------------------
 
 #: one shared table cache — key tuples carry a kind tag, so length tables,
-#: canonical codes and decode LUTs coexist without colliding
+#: canonical codes and decode state tables coexist without colliding
 _TABLES = CountedTableCache(capacity=256)
 
 
@@ -190,9 +191,15 @@ def _canonical_codes_uncached(lengths: np.ndarray) -> np.ndarray:
 def _histogram(arr: np.ndarray) -> np.ndarray:
     """Byte counts of ``arr``, from a 65,536-bin count of its ``uint16``
     pairs folded into 256 bins: ``bincount`` converts its input to
-    ``intp``, and half as many elements halve that pass."""
+    ``intp``, and half as many elements halve that pass.  The pairs are
+    counted :data:`_HISTOGRAM_BLOCK` at a time, so that conversion stays
+    cache-sized (a whole 256^3 stream at once took 67 MB)."""
     even = arr.size & ~1
-    pairs = np.bincount(arr[:even].view("<u2"), minlength=1 << 16).reshape(256, 256)
+    u2 = arr[:even].view("<u2")
+    pairs = np.bincount(u2[:_HISTOGRAM_BLOCK], minlength=1 << 16)
+    for lo in range(_HISTOGRAM_BLOCK, u2.size, _HISTOGRAM_BLOCK):
+        pairs += np.bincount(u2[lo : lo + _HISTOGRAM_BLOCK], minlength=1 << 16)
+    pairs = pairs.reshape(256, 256)
     freq = pairs.sum(axis=0) + pairs.sum(axis=1)
     if even < arr.size:
         freq[arr[-1]] += 1
@@ -303,7 +310,6 @@ class HuffmanCodec:
         if n > total_bits:  # every code is at least one bit long
             raise ValueError(f"Huffman header claims {n} symbols in {total_bits} bits")
         nchunks = (n + chunk_size - 1) // chunk_size
-        chunk_size = min(chunk_size, n)  # a lone chunk may be short
         offsets64 = np.frombuffer(buf, dtype=np.uint64, count=nchunks - 1, offset=off)
         off += offsets64.nbytes
         payload = np.frombuffer(buf, dtype=np.uint8, offset=off)
@@ -322,115 +328,255 @@ class HuffmanCodec:
         L = int(lengths.max())
         if not 1 <= L <= 24:
             raise ValueError(f"Huffman code lengths must be in [1, 24], got a maximum of {L}")
-        lut = self._build_lut(lengths, L)
-        # Pad the payload once: the window peek runs per decoded symbol, and
-        # the defensive per-call copy used to dominate the whole decode.
-        padded = pad_stream_for_windows(payload)
-        pos = np.zeros(nchunks, dtype=np.int64)
-        pos[1:] = offsets64
-        # Sub-chunking saves chunk_size - SUBCHUNK lockstep iterations of
-        # ~15 us and costs a jump table of ~13 ns per payload bit (2-vCPU
-        # Xeon VM, numpy 2.4).  Forcing each path on the same streams, it
-        # broke even at ~1.2k bits per saved iteration with 4096-symbol
-        # chunks and ~1k with 64-symbol ones.  The cut-over, 1k, is 4.2M
-        # bits (~1 bit/symbol at 1,000 chunks, ~5 at 200) for the default
-        # chunk; the chunk count alone cannot place it.
-        if total_bits < (chunk_size - SUBCHUNK) * SUBCHUNK_BREAK_EVEN:
-            tab, pos = _subchunk_table(padded, pos, total_bits, L, lut, -(-chunk_size // SUBCHUNK))
-            out = np.empty((pos.size, SUBCHUNK), dtype=np.uint8)
-            # One table entry per step: the entry at every payload bit
-            # already holds the symbol and the (clamped) code length.
-            for it in range(SUBCHUNK):
-                v = np.take(tab, pos)
-                out[:, it] = v
-                pos += v >> 8
-        else:
-            out = np.empty((nchunks, chunk_size), dtype=np.uint8)
-            for it in range(chunk_size):
-                v = lut[extract_bit_windows(padded, pos, L, prepadded=True)]
-                out[:, it] = v
-                pos += v >> 8
-                np.minimum(pos, total_bits, out=pos)
-        # Lanes that run past their (sub-)chunk decode harmless padding or
-        # their neighbour's symbols, which are sliced away here.
-        return out.reshape(nchunks, -1)[:, :chunk_size].reshape(-1)[:n].tobytes()
-
-    @staticmethod
-    def _build_lut(lengths: np.ndarray, L: int) -> np.ndarray:
-        """Flat 2^L decode table: every L-bit window -> ``symbol | length << 8``.
-
-        One ``uint16`` entry, so the decoder gathers once per symbol.
-        Memoized by ``(length-table bytes, L)`` — repeated decodes of streams
-        sharing one code table (tiles, timesteps) skip the 2^L fill.
-        """
-        lengths = np.asarray(lengths, dtype=np.uint8)
-        key = ("lut", lengths.tobytes(), int(L))
-        cached = _TABLES.lookup(key)
-        if cached is not None:
-            return cached
-        codes = canonical_codes(lengths)
-        lut = np.full(1 << L, 1 << 8, dtype=np.uint16)  # len>=1 guarantees progress
-        for s in range(256):
-            l = int(lengths[s])
-            if l == 0:
-                continue
-            base = int(codes[s]) << (L - l)
-            lut[base : base + (1 << (L - l))] = s | l << 8
-        return _TABLES.store(key, _readonly(lut))
+        anchors = np.zeros(nchunks, dtype=np.int64)
+        anchors[1:] = offsets64
+        out = _decode_payload(_state_machine(lengths), payload, total_bits, anchors)
+        if out.size < n:
+            raise ValueError(
+                f"Huffman payload holds {out.size} codes, but the header claims {n} symbols"
+            )
+        return out[:n].tobytes()
 
 
-def _subchunk_table(
-    padded: np.ndarray, chunk_starts: np.ndarray, total_bits: int, L: int,
-    lut: np.ndarray, per_chunk: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode table at every payload bit, and every sub-chunk's start.
+# --------------------------------------------------------------------------
+# Decode: a byte-stepped state machine over the canonical code tree.
+# --------------------------------------------------------------------------
 
-    ``tab[p]`` is the LUT entry of the L-bit window at bit ``p`` (symbol in
-    the low byte, code length in the high byte), its length clamped so that
-    ``p + length <= total_bits``.  The lockstep loop then decodes a symbol
-    with one gather.  ``jump[p] = p + length`` is the start of the next
-    code; it is squared ``log2(SUBCHUNK)`` times into a SUBCHUNK-symbol
-    jump that is walked ``per_chunk`` times from each chunk's stored
-    offset.  Both are built in fixed-size blocks; together they take 6
-    bytes per payload bit (int32 jump, uint16 entry).  Returns ``(tab,
-    starts)``, the starts chunk-major in the table's index dtype.
+#: child-table flag of a leaf; the low byte holds its symbol
+_LEAF = 1 << 9
+#: payload bytes per speculative lane
+LANE = 8
+#: fix-up rounds (the first included) before unsettled chunks are walked
+#: exactly from their stored offsets; real CR streams took up to 11
+MAX_ROUNDS = 16
+#: stale lanes few enough that a round costs about its fixed overhead:
+#: rounds go on while they halve the stale lanes or leave at most this many
+_FEW_LANES = 64
+#: bytes stepped per block of an exact walk in lockstep
+_WALK_BLOCK = 64
+#: exact walks few enough to step one at a time in Python (~0.13 us a byte)
+#: rather than in NumPy lockstep (~2 us a step, however many walks)
+_PYTHON_WALKS = 16
+
+
+def _code_tree(lengths: np.ndarray) -> np.ndarray:
+    """Children of the internal nodes of the canonical code tree, ``(S, 2)``
+    ``uint16``: an internal node's id, or ``_LEAF | symbol``.
+
+    Node 0 is the root, and ids run breadth-first.  Canonical codes give the
+    leaves at each depth the lowest code values, so a depth is laid out as
+    its leaves in (length, symbol) order, then the internal nodes that still
+    hold deeper codes, then code space no code uses, which decodes as
+    symbol 0.  A complete code over ``k`` symbols has ``k - 1`` internal
+    nodes; an incomplete one at most one unused node per depth more.
     """
-    dtype = np.int32 if total_bits < 1 << 30 else np.int64  # headroom for pos + L
-    # The big-endian word at every byte offset, as an overlapping strided
-    # view of the padded payload: the window at bit 8*b + k is word b
-    # shifted left by k, keeping its top L bits.
-    nbytes = total_bits // 8 + 1
-    words = np.ndarray((nbytes,), dtype=">u4", buffer=padded, strides=(1,))
-    shifts = np.arange(8, dtype=np.uint32)
-    tab = np.empty(8 * nbytes, dtype=np.uint16)
-    jump = np.empty(8 * nbytes, dtype=dtype)
-    for lo in range(0, nbytes, _JUMP_BLOCK):
-        win = words[lo : lo + _JUMP_BLOCK].astype(np.uint32)[:, None] << shifts
-        win >>= np.uint32(32 - L)
-        entry = tab[8 * lo : 8 * lo + win.size]
-        np.take(lut, win.reshape(-1), out=entry)
-        at = np.arange(8 * lo, 8 * lo + entry.size, dtype=dtype)
-        np.add(at, entry >> 8, out=jump[8 * lo : 8 * lo + entry.size])
-    # Only a window starting within L bits of the end can reach past it
-    # (codes are at most L bits): clamp those jumps, and their lengths too,
-    # so a lane never steps past total_bits (the entry there, a zero-length
-    # step, is where finished lanes park).
-    near = max(0, total_bits - L)
-    np.minimum(jump[near:], total_bits, out=jump[near:])
-    tail = slice(near, total_bits + 1)
-    tab[tail] = (tab[tail] & 0xFF) | ((jump[tail] - np.arange(near, total_bits + 1)) << 8)
-    # Square in place, block by block upwards.  No jump points backwards,
-    # except past total_bits to that fixed point, so every entry a block
-    # reads is still unsquared, inside the block (gathered before the
-    # write) or the fixed point: one table, no second copy.
-    block = 8 * _JUMP_BLOCK
-    for _ in range(SUBCHUNK.bit_length() - 1):
-        for lo in range(0, jump.size, block):
-            # np.take gathers int32 ~2x faster than fancy indexing
-            jump[lo : lo + block] = np.take(jump, jump[lo : lo + block])
-    starts = np.empty((chunk_starts.size, per_chunk), dtype=dtype)
-    p = chunk_starts.astype(dtype)
-    for j in range(per_chunk):
-        starts[:, j] = p
-        p = jump[p]
-    return tab, starts.reshape(-1)
+    L = int(lengths.max())
+    count = np.bincount(lengths, minlength=L + 1).tolist()
+    symbols = np.argsort(lengths, kind="stable")[256 - sum(count[1:]) :].tolist()
+    # below[d]: Kraft sum of the codes longer than d, in units of 2^-L
+    below = [0] * (L + 1)
+    for d in range(L - 1, -1, -1):
+        below[d] = below[d + 1] + (count[d + 1] << (L - d - 1))
+    if below[0] > 1 << L:
+        raise ValueError("Huffman code lengths oversubscribe the code space (Kraft sum above 1)")
+    children: list[int] = []
+    first, live, k = 0, 1, 0  # ids of the internal nodes one depth up
+    for d in range(1, L + 1):
+        internal = -(-below[d] >> (L - d))
+        row = [_LEAF | s for s in symbols[k : k + count[d]]]
+        k += count[d]
+        row += range(first + live, first + live + internal)
+        row += [_LEAF] * (2 * live - len(row))
+        children += row
+        first, live = first + live, internal
+    return np.array(children, dtype=np.uint16).reshape(-1, 2)
+
+
+def _compose(nxt: np.ndarray, count: np.ndarray, syms: np.ndarray, dtype) -> tuple:
+    """Square a step table: steps over ``k`` bits into steps over ``2k``.
+
+    Row ``s`` of each ``(S, W)`` table (``W = 2**k``) belongs to state
+    ``s``, and entry ``v`` to reading the ``k`` bits ``v`` from it: the next
+    state, how many codes they complete, and those codes' symbols packed
+    first in the low byte.  Entry ``v * W + u`` of the result reads ``v``
+    then ``u``; its symbols come packed as ``dtype``.
+    """
+    S, W = nxt.shape
+    mid = nxt.astype(np.intp)
+    first = count[:, :, None]
+    count2 = count[mid] + first
+    syms2 = syms.astype(dtype)[mid]
+    syms2 <<= first.astype(dtype) << dtype(3)
+    syms2 |= syms[:, :, None]
+    return nxt[mid].reshape(S, W * W), count2.reshape(S, W * W), syms2.reshape(S, W * W)
+
+
+def _state_machine(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Decode state machine of a code-length table, memoized by its bytes.
+
+    States are the internal nodes of the code tree, the root being 0.
+    Returns the tree and its step table over nibbles (see :func:`_compose`):
+    ``(children, nxt, count, syms)``, the last three ``(S, 16)`` of
+    ``uint16``, ``uint8`` and ``uint32``.  At most 279 states take 116 bytes
+    each.
+    """
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    key = ("states", lengths.tobytes())
+    cached = _TABLES.lookup(key)
+    if cached is not None:
+        return cached
+    children = _code_tree(lengths)
+    leaf = children >= _LEAF
+    step = (np.where(leaf, 0, children).astype(np.uint16), leaf.astype(np.uint8),
+            (children & 0xFF).astype(np.uint8) * leaf)
+    step = _compose(*_compose(*step, np.uint16), np.uint32)
+    return _TABLES.store(key, tuple(_readonly(a) for a in (children, *step)))
+
+
+def _settle_lanes(nxt: np.ndarray, data: np.ndarray, nlanes: int):
+    """Entry row of every payload byte from speculative lanes.
+
+    Every ``LANE``-byte lane first steps from the root.  Each round then
+    re-runs the lanes whose entry differs from their predecessor's exit,
+    from that exit, until none does.  A Huffman decode that starts mid-code
+    usually falls into step with the true one within a few codes, so most
+    lanes settle in the second round.  Codes that never do (every code 3
+    bits long, say) settle one lane per round: the rounds stop after
+    ``MAX_ROUNDS``, or as soon as a round leaves more than half of the lanes
+    it re-ran stale, unless those are at most ``_FEW_LANES``.  Returns the
+    rows in byte order and the lanes still out of step.
+    """
+    cols = data[: LANE * nlanes].reshape(nlanes, LANE).T.copy()
+
+    def run(rows, cols):
+        st = np.empty(cols.shape, dtype=nxt.dtype)
+        for j in range(LANE):
+            st[j] = rows
+            rows = np.take(nxt, rows + cols[j])
+        return st, rows
+
+    entry = np.zeros(nlanes, dtype=nxt.dtype)
+    st, exits = run(entry, cols)
+    stale = np.flatnonzero(entry[1:] != exits[:-1])
+    for _ in range(MAX_ROUNDS - 1):
+        if not stale.size:
+            break
+        stale += 1
+        entry[stale] = exits[stale - 1]
+        if 2 * stale.size > nlanes:  # skip the gather and scatter
+            st, exits = run(entry, cols)
+        else:
+            st[:, stale], exits[stale] = run(entry[stale], cols[:, stale])
+        prev = stale.size
+        stale = np.flatnonzero(entry[1:] != exits[:-1])
+        if stale.size > max(prev // 2, _FEW_LANES):
+            break  # not settling, and too many lanes left to re-run cheaply
+    return st.T.reshape(-1), stale + 1
+
+
+def _suffix_rows(children: np.ndarray) -> np.ndarray:
+    """Row after the last ``r`` bits of byte ``v``, stepped from the root,
+    at entry ``256 * r + v`` (``r < 8``): the exact row at the first byte
+    boundary after a code that starts ``r`` bits before it."""
+    r = np.arange(8)[:, None]
+    v = np.arange(256)
+    node = np.zeros((8, 256), dtype=np.intp)
+    for t in range(7):
+        c = children[node, (v >> np.maximum(r - 1 - t, 0)) & 1]
+        node = np.where(t < r, np.where(c >= _LEAF, 0, c), node)
+    return (node << 8).reshape(-1)
+
+
+def _walk(st: np.ndarray, data: np.ndarray, nxt: np.ndarray, start: np.ndarray,
+          end: np.ndarray, rows: np.ndarray) -> None:
+    """Step the byte spans ``[start, end)`` exactly from entry ``rows``,
+    writing every byte's entry row into ``st``: one span at a time in Python
+    when there are at most ``_PYTHON_WALKS``, else all in lockstep."""
+    if start.size <= _PYTHON_WALKS:
+        table, payload = memoryview(nxt), memoryview(data)
+        for lo, hi, row in zip(start.tolist(), end.tolist(), rows.tolist()):
+            rec = []
+            for byte in payload[lo:hi]:
+                rec.append(row)
+                row = table[row + byte]
+            st[lo:hi] = rec
+        return
+    nxt = nxt.astype(np.intp)
+    steps = int((end - start).max())
+    for lo in range(0, steps, _WALK_BLOCK):
+        pos = start + np.arange(lo, min(lo + _WALK_BLOCK, steps))[:, None]
+        cols = data[np.minimum(pos, data.size - 1)].astype(np.intp)
+        rec = np.empty((cols.shape[0] + 1, rows.size), dtype=np.intp)
+        rec[0] = rows
+        for j in range(cols.shape[0]):
+            rec[j + 1] = nxt[rec[j] + cols[j]]
+        rows = rec[-1]
+        keep = pos < end
+        st[pos[keep]] = rec[:-1][keep]
+
+
+def _emit(counts: np.ndarray, syms: np.ndarray) -> np.ndarray:
+    """Concatenate the first ``counts[i]`` bytes of every ``syms[i]``
+    (``uint64``, first byte lowest).
+
+    Each word is written at its output offset through a byte-strided,
+    overlapping ``uint64`` view.  NumPy assigns in index order, so each
+    word's unused high bytes are overwritten by the next words
+    (``test_huffman.py`` pins that order).
+    """
+    ends = counts.astype(np.intp)
+    np.cumsum(ends, out=ends)  # in place: a fresh result array costs more than the sum
+    total = int(ends[-1]) if ends.size else 0
+    ends -= counts
+    out = np.empty(total + 8, dtype=np.uint8)
+    np.ndarray((total + 1,), dtype="<u8", buffer=out, strides=(1,))[ends] = syms
+    return out[:total]
+
+
+def _decode_payload(machine: tuple, payload: np.ndarray, nbits: int,
+                    anchors: np.ndarray) -> np.ndarray:
+    """Every code in the first ``nbits`` bits of ``payload``, given the code
+    starts ``anchors`` (one per chunk, the first at bit 0)."""
+    children = machine[0]
+    nxt, count, syms = _compose(*machine[1:], np.uint64)
+    # Step rows 256 * state, so that a row plus a byte indexes the tables.
+    nxt = nxt.astype(np.uint16 if nxt.shape[0] <= 256 else np.uint32, copy=False)
+    nxt <<= 8
+    nxt, count, syms = nxt.reshape(-1), count.reshape(-1), syms.reshape(-1)
+    nfull = nbits >> 3
+    nlanes = -(-nfull // LANE)
+    # Zero padding past the whole bytes: the last lane and the exact walks
+    # read up to a lane past them.
+    data = np.zeros(LANE * (nlanes + 1), dtype=nxt.dtype)
+    data[:nfull] = payload[:nfull]
+    st, stale = _settle_lanes(nxt, data, nlanes)
+    if stale.size:
+        # Rows are exact from a chunk's first whole byte on if they agree
+        # with its anchor there and no lane inside the chunk is out of step.
+        # Walk every other chunk exactly from its anchor: no walk is longer
+        # than one chunk's bytes, however slowly the lanes settle.
+        start = np.minimum((anchors + 7) >> 3, nfull)
+        end = np.append(start[1:], nfull)
+        ks = np.flatnonzero(start < end)
+        start, end = start[ks], end[ks]
+        r = 8 * start - anchors[ks]
+        rows = _suffix_rows(children)[256 * r + data[start - (r > 0)]].astype(nxt.dtype)
+        breaks = LANE * stale
+        inner = np.searchsorted(breaks, end) > np.searchsorted(breaks, start, side="right")
+        redo = inner | (st[start] != rows)
+        if redo.any():
+            _walk(st, data, nxt, start[redo], end[redo], rows[redo])
+    at = st[:nfull].astype(np.intp)
+    at += data[:nfull]
+    out = _emit(np.take(count, at), np.take(syms, at))
+    # The last, partial byte: step its bits through the tree.
+    node = int(nxt[at[-1]]) >> 8 if nfull else 0
+    tail = []
+    for p in range(8 * nfull, nbits):
+        c = int(children[node, (int(payload[p >> 3]) >> (7 - (p & 7))) & 1])
+        if c >= _LEAF:
+            tail.append(c & 0xFF)
+            node = 0
+        else:
+            node = c
+    return np.concatenate((out, np.array(tail, dtype=np.uint8))) if tail else out

@@ -11,12 +11,14 @@ names use the paper's syntax: ``+`` separates the Huffman preprocessor from
 the LC stages, ``-`` separates LC components, ``nvCOMP::X``/``GPULZ``/
 ``ndzip`` name the external codecs.
 
-Each ``encode`` records a :class:`StageTrace` (per-stage byte sizes) consumed
-by the GPU cost model to place the pipeline on the Fig. 6 throughput axis.
+Each ``encode`` and ``decode`` records a :class:`StageTrace` (per-stage byte
+sizes) consumed by the GPU cost model to place the pipeline on the Fig. 6
+throughput axis.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from .ans import RansCodec
@@ -82,7 +84,8 @@ _ATOMS = {
 
 @dataclass
 class StageTrace:
-    """Byte sizes observed at each stage boundary during one encode."""
+    """Byte sizes observed at each stage boundary during one encode (or one
+    decode, recorded as the encode of its output would see them)."""
 
     stage_names: list[str] = field(default_factory=list)
     in_bytes: list[int] = field(default_factory=list)
@@ -121,7 +124,19 @@ class LosslessPipeline:
     def __init__(self, name: str):
         self.name = name
         self.stages = parse_pipeline(name)
-        self.last_trace: StageTrace | None = None
+        # Instances are shared (``get_pipeline``) by tile threads, so each
+        # thread sees the traces of its own calls.
+        self._traces = threading.local()
+
+    @property
+    def last_trace(self) -> StageTrace | None:
+        """Stage sizes of this thread's last ``encode``."""
+        return getattr(self._traces, "encode", None)
+
+    @property
+    def last_decode_trace(self) -> StageTrace | None:
+        """Stage sizes of this thread's last ``decode``, in encode order."""
+        return getattr(self._traces, "decode", None)
 
     def encode(self, buf: bytes) -> bytes:
         trace = StageTrace()
@@ -132,13 +147,20 @@ class LosslessPipeline:
             nin = len(data)
             data = codec.encode(data)
             trace.record(sname, nin, len(data))
-        self.last_trace = trace
+        self._traces.encode = trace
         return data
 
     def decode(self, buf: bytes) -> bytes:
         data = bytes(buf) if not isinstance(buf, bytes) else buf
+        sizes = []
         for sname, codec in reversed(self.stages):
+            nout = len(data)
             data = codec.decode(data)
+            sizes.append((sname, len(data), nout))
+        trace = StageTrace()
+        for stage in reversed(sizes):
+            trace.record(*stage)
+        self._traces.decode = trace
         return data
 
     def ratio_on(self, buf: bytes) -> float:
@@ -155,7 +177,8 @@ _CACHE: dict[str, LosslessPipeline] = {}
 
 def get_pipeline(name: str) -> LosslessPipeline:
     """Shared pipeline instances (stages are stateless between calls except
-    for the informational ``last_trace``)."""
+    for the informational, per-thread ``last_trace`` and
+    ``last_decode_trace``)."""
     if name not in _CACHE:
         _CACHE[name] = LosslessPipeline(name)
     return _CACHE[name]

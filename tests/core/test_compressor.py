@@ -1,5 +1,10 @@
 """cuSZ-Hi front end: modes, configs, bound guarantee, stream dispatch."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -135,6 +140,42 @@ class TestCompressDecompress:
         comp.decompress(blob)
         assert comp.last_decomp_trace is not None and len(comp.last_decomp_trace) > 4
 
+    def test_decode_trace_comes_from_the_decode(self, tmp_path):
+        """The lossless decode kernels model the stage sizes the decode
+        itself sees: the same in a fresh process as after an unrelated
+        compress, and the same as the blob's own encode."""
+        from repro import datasets
+        from repro.gpu.costmodel import pipeline_kernels
+
+        comp = CuszHi(mode="cr")
+        blob = comp.compress(datasets.load("jhtdb", shape=(32, 32, 32), seed=2), 1e-3)
+        own = _rows(pipeline_kernels(repro.encoders.get_pipeline(blob.meta["pipeline"])
+                                     .last_trace, decode=True))
+        path = tmp_path / "blob.rpz"
+        path.write_bytes(blob.to_bytes())
+        probe = (
+            "import json, sys\n"
+            "from repro.core.compressor import CuszHi\n"
+            "from repro.core.container import CompressedBlob\n"
+            "comp = CuszHi()\n"
+            "comp.decompress(CompressedBlob.from_bytes(open(sys.argv[1], 'rb').read()))\n"
+            "print(json.dumps([[r.name, r.bytes_read, r.bytes_written, r.flops,\n"
+            "                   r.efficiency_class] for r in comp.last_decomp_trace.records]))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                             text=True, check=True, env=env)
+        fresh = [tuple(r) for r in json.loads(out.stdout.strip().splitlines()[-1])]
+
+        CuszHi(mode="cr").compress(datasets.load("nyx", shape=(64, 64, 64), seed=5), 1e-4)
+        comp = CuszHi()
+        comp.decompress(blob)
+        after = _rows(comp.last_decomp_trace)
+        assert after == fresh
+        assert [r for r in after if r[0].startswith("dec:")] == own
+
     def test_2d_and_4d(self, smooth2d, rng):
         blob2 = CuszHi(mode="cr").compress(smooth2d, 1e-3)
         out2 = CuszHi().decompress(blob2)
@@ -160,3 +201,8 @@ class TestPublicApi:
     def test_list_codecs(self):
         ids = repro.list_codecs()
         assert ids["cusz-hi-cr"] == 1 and "cuzfp" in ids
+
+
+def _rows(trace) -> list[tuple]:
+    return [(r.name, r.bytes_read, r.bytes_written, r.flops, r.efficiency_class)
+            for r in trace.records]

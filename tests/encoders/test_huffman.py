@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoders import huffman
-from repro.encoders.bitio import extract_bit_windows, pad_stream_for_windows
+from repro.encoders.bitio import extract_bit_windows, pack_bitfields, pad_stream_for_windows
 from repro.encoders.huffman import (
     HuffmanCodec,
     canonical_codes,
@@ -182,17 +182,6 @@ def gen():
     return np.random.default_rng(20240613)
 
 
-@pytest.fixture(params=["subchunks", "lockstep"])
-def decode_path(request, monkeypatch):
-    """Run a test once per decode path: the sub-chunked decode for short
-    payloads, and the one-lane-per-chunk loop for long ones."""
-    if request.param == "lockstep":
-        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 0)
-    else:
-        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 1 << 40)
-    return request.param
-
-
 class TestDecodeMatchesLockstepOracle:
     """The decoder must return exactly what the lockstep reference does."""
 
@@ -205,27 +194,27 @@ class TestDecodeMatchesLockstepOracle:
 
     @pytest.mark.parametrize("chunk_size", [64, 4096])
     @pytest.mark.parametrize("nchunks", [1, 2, 255, 256, 257])
-    def test_chunk_counts(self, nchunks, chunk_size, gen, decode_path):
+    def test_chunk_counts(self, nchunks, chunk_size, gen):
         n = nchunks * chunk_size - chunk_size // 3
         self.check(gen.integers(0, 24, n).astype(np.uint8).tobytes(), chunk_size)
 
     @pytest.mark.parametrize("chunk_size", [8, 64, 4096])
     @pytest.mark.parametrize("n", [1, 5, 15, 16, 17])
-    def test_fewer_symbols_than_a_subchunk(self, n, chunk_size, gen, decode_path):
+    def test_fewer_symbols_than_a_subchunk(self, n, chunk_size, gen):
         self.check(gen.integers(0, 7, n).astype(np.uint8).tobytes(), chunk_size)
 
     @pytest.mark.parametrize("chunk_size", [64, 4096])
     @pytest.mark.parametrize("chunks", [1, 3])
-    def test_one_symbol_past_a_chunk_boundary(self, chunks, chunk_size, gen, decode_path):
+    def test_one_symbol_past_a_chunk_boundary(self, chunks, chunk_size, gen):
         n = chunks * chunk_size + 1
         self.check(gen.integers(0, 40, n).astype(np.uint8).tobytes(), chunk_size)
 
     @pytest.mark.parametrize("chunk_size", [64, 4096])
     @pytest.mark.parametrize("n", [1, 100, 9000])
-    def test_single_symbol_stream(self, n, chunk_size, decode_path):
+    def test_single_symbol_stream(self, n, chunk_size):
         self.check(b"\xa5" * n, chunk_size)
 
-    def test_all_symbols_with_16_bit_codes(self, gen, decode_path):
+    def test_all_symbols_with_16_bit_codes(self, gen):
         data = _sixteen_bit_stream(gen)
         lengths = HuffmanCodec().encode(data)[_HEADER : _HEADER + 256]
         assert max(lengths) == 16 and min(lengths) >= 1
@@ -235,10 +224,10 @@ class TestDecodeMatchesLockstepOracle:
         "name, shape, eb",
         [("jhtdb", (32, 32, 32), 1e-3), ("cesm-atm", (96, 192), 1e-3), ("rtm", (64, 64, 64), 1e-4)],
     )
-    def test_cr_quant_code_streams(self, name, shape, eb, decode_path, cr_quant_codes):
+    def test_cr_quant_code_streams(self, name, shape, eb, cr_quant_codes):
         self.check(cr_quant_codes(name, shape, eb))
 
-    def test_quantcode_fixture(self, quantcode_bytes, decode_path):
+    def test_quantcode_fixture(self, quantcode_bytes):
         self.check(quantcode_bytes)
 
 
@@ -252,13 +241,9 @@ def _fibonacci_stream(gen, nsym: int) -> bytes:
     return gen.permutation(data).tobytes()
 
 
-class TestTablePath:
-    """The sub-chunked decode reads one table entry per payload bit; it must
-    match the lockstep oracle at every code length the header allows."""
-
-    @pytest.fixture(autouse=True)
-    def table_path(self, monkeypatch):
-        monkeypatch.setattr(huffman, "SUBCHUNK_BREAK_EVEN", 1 << 40)
+class TestLongCodesAndSingleSymbols:
+    """The decoder must match the lockstep oracle at every code length the
+    header allows, and on one-symbol streams of every size."""
 
     @pytest.mark.parametrize("max_len", [17, 20, 24])
     def test_long_codes(self, max_len, gen):
@@ -279,21 +264,215 @@ class TestTablePath:
         assert out == data
 
 
-def test_small_stream_decode_makes_few_window_calls(gen, monkeypatch):
-    """An 8-chunk (32^3-sized) stream decodes from the per-bit table: the
-    SUBCHUNK lockstep iterations gather table entries, and no iteration
-    extracts bit windows."""
+def test_decode_makes_no_window_calls(gen, monkeypatch):
+    """Decoding steps a byte table per payload byte; no step extracts bit
+    windows, whatever the stream size."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return extract_bit_windows(*args, **kwargs)
 
-    data = gen.integers(0, 12, 32**3).astype(np.uint8).tobytes()
-    enc = HuffmanCodec().encode(data)
     monkeypatch.setattr(huffman, "extract_bit_windows", counting)
-    assert HuffmanCodec().decode(enc) == data
+    for n in (32**3, 300_000):
+        data = gen.integers(0, 12, n).astype(np.uint8).tobytes()
+        assert HuffmanCodec().decode(HuffmanCodec().encode(data)) == data
     assert not calls
+
+
+def _stream(lengths, symbols, chunk_size: int = 4096) -> bytes:
+    """A stream of ``symbols`` under any code-length table, complete or not
+    (the encoder only ever writes the tables its histograms give)."""
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    widths = lengths[symbols].astype(np.int64)
+    payload, nbits = pack_bitfields(canonical_codes(lengths)[symbols], widths)
+    starts = np.concatenate(([0], np.cumsum(widths)))[chunk_size:-1:chunk_size]
+    header = struct.pack("<QIQ", symbols.size, chunk_size, nbits)
+    return header + lengths.tobytes() + starts.astype(np.uint64).tobytes() + payload
+
+
+def _uniform(gen, k: int, n: int) -> bytes:
+    """``n`` symbols, each of ``k`` as often as the others (within one)."""
+    return gen.permutation(np.arange(n) % k).astype(np.uint8).tobytes()
+
+
+class TestUnsettledLanes:
+    """Lanes step from the root and settle in fix-up rounds; codes that
+    never fall into step are finished from the chunk offsets."""
+
+    @staticmethod
+    def check(enc: bytes, data: bytes) -> None:
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == data
+
+    @pytest.mark.parametrize("k", [8, 128])
+    @pytest.mark.parametrize("n", [1, 4097, 200_000])
+    def test_uniform_alphabets_never_settle(self, k, n, gen):
+        data = _uniform(gen, k, n)
+        enc = HuffmanCodec().encode(data)
+        if n > 1:  # every code is log2(k) bits long
+            assert set(enc[_HEADER : _HEADER + 256]) == {0, k.bit_length() - 1}
+        self.check(enc, data)
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
+    def test_uniform_alphabet_in_small_chunks(self, chunk_size, gen):
+        data = _uniform(gen, 8, 5000)
+        self.check(HuffmanCodec(chunk_size=chunk_size).encode(data), data)
+
+    def test_most_lanes_need_a_second_round(self, gen, monkeypatch):
+        # Codes of 1 to ~20 bits: a lane rarely starts on a code boundary,
+        # but falls into step within a few codes.
+        data = np.minimum(gen.geometric(0.3, 60_000), 40).astype(np.uint8).tobytes()
+        enc = HuffmanCodec().encode(data)
+        n, chunk_size, nbits = struct.unpack_from("<QIQ", enc, 0)
+        lengths = np.frombuffer(enc, np.uint8, 256, _HEADER)
+        payload = np.frombuffer(enc, np.uint8, offset=_HEADER + 256 + 8 * ((n - 1) // chunk_size))
+        nxt, _, _ = huffman._compose(*huffman._state_machine(lengths)[1:], np.uint64)
+        rows = (nxt.astype(np.uint16) << 8).reshape(-1)
+        nlanes = -(-(nbits // 8) // huffman.LANE)
+        padded = np.zeros(huffman.LANE * (nlanes + 1), np.uint16)
+        padded[: nbits // 8] = payload[: nbits // 8]
+        assert not huffman._settle_lanes(rows, padded, nlanes)[1].size
+        monkeypatch.setattr(huffman, "MAX_ROUNDS", 1)
+        assert huffman._settle_lanes(rows, padded, nlanes)[1].size > nlanes // 2
+        monkeypatch.undo()
+        self.check(enc, data)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_round_cap_leaves_chunks_to_walk(self, rounds, monkeypatch, cr_quant_codes):
+        """With the rounds capped, the chunk walks alone must restore every
+        chunk the lanes left out of step."""
+        monkeypatch.setattr(huffman, "MAX_ROUNDS", rounds)
+        data = cr_quant_codes("nyx", (32, 32, 32), 1e-4)
+        self.check(HuffmanCodec().encode(data), data)
+
+    def test_payload_with_too_few_codes(self, gen):
+        data = _uniform(gen, 20, 10_000)
+        enc = bytearray(HuffmanCodec().encode(data))
+        nbits = struct.unpack_from("<Q", enc, 12)[0]
+        struct.pack_into("<Q", enc, 0, 10_000 + 3)  # still at most nbits
+        assert 10_003 <= nbits
+        with pytest.raises(ValueError, match="holds 10000 codes"):
+            HuffmanCodec().decode(bytes(enc))
+
+    def test_truncated_payload(self, gen):
+        data = _uniform(gen, 20, 10_000)
+        enc = bytearray(HuffmanCodec().encode(data))
+        nbits = struct.unpack_from("<Q", enc, 12)[0]
+        struct.pack_into("<Q", enc, 12, nbits - 100)
+        cut = (nbits + 7) // 8 - (nbits - 100 + 7) // 8
+        with pytest.raises(ValueError, match="codes, but the header claims 10000"):
+            HuffmanCodec().decode(bytes(enc[:-cut]))
+
+    @staticmethod
+    def shift_offsets(enc: bytes, by: int) -> bytes:
+        buf = bytearray(enc)
+        nbits = struct.unpack_from("<Q", buf, 12)[0]
+        nchunks = -(-struct.unpack_from("<Q", buf, 0)[0] // 4096)
+        at = _HEADER + 256
+        offs = np.frombuffer(buf, np.uint64, nchunks - 1, at).astype(np.int64)
+        offs = np.clip(offs + by, 0, nbits).astype(np.uint64)
+        buf[at : at + offs.nbytes] = offs.tobytes()
+        return bytes(buf)
+
+    @pytest.mark.parametrize("by", [-5, 1, 3])
+    def test_corrupt_monotonic_offsets_of_a_settling_stream(self, by, cr_quant_codes):
+        """Lanes that settle never read the offsets."""
+        data = cr_quant_codes("rtm", (64, 64, 64), 1e-3)
+        enc = self.shift_offsets(HuffmanCodec().encode(data), by)
+        assert HuffmanCodec().decode(enc) == data
+
+    @pytest.mark.parametrize("by", [-5, 1, 3])
+    def test_corrupt_monotonic_offsets_of_an_unsettled_stream(self, by, gen):
+        """Walks from wrong anchors give wrong symbols, but never an error
+        other than ValueError, nor output of the wrong size."""
+        data = _uniform(gen, 8, 30_000)
+        enc = self.shift_offsets(HuffmanCodec().encode(data), by)
+        try:
+            out = HuffmanCodec().decode(enc)
+        except ValueError:
+            return
+        assert len(out) == len(data)
+
+
+class TestCodeTables:
+    """Length tables the encoder never writes but a header may hold."""
+
+    @pytest.mark.parametrize("max_len", [17, 20, 24])
+    def test_frequent_long_codes(self, max_len, gen):
+        # Codes of 1, 2, ..., max_len - 1 bits and two of max_len, drawn
+        # equally often: most of the payload is long codes.
+        lengths = np.zeros(256, np.uint8)
+        lengths[: max_len - 1] = np.arange(1, max_len)
+        lengths[max_len - 1 : max_len + 1] = max_len
+        symbols = gen.integers(0, max_len + 1, 20_000)
+        enc = _stream(lengths, symbols)
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == symbols.astype(np.uint8).tobytes()
+
+    def test_incomplete_code(self, gen):
+        # Codes 0, 100 and 101: a lane starting inside "101" "100" reads the
+        # unused prefix 11.
+        lengths = np.zeros(256, np.uint8)
+        lengths[[7, 8, 9]] = [1, 3, 3]
+        symbols = gen.choice([7, 8, 9], 30_000, p=[0.1, 0.45, 0.45])
+        enc = _stream(lengths, symbols, chunk_size=500)
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == symbols.astype(np.uint8).tobytes()
+
+    def test_more_than_256_states(self, gen):
+        # 254 codes of 8 bits, one of 9 and one of 10: the unused space at
+        # depths 8 and 10 makes 257 internal nodes.
+        lengths = np.full(256, 8, np.uint8)
+        lengths[254:] = [9, 10]
+        assert huffman._code_tree(lengths).shape == (257, 2)
+        symbols = gen.integers(0, 256, 20_000)
+        enc = _stream(lengths, symbols, chunk_size=700)
+        out = HuffmanCodec().decode(enc)
+        assert out == _lockstep_decode(enc)
+        assert out == symbols.astype(np.uint8).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 40, 256])
+    def test_a_complete_code_has_one_state_per_internal_node(self, k, gen):
+        data = bytes(range(k)) + _uniform(gen, k, 1000)
+        lengths = np.frombuffer(HuffmanCodec().encode(data), np.uint8, 256, _HEADER)
+        assert huffman._code_tree(lengths).shape == (k - 1, 2)
+
+    def test_oversubscribed_lengths(self, gen):
+        enc = bytearray(HuffmanCodec().encode(_uniform(gen, 4, 1000)))
+        enc[_HEADER + 4] = 1  # a fifth code beside four of 2 bits
+        with pytest.raises(ValueError, match="oversubscribe"):
+            HuffmanCodec().decode(bytes(enc))
+
+
+class TestEmission:
+    """Per-byte symbol words land at their prefix-sum offsets."""
+
+    def test_numpy_assigns_an_overlapping_view_in_index_order(self):
+        # _emit relies on it: a later word overwrites an earlier one's tail.
+        out = np.zeros(16, np.uint8)
+        view = np.ndarray((9,), dtype="<u8", buffer=out, strides=(1,))
+        view[np.array([0, 1, 1, 3])] = np.array([0x1111111111111111, 0x2222222222222222,
+                                                 0x3333333333333333, 0x4444444444444444],
+                                                dtype=np.uint64)
+        assert out.tolist() == [0x11, 0x33, 0x33] + [0x44] * 8 + [0] * 5
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+    def test_emit_matches_concatenation(self, n, gen):
+        counts = gen.integers(0, 9, n).astype(np.uint8)
+        counts[gen.random(n) < 0.3] = 0
+        syms = gen.integers(0, 1 << 63, n, dtype=np.uint64)
+        words = syms.view(np.uint8).reshape(n, 8)
+        expect = b"".join(words[i, : counts[i]].tobytes() for i in range(n))
+        assert huffman._emit(counts, syms).tobytes() == expect
+
+    def test_emit_of_nothing(self):
+        out = huffman._emit(np.zeros(0, np.uint8), np.zeros(0, np.uint64))
+        assert out.size == 0
 
 
 class TestMalformedHeaders:
@@ -308,20 +487,20 @@ class TestMalformedHeaders:
     def set_offset(buf: bytearray, i: int, value: int) -> None:
         struct.pack_into("<Q", buf, _HEADER + 256 + 8 * i, value)
 
-    def test_decreasing_offsets(self, stream, decode_path):
+    def test_decreasing_offsets(self, stream):
         first = struct.unpack_from("<Q", stream, _HEADER + 256)[0]
         self.set_offset(stream, 1, first - 1)
         with pytest.raises(ValueError, match="non-decreasing"):
             HuffmanCodec().decode(bytes(stream))
 
     @pytest.mark.parametrize("past", [1, 1 << 40, (1 << 64) - 1])
-    def test_offset_past_nbits(self, stream, past, decode_path):
+    def test_offset_past_nbits(self, stream, past):
         nbits = struct.unpack_from("<Q", stream, 12)[0]
         self.set_offset(stream, 2, min(nbits + past, (1 << 64) - 1))
         with pytest.raises(ValueError, match="at most"):
             HuffmanCodec().decode(bytes(stream))
 
-    def test_nbits_beyond_payload(self, stream, decode_path):
+    def test_nbits_beyond_payload(self, stream):
         payload_bytes = len(stream) - (_HEADER + 256 + 3 * 8)
         struct.pack_into("<Q", stream, 12, 8 * payload_bytes + 1)
         with pytest.raises(ValueError, match="payload"):
@@ -341,6 +520,14 @@ class TestMalformedHeaders:
         struct.pack_into("<I", stream, 8, 0)
         with pytest.raises(ValueError, match="chunk size"):
             HuffmanCodec().decode(bytes(stream))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2 * huffman._HISTOGRAM_BLOCK + 1])
+def test_histogram_counts_in_blocks(extra, gen):
+    n = 2 * huffman._HISTOGRAM_BLOCK + extra
+    arr = gen.integers(0, 256, n).astype(np.uint8)
+    arr[: n // 3] = 17
+    assert np.array_equal(huffman._histogram(arr), np.bincount(arr, minlength=256))
 
 
 def test_compression_tracks_entropy(rng):

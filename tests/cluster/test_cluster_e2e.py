@@ -191,13 +191,20 @@ class TestSubprocessCluster:
         # the babysitter respawns it on the same shard and the lease sweeper
         # reassigns whatever the dead life still held.
         plan = FaultPlan([FaultSpec("cluster.shard-append", "kill", at=2)], seed=7)
+        # Worker 0 only dies if it leases a second field. Whichever worker
+        # polls first is granted the largest field (LPT order), so an
+        # unhindered worker 1 can take the other three while worker 0 is
+        # still on its first. Worker 1 therefore stalls 2 s before each of
+        # its appends (its heartbeat keeps the lease alive): it would need
+        # a head start of three stalls to leave worker 0 a single field.
+        slow = FaultPlan([FaultSpec("cluster.shard-append", "stall", count=4, arg=2.0)], seed=7)
         report = run_cluster(
             _spec(),
             str(tmp_path / "out"),
             workers=2,
             lease_ttl_s=2.0,
             timeout_s=120.0,
-            worker_env={0: {"REPRO_FAULTS": plan.dumps()}},
+            worker_env={0: {"REPRO_FAULTS": plan.dumps()}, 1: {"REPRO_FAULTS": slow.dumps()}},
         )
         assert report["drained"] and report["ok"] == 4 and report["failed"] == 0
         assert report["respawns"] == 1

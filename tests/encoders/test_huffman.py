@@ -231,6 +231,16 @@ class TestDecodeMatchesLockstepOracle:
         self.check(quantcode_bytes)
 
 
+class TestChunkWalksMatchLockstepOracle(TestDecodeMatchesLockstepOracle):
+    """The same streams with the fix-up rounds capped at the first: every
+    chunk whose lanes start out of step is restored by an exact walk from
+    its stored offset alone."""
+
+    @pytest.fixture(autouse=True)
+    def one_round(self, monkeypatch):
+        monkeypatch.setattr(huffman, "MAX_ROUNDS", 1)
+
+
 def _fibonacci_stream(gen, nsym: int) -> bytes:
     """``nsym`` symbols with Fibonacci frequencies: code lengths 1..nsym-1."""
     counts, a, b = [], 1, 1

@@ -135,6 +135,31 @@ class TestPredictors:
         )
 
     @pytest.mark.parametrize("side", [32, 64])
+    def test_interpolation_compress_small(self, benchmark, side):
+        """The replay at the sizes serving sees, where a level's parity
+        planes fit in cache; no reconstruction kept, as in ``CuszHi``."""
+        field = load("nyx", shape=(side, side, side), seed=0)
+        abs_eb = resolve_error_bound(field, 1e-3, "rel")
+        levels = autotune_levels(field, 16)
+        pred = InterpolationPredictor(16)
+        res = benchmark(lambda: pred.compress(field, abs_eb, levels, keep_recon=False))
+        assert res.recon is None
+
+    @pytest.mark.parametrize("side", [32, 64])
+    def test_interpolation_decompress_small(self, benchmark, side):
+        field = load("nyx", shape=(side, side, side), seed=0)
+        abs_eb = resolve_error_bound(field, 1e-3, "rel")
+        pred = InterpolationPredictor(16)
+        res = pred.compress(field, abs_eb, autotune_levels(field, 16))
+        out = benchmark(
+            lambda: pred.decompress(
+                res.codes, res.anchors, res.outlier_values, field.shape,
+                abs_eb, res.level_configs, field.dtype,
+            )
+        )
+        assert np.array_equal(out, res.recon)
+
+    @pytest.mark.parametrize("side", [32, 64])
     def test_autotune_levels(self, benchmark, side):
         """The fixed per-call cost of small fields: one sampled block, three
         spline evaluations per level shared by all six candidates."""

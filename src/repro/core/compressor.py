@@ -184,8 +184,8 @@ class CuszHi:
             }
 
         predictor = InterpolationPredictor(cfg.anchor_stride)
-        res = predictor.compress(data, abs_eb, level_cfgs)
-        self.last_recon = res.recon if self.retain_recon else None
+        res = predictor.compress(data, abs_eb, level_cfgs, keep_recon=self.retain_recon)
+        self.last_recon = res.recon
         self._interp_kernels(trace, data.shape, data.itemsize, level_cfgs, cfg.anchor_stride)
 
         if cfg.reorder:

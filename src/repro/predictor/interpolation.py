@@ -18,28 +18,48 @@ any value whose reconstruction would breach the bound after casting back to
 the storage dtype) are emitted as outliers: code byte 0 plus the exact value.
 
 GPU mapping: in CUDA each 17^3 block is one thread block; here every pass is
-a handful of whole-block vector operations.  Interpolation is performed
+a handful of whole-plane vector operations.  Interpolation is performed
 globally (no halo truncation at block borders); DESIGN.md §3 records this as
 the one deliberate deviation from the CUDA kernel.
 
 Execution model (the single-thread hot path)
 --------------------------------------------
-All pass geometry depends only on ``(shape, stride, scheme, spline)``, never
-on the data, so it is computed once into a :class:`LevelPlan` and memoized
-(:func:`level_plan`).  A pass stores, per interpolated axis, its <= 4
-boundary-class runs along that axis (:func:`~repro.predictor.splines.axis_kind_segments`
-plus the basic-slice neighbor views each run reads).  Predicting a pass:
+Compress and decompress replay every level on contiguous *parity planes*.
+At stride ``s`` the stride-``s`` lattice splits into ``2**nd`` planes by
+the parity of each coordinate; plane ``k`` holds the points with parity
+bits ``b_j = (k >> j) & 1`` (axis 0 the least significant bit).  Each
+plane is padded to ``ceil(n / 2)`` per axis and the planes lie back to
+back in one float64 buffer; plane 0, the even points, is exactly the
+previous level's lattice.  With this order a 1d pass along ``d`` predicts
+the contiguous planes ``[2**d, 2**(d+1))`` from the planes ``[0, 2**d)``,
+a constant ``2**d`` planes lower, and an md pass over the axes ``S``
+predicts the single plane ``sum(2**j for j in S)``.  The geometry depends
+only on ``(shape, stride, scheme, spline)`` and is memoized
+(:func:`plane_level`).  Predicting a pass:
 
-1. each axis's runs evaluate one spline formula apiece into a pass-block
-   buffer — strided views of the field, no ``np.ix_`` gather copies;
+1. per interpolated axis, one *flat run* evaluates the interior spline over
+   the whole target range as one left-associated weighted sum of
+   contiguous 1-D slices of the buffer, each shifted by ``sh`` rows of the
+   axis (``sh`` in -1..2); the <= 3 boundary rows (quadratic, linear,
+   copy) are then recomputed from basic slices of the source planes,
+   overwriting what the flat run left there;
 2. with two or more axes, highest-order-wins averaging: wherever the axes'
    1-D orders agree every axis wins, so the plain mean ``((p0 + p1) + ...)
    / k`` is exact; the boundary rows where they disagree are gathered and
-   redone from the plan's boundary bookkeeping (first winner copied, later
-   winners added, sum divided by the winner count);
-3. ``compress`` quantizes the whole pass with one
-   :meth:`~repro.quantizer.linear.ByteQuantizer.quantize_into` call;
-   ``decompress`` dequantizes and fills outliers once per pass.
+   redone (first winner copied, later winners added, sum divided by the
+   winner count);
+3. ``compress`` quantizes the pass's planes with one
+   :meth:`~repro.quantizer.linear.ByteQuantizer.quantize_into` call that
+   writes the reconstruction straight into them; ``decompress`` adds the
+   prediction to the planes' dequantized codes and drops in the level's
+   outliers.
+
+Padding entries only ever hold finite garbage (the buffers start zeroed
+and only valid entries receive data or codes) and are never read into a
+valid point.
+After a level the planes interleave into the next level's plane 0; at
+stride 1 decompress interleaves straight into the output array, casting
+to its dtype, and compress does so only when the caller keeps ``recon``.
 
 The arithmetic per point is the expression tree of the earlier sub-block
 formulation (one sub-block per product of the axes' runs), so codes,
@@ -48,23 +68,26 @@ outliers, reconstructions and auto-tune scores are bit-identical to it;
 sub-block path kept in ``tests/`` as an oracle.
 
 Scoring (:meth:`InterpolationPredictor.level_errors`) predicts from raw
-values, so the prediction along an axis at a target depends on neither the
-pass nor the scheme: each spline family's per-axis predictions over the
-stride-``s`` lattice are computed once per level, and every md or 1d pass
-of every candidate reads basic-slice views of them.  Six candidates cost
-three spline evaluations.
+values on the field layout (:class:`LevelPlan`), so the prediction along an
+axis at a target depends on neither the pass nor the scheme: each spline
+family's per-axis predictions over the stride-``s`` lattice are computed
+once per level, and every md or 1d pass of every candidate reads
+basic-slice views of them.  Six candidates cost three spline evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from ..core.cache import CountedTableCache
 from ..quantizer.linear import ByteQuantizer
 from .splines import (
+    KIND_FULL,
+    KIND_LIN,
     KIND_OFFSETS,
     KIND_ORDER,
     SPLINES,
@@ -78,7 +101,9 @@ __all__ = [
     "InterpolationPredictor",
     "ScratchPool",
     "LevelPlan",
+    "PlaneLevel",
     "level_plan",
+    "plane_level",
     "level_plan_stats",
     "level_strides",
     "level_passes",
@@ -114,7 +139,7 @@ class PredictorResult:
     codes: np.ndarray  # uint8, data layout; 128-centered, 0 = outlier
     anchors: np.ndarray  # raw anchor values, anchor-grid layout
     outlier_values: np.ndarray  # exact values for code==0 positions, flat order
-    recon: np.ndarray  # reconstructed field (input dtype)
+    recon: np.ndarray | None  # reconstructed field (input dtype), if kept
     level_configs: dict[int, LevelConfig] = field(default_factory=dict)
 
 
@@ -185,17 +210,16 @@ def _axis_runs(slices: tuple[slice, ...], d: int, stride: int, spline: str, dim:
 
 
 class _Pass:
-    """One prediction pass: its target block; per interpolated axis, the class
-    runs and the view of the level's lattice predictions it reads; and, for
-    two or more axes, the :func:`_boundary_winners` of the block."""
+    """One scoring pass: its target block; per interpolated axis, the view of
+    the level's lattice predictions it reads; and, for two or more axes, the
+    :func:`_boundary_winners` of the block."""
 
-    __slots__ = ("axes", "slices", "shape", "runs", "views", "winners")
+    __slots__ = ("axes", "slices", "shape", "views", "winners")
 
-    def __init__(self, axes, slices, shape, runs, views, winners):
+    def __init__(self, axes, slices, shape, views, winners):
         self.axes = axes
         self.slices = slices
         self.shape = shape
-        self.runs = runs
         self.views = views
         self.winners = winners
 
@@ -223,7 +247,8 @@ def _boundary_winners(runs: tuple, axes: tuple[int, ...], shape: tuple[int, ...]
     nd = len(shape)
     orders = []
     for d, axis_runs in zip(axes, runs):
-        order = np.empty([shape[d] if j == d else 1 for j in range(nd)], dtype=np.int8)
+        # Zeros, not empty: a padded plane has entries no run covers.
+        order = np.zeros([shape[d] if j == d else 1 for j in range(nd)], dtype=np.int8)
         for rel, kind, _ in axis_runs:
             order[rel] = KIND_ORDER[kind]
         orders.append(order)
@@ -253,7 +278,7 @@ def _boundary_winners(runs: tuple, axes: tuple[int, ...], shape: tuple[int, ...]
 
 
 class LevelPlan:
-    """All passes of one (shape, stride, scheme, spline) level.
+    """The scoring passes of one (shape, stride, scheme, spline) level.
 
     ``lattice`` holds, per dimension ``d``, ``(shape, runs)`` of the 1-D
     predictions along ``d`` at every stride-``s`` lattice point whose
@@ -293,7 +318,7 @@ def _build_level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: 
             tuple(slice(None) if j == d else sl for j, sl in enumerate(lattice_slices))
             for d in axes
         )
-        passes.append(_Pass(tuple(axes), slices, counts, runs, views, winners))
+        passes.append(_Pass(tuple(axes), slices, counts, views, winners))
     return LevelPlan(tuple(shape), s, scheme, spline, tuple(passes), tuple(lattice))
 
 
@@ -314,8 +339,163 @@ def level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: str) ->
 
 
 def level_plan_stats() -> dict:
-    """Hit/miss counters of the plan cache (surfaced in server ``/stats``)."""
-    return _PLANS.stats()
+    """Hit/miss counters of the level-plan and plane-geometry caches together
+    (surfaced in server ``/stats``)."""
+    a, b = _PLANS.stats(), _PLANE_LEVELS.stats()
+    return {key: a[key] + b[key] for key in a}
+
+
+# ---------------------------------------------------------------------------
+# Parity planes: the replay layout of compress and decompress.
+# ---------------------------------------------------------------------------
+
+
+class _PlanePass:
+    """One replay pass: it predicts the contiguous target planes
+    ``[k0, k1)``.  Per interpolated axis, ``runs`` holds the flat run
+    ``(lo, kind, neighbors)``, whose neighbors are 1-D slices of the level
+    buffer, and the boundary rows ``((rel, kind, neighbors), ...)``, whose
+    neighbors are basic slices of the plane view; ``winners`` is the
+    :func:`_boundary_winners` of a pass with two or more axes."""
+
+    __slots__ = ("k0", "k1", "runs", "winners")
+
+    def __init__(self, k0, k1, runs, winners):
+        self.k0 = k0
+        self.k1 = k1
+        self.runs = runs
+        self.winners = winners
+
+
+class PlaneLevel:
+    """Parity-plane geometry of one (shape, stride, scheme, spline) level.
+
+    The stride-``s`` lattice (shape ``n``) splits into ``2**nd`` planes by
+    coordinate parity, plane ``k`` holding the points whose parity bits are
+    ``b_j = (k >> j) & 1``.  Every plane is padded to ``half = ceil(n/2)``
+    and the planes lie back to back in one float64 buffer of ``size``
+    elements (a zero tail keeps the flat runs' reads in bounds).  Plane 0
+    is the previous level's lattice, unpadded.  Per plane, ``planes`` holds
+    its valid ``extent`` and the basic slices of its points in the data
+    (``data``) and in the stride-``s`` lattice (``lattice``).
+    """
+
+    __slots__ = ("stride", "half", "size", "planes", "passes")
+
+    def __init__(self, stride, half, size, planes, passes):
+        self.stride = stride
+        self.half = half
+        self.size = size
+        self.planes = planes
+        self.passes = passes
+
+    def buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """A zeroed level buffer and its ``(2**nd, *half)`` plane view."""
+        shape = (len(self.planes),) + self.half
+        buf = np.zeros(self.size)
+        return buf, buf[: prod(shape)].reshape(shape)
+
+    def outliers(self, coords: tuple[np.ndarray, ...], values: np.ndarray):
+        """The outliers predicted at this level, in buffer order.
+
+        ``coords`` are the data coordinates of every outlier and ``values``
+        their exact values.  Returns their buffer positions, their values as
+        float64, and per plane ``k`` the index ``bounds[k]`` of its first one.
+        """
+        if not values.size:
+            return np.zeros(0, np.int64), np.zeros(0), np.zeros(len(self.planes) + 1, np.intp)
+        s = self.stride
+        here = np.ones(values.size, dtype=bool)
+        coarser = np.ones(values.size, dtype=bool)
+        for c in coords:
+            here &= c % s == 0
+            coarser &= c % (2 * s) == 0
+        here &= ~coarser
+        plane_size = prod(self.half)
+        pos = np.zeros(int(here.sum()), dtype=np.int64)
+        for j, (c, row) in enumerate(zip(coords, _row_strides(self.half))):
+            c = c[here] // s
+            pos += ((c & 1) << j) * plane_size + (c >> 1) * row
+        order = np.argsort(pos, kind="stable")
+        bounds = np.searchsorted(pos[order], np.arange(len(self.planes) + 1) * plane_size)
+        return pos[order], values[here][order].astype(np.float64), bounds
+
+
+def _build_plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> PlaneLevel:
+    s = int(stride)
+    nd = len(shape)
+    n = tuple(len(range(0, dim, s)) for dim in shape)
+    half = tuple((c + 1) // 2 for c in n)
+    row = _row_strides(half)
+    plane_size = prod(half)
+    nplanes = 1 << nd
+    planes = []
+    for k in range(nplanes):
+        bits = [(k >> j) & 1 for j in range(nd)]
+        extent = tuple(slice(0, (c - b + 1) // 2) for c, b in zip(n, bits))
+        data = tuple(slice(b * s, dim, 2 * s) for b, dim in zip(bits, shape))
+        lattice = tuple(slice(b, c, 2) for b, c in zip(bits, n))
+        planes.append((extent, data, lattice))
+    interior = KIND_LIN if spline == "linear" else KIND_FULL
+    # Plane index i along d is the lattice target 2i+1; its neighbor at
+    # offset ``off`` strides lies in the source plane at i + (off+1)//2.
+    shifts = [(off + 1) // 2 for off in KIND_OFFSETS[interior]]
+    passes = []
+    for _, axes in _pass_descriptors(shape, s, scheme):
+        if 0 in n or any(n[d] < 2 for d in axes):
+            continue  # an empty field, or no targets along an interpolated axis
+        # Axis 0 is the least significant parity bit: a 1d pass along d
+        # covers the planes [2**d, 2**(d+1)), an md pass over the axes S
+        # the single plane sum(2**j for j in S).
+        k0 = 1 << axes[0] if scheme == "1d" else sum(1 << j for j in axes)
+        k1 = 2 * k0 if scheme == "1d" else k0 + 1
+        m = k1 - k0
+        runs, order_runs = [], []
+        for d in axes:
+            src = k0 - (1 << d)
+            lo = -min(shifts) * row[d]
+            first, stop = src * plane_size + lo, (src + m) * plane_size
+            flat = (lo, interior, tuple(
+                (slice(first + sh * row[d], stop + sh * row[d]),) for sh in shifts
+            ))
+            rows, orders = [], []
+            for i0, i1, kind in axis_kind_segments(shape[d], s, spline):
+                rel = (slice(None),) + tuple(
+                    slice(i0, i1) if j == d else slice(None) for j in range(nd)
+                )
+                orders.append((rel, kind, None))
+                if kind == interior:
+                    continue
+                nbs = []
+                for off in KIND_OFFSETS[kind]:
+                    sh = (off + 1) // 2
+                    nbs.append((slice(src, src + m),) + tuple(
+                        slice(i0 + sh, i1 + sh) if j == d else slice(None) for j in range(nd)
+                    ))
+                rows.append((rel, kind, tuple(nbs)))
+            runs.append((flat, tuple(rows)))
+            order_runs.append(tuple(orders))
+        winners = None
+        if len(axes) > 1:
+            winners = _boundary_winners(
+                tuple(order_runs), tuple(d + 1 for d in axes), (1,) + half
+            )
+        passes.append(_PlanePass(k0, k1, tuple(runs), winners))
+    # The flat runs read up to two rows of axis 0 past the last plane.
+    size = nplanes * plane_size + 2 * max(row, default=0)
+    return PlaneLevel(s, half, size, tuple(planes), tuple(passes))
+
+
+_PLANE_LEVELS = CountedTableCache(capacity=128)
+
+
+def plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> PlaneLevel:
+    """Memoized :class:`PlaneLevel`, keyed like :func:`level_plan`."""
+    key = (tuple(int(d) for d in shape), int(stride), scheme, spline)
+    geo = _PLANE_LEVELS.lookup(key)
+    if geo is not None:
+        return geo
+    return _PLANE_LEVELS.store(key, _build_plane_level(*key))
 
 
 class ScratchPool:
@@ -331,12 +511,10 @@ class ScratchPool:
         self._buffers: dict[str, np.ndarray] = {}
 
     def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        n = 1
-        for d in shape:
-            n *= int(d)
-        dtype = np.dtype(dtype)
+        n = prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.dtype != dtype or buf.size < n:
+            dtype = np.dtype(dtype)
             size = n if buf is None or buf.dtype != dtype else max(n, buf.size)
             buf = np.empty(size, dtype=dtype)
             self._buffers[key] = buf
@@ -387,27 +565,40 @@ def _average_winners(preds: list, winners: tuple, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _predict_pass(R: np.ndarray, p: _Pass, spline: str, scratch: ScratchPool) -> np.ndarray:
-    """Highest-order-wins prediction of one whole pass into scratch."""
-    preds = [
-        _predict_axis(R, runs, spline, scratch.get(f"pred_{i}", p.shape), scratch)
-        for i, runs in enumerate(p.runs)
-    ]
+def _interleave(g: PlaneLevel, planes: np.ndarray, out: np.ndarray) -> None:
+    """Scatter a finished level's planes into its lattice ``out`` (the next
+    level's plane 0, or the field itself at stride 1), casting to its dtype."""
+    for k, (extent, _, lattice) in enumerate(g.planes):
+        out[lattice] = planes[k][extent]
+
+
+def _predict_planes(
+    buf: np.ndarray, planes: np.ndarray, p: _PlanePass, spline: str, scratch: ScratchPool
+) -> np.ndarray:
+    """Highest-order-wins prediction of one pass's target planes into scratch.
+
+    Per axis, one flat run evaluates the interior formula over the whole
+    target range from shifted 1-D slices of ``buf``; it leaves garbage on
+    the boundary rows, which are then recomputed from basic slices of
+    ``planes``.  Padding entries get finite garbage and are never read
+    back into a valid point.
+    """
+    shape = (p.k1 - p.k0,) + planes.shape[1:]
+    preds = []
+    for i, ((lo, kind, nbs), rows) in enumerate(p.runs):
+        pred = scratch.get(f"pred_{i}", shape)
+        out = pred.reshape(-1)[lo:]
+        predict_kind_into(buf, kind, nbs, spline, out=out, tmp=scratch.get("pred_tmp", out.shape))
+        for rel, kind, nbs in rows:
+            view = pred[rel]
+            run = scratch.get("pred_run", view.shape)
+            tmp = scratch.get("pred_tmp", view.shape)
+            predict_kind_into(planes, kind, nbs, spline, out=run, tmp=tmp)
+            np.copyto(view, run)
+        preds.append(pred)
     if len(preds) == 1:
         return preds[0]
     return _average_winners(preds, p.winners, preds[0])
-
-
-def _flat_positions(
-    slices: tuple[slice, ...], mask_idx: tuple[np.ndarray, ...], row_strides: tuple[int, ...]
-) -> np.ndarray:
-    """Flat array positions of masked pass-block points (exact int64 math)."""
-    flat = None
-    for d, sl in enumerate(slices):
-        coords = np.arange(sl.start, sl.stop, sl.step, dtype=np.int64)
-        contrib = coords[mask_idx[d]] * row_strides[d]
-        flat = contrib if flat is None else flat + contrib
-    return flat
 
 
 class InterpolationPredictor:
@@ -420,46 +611,72 @@ class InterpolationPredictor:
     def _anchor_slices(self, shape: tuple[int, ...]) -> tuple[slice, ...]:
         return tuple(slice(0, dim, self.anchor_stride) for dim in shape)
 
+    def _levels(self, shape: tuple[int, ...], configs) -> list[tuple[str, PlaneLevel]]:
+        """``(spline, geometry)`` of every level, coarse to fine."""
+        out = []
+        for s in level_strides(self.anchor_stride):
+            cfg = configs.get(s, LevelConfig())
+            out.append((cfg.spline, plane_level(shape, s, cfg.scheme, cfg.spline)))
+        return out
+
     # ------------------------------------------------------------ compress
     def compress(
         self,
         data: np.ndarray,
         eb: float,
         level_configs: dict[int, LevelConfig] | None = None,
+        keep_recon: bool = True,
     ) -> PredictorResult:
         """Decompose ``data`` into quantization codes under absolute bound ``eb``.
 
         ``level_configs`` maps stride -> :class:`LevelConfig`; missing levels
-        default to the md/cubic configuration.
+        default to the md/cubic configuration.  With ``keep_recon=False`` the
+        result's ``recon`` is ``None`` and the last interleave is skipped.
         """
         if eb <= 0:
             raise ValueError("error bound must be positive")
         data = np.asarray(data)
         shape = data.shape
         dtype = data.dtype
-        R = np.zeros(shape, dtype=np.float64)
         codes = np.full(shape, 128, dtype=np.uint8)
         strides = level_strides(self.anchor_stride)
         configs = {s: (level_configs or {}).get(s, LevelConfig()) for s in strides}
 
-        aslices = self._anchor_slices(shape)
         # Always a copy (never ascontiguousarray): a size-1 anchor grid is a
         # trivially contiguous *view* of the input, and the zero-copy
         # container would then alias the caller's buffer through the blob.
-        anchors = data[aslices].copy()
-        R[aslices] = anchors  # exact float64 embedding of the raw anchors
+        anchors = data[self._anchor_slices(shape)].copy()
 
         quantizer = ByteQuantizer(eb)
         scratch = self._scratch
-        for s in strides:
-            cfg = configs[s]
-            for p in level_plan(shape, s, cfg.scheme, cfg.spline).passes:
-                pred = _predict_pass(R, p, cfg.spline, scratch)
-                # Byte codes land directly in the strided destination —
-                # no intermediate contiguous copy.
-                R[p.slices] = quantizer.quantize_into(
-                    data[p.slices], pred, dtype, scratch, codes[p.slices]
+        levels = self._levels(shape, configs)
+        buf, planes = levels[0][1].buffer()
+        planes[0] = anchors  # exact float64 embedding of the raw anchors
+        recon = None
+        for i, (spline, g) in enumerate(levels):
+            for p in g.passes:
+                targets = g.planes[p.k0 : p.k1]
+                shape_p = (len(targets),) + g.half
+                # Zeroed first: padding entries of the data planes must be
+                # finite garbage.
+                values = scratch.get("plane_values", shape_p)
+                values.fill(0.0)
+                for (extent, dslices, _), plane in zip(targets, values):
+                    plane[extent] = data[dslices]
+                cplanes = scratch.get("plane_codes", shape_p, np.uint8)
+                pred = _predict_planes(buf, planes, p, spline, scratch)
+                quantizer.quantize_into(
+                    values, pred, dtype, scratch, cplanes, out=planes[p.k0 : p.k1]
                 )
+                for (extent, dslices, _), plane in zip(targets, cplanes):
+                    codes[dslices] = plane[extent]
+            if i + 1 < len(levels):
+                buf, nxt = levels[i + 1][1].buffer()
+                _interleave(g, planes, nxt[0, ...])
+                planes = nxt
+            elif keep_recon:
+                recon = np.empty(shape, dtype=dtype)
+                _interleave(g, planes, recon)
 
         out_pos = np.flatnonzero(codes.reshape(-1) == 0)
         # Anchor positions can never be outliers (byte 128), so out_pos are
@@ -469,7 +686,7 @@ class InterpolationPredictor:
             codes=codes,
             anchors=anchors,
             outlier_values=outlier_values,
-            recon=R.astype(dtype),
+            recon=recon,
             level_configs=configs,
         )
 
@@ -485,32 +702,35 @@ class InterpolationPredictor:
         dtype: np.dtype,
     ) -> np.ndarray:
         """Replay the prediction passes and rebuild the field exactly."""
-        R = np.zeros(shape, dtype=np.float64)
-        R[self._anchor_slices(shape)] = anchors
-
+        shape = tuple(shape)
         out_pos = np.flatnonzero(codes.reshape(-1) == 0)
+        coords = tuple(out_pos // row % dim for row, dim in zip(_row_strides(shape), shape))
         outlier_values = np.asarray(outlier_values)
-        strides = level_strides(self.anchor_stride)
-        row_strides = _row_strides(tuple(shape))
         twoeb = 2.0 * eb
         scratch = self._scratch
-        for s in strides:
-            cfg = level_configs.get(s, LevelConfig())
-            for p in level_plan(tuple(shape), s, cfg.scheme, cfg.spline).passes:
-                pred = _predict_pass(R, p, cfg.spline, scratch)
-                byte = codes[p.slices]
-                step = scratch.get("dequant_step", p.shape)
-                np.subtract(byte, 128.0, out=step)  # exact for every byte
-                np.multiply(step, twoeb, out=step)
-                target = R[p.slices]
-                np.add(pred, step, out=target)
-                omask = scratch.get("quant_outlier", p.shape, np.bool_)
-                np.equal(byte, 0, out=omask)
-                if omask.any():
-                    midx = np.nonzero(omask)
-                    vidx = np.searchsorted(out_pos, _flat_positions(p.slices, midx, row_strides))
-                    target[midx] = outlier_values[vidx].astype(np.float64)
-        return R.astype(dtype)
+        levels = self._levels(shape, level_configs)
+        buf, planes = levels[0][1].buffer()
+        planes[0] = anchors
+        for i, (spline, g) in enumerate(levels):
+            # Every target plane starts as its dequantized codes; padding
+            # stays zero, so it only ever holds finite garbage.
+            for (extent, dslices, _), plane in zip(g.planes[1:], planes[1:]):
+                np.subtract(codes[dslices], 128.0, out=plane[extent])  # exact for every byte
+            np.multiply(planes[1:], twoeb, out=planes[1:])
+            pos, exact, bounds = g.outliers(coords, outlier_values)
+            for p in g.passes:
+                target = planes[p.k0 : p.k1]
+                np.add(_predict_planes(buf, planes, p, spline, scratch), target, out=target)
+                lo, hi = bounds[p.k0], bounds[p.k1]
+                if lo < hi:
+                    buf[pos[lo:hi]] = exact[lo:hi]
+            if i + 1 < len(levels):
+                buf, nxt = levels[i + 1][1].buffer()
+                _interleave(g, planes, nxt[0, ...])
+                planes = nxt
+        out = np.empty(shape, dtype=dtype)
+        _interleave(g, planes, out)  # the stride-1 lattice is the field
+        return out
 
     # ------------------------------------------------------------- dry run
     def level_errors(

@@ -9,8 +9,9 @@ GPU implements it (one scan kernel per axis).
 
 The error bound follows from pre-quantization alone:
 ``|x - 2eb*round(x/2eb)| <= eb``.  Values whose pre-quantized magnitude
-exceeds the int32 range are stored as outliers (exact value, code 0 at their
-position is not needed since the residual stream is int32 here).
+would push a residual out of the int32 range are stored as outliers (exact
+value, code 0 at their position is not needed since the residual stream is
+int32 here).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def _diff_along(q: np.ndarray, axis: int) -> np.ndarray:
 def lorenzo_encode(data: np.ndarray, eb: float) -> LorenzoResult:
     """First-order N-D Lorenzo on the pre-quantized integer field."""
     data = np.asarray(data)
-    pq = prequantize(data, eb)
     # The N-D first-order Lorenzo residual is the chained finite difference
-    # along every axis (inclusion-exclusion collapses to separable diffs).
+    # along every axis (inclusion-exclusion collapses to separable diffs),
+    # a signed sum of 2**ndim integers: saturating |q| at (2**31 - 1) >> ndim
+    # keeps every residual inside int32.
+    pq = prequantize(data, eb, saturation=(2**31 - 1) >> data.ndim)
     resid = pq.q
     for axis in range(data.ndim):
         resid = _diff_along(resid, axis)

@@ -22,8 +22,9 @@ import numpy as np
 
 __all__ = ["PrequantResult", "prequantize", "reconstruct", "ByteQuantizer"]
 
-#: saturation threshold for dual-quant integers (fits int32 after prediction)
-SATURATION = 2**30
+#: saturation threshold for dual-quant integers: the difference of two such
+#: integers (a 1-D delta prediction) still fits int32
+SATURATION = (2**31 - 1) >> 1
 
 
 @dataclass
@@ -36,13 +37,16 @@ class PrequantResult:
     recon: np.ndarray  # bound-respecting reconstruction (input dtype)
 
 
-def prequantize(data: np.ndarray, eb: float) -> PrequantResult:
+def prequantize(data: np.ndarray, eb: float, saturation: int = SATURATION) -> PrequantResult:
     """Pre-quantize ``data`` to integers under absolute bound ``eb``.
 
-    The bound is validated against the reconstruction *after* casting back to
-    the storage dtype: ``2eb * round(x/2eb)`` respects the bound in exact
-    arithmetic but the float32 cast can overshoot by an ulp, so any violating
-    point joins the exact-outlier set.
+    Values with ``|q| > saturation`` (and non-finite ones) become outliers;
+    a predictor whose residuals combine several ``q`` lowers the threshold
+    so that they still fit its residual type.  The bound is validated
+    against the reconstruction *after* casting back to the storage dtype:
+    ``2eb * round(x/2eb)`` respects the bound in exact arithmetic but the
+    float32 cast can overshoot by an ulp, so any violating point joins the
+    exact-outlier set.
     """
     if eb <= 0:
         raise ValueError("error bound must be positive")
@@ -50,7 +54,7 @@ def prequantize(data: np.ndarray, eb: float) -> PrequantResult:
     twoeb = 2.0 * eb
     x = data.astype(np.float64)
     qf = np.rint(x / twoeb)
-    saturated = (np.abs(qf) > SATURATION) | ~np.isfinite(qf)
+    saturated = (np.abs(qf) > saturation) | ~np.isfinite(qf)
     qf = np.where(saturated, 0.0, qf)
     q = qf.astype(np.int64)
     recon = (q.astype(np.float64) * twoeb).astype(data.dtype)
@@ -126,12 +130,14 @@ class ByteQuantizer:
         dtype: np.dtype,
         scratch,
         out_codes: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Scratch-buffer variant of :meth:`quantize` for the fused hot path.
 
         Writes the byte codes into ``out_codes`` (uint8, pre-shaped) and
-        returns the bound-respecting float64 reconstruction as a view of
-        ``scratch`` buffers — no per-call temporaries beyond the pool.
+        returns the bound-respecting float64 reconstruction, written into
+        ``out`` when given and into a ``scratch`` buffer otherwise — no
+        per-call temporaries beyond the pool.
         ``scratch`` is any object with ``get(key, shape, dtype)`` returning
         reusable arrays (see ``repro.predictor.interpolation.ScratchPool``).
 
@@ -145,7 +151,7 @@ class ByteQuantizer:
         shape = predictions.shape
         q = scratch.get("quant_q", shape, np.float64)
         tmp = scratch.get("quant_tmp", shape, np.float64)
-        recon = scratch.get("quant_recon", shape, np.float64)
+        recon = scratch.get("quant_recon", shape, np.float64) if out is None else out
         outlier = scratch.get("quant_outlier", shape, np.bool_)
         flag = scratch.get("quant_flag", shape, np.bool_)
 

@@ -44,6 +44,18 @@ class TestFixedEbBaselines:
         assert len(comp.last_decomp_trace) >= 1
 
 
+@pytest.mark.parametrize("codec", ["cusz-l", "fzgpu"])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_lorenzo_residuals_do_not_wrap(codec, seed):
+    """A unit-step walk at an absolute bound of 1e-9 prequantizes to |q|
+    near the saturation threshold; chained 3-D differences of such q used
+    to wrap in int32 and break the bound at 121 points (seed 0)."""
+    rng = np.random.default_rng(seed)
+    x = (np.cumsum(rng.standard_normal(24**3)) + 10).astype(np.float32).reshape(24, 24, 24)
+    out = repro.api.decompress(repro.api.compress(x, codec=codec, eb=1e-9, eb_mode="abs").blob)
+    assert np.abs(x.astype(np.float64) - out.astype(np.float64)).max() <= 1e-9
+
+
 class TestCuszIConfiguration:
     def test_anchor_stride_8(self, smooth3d):
         blob = CuszI().compress(smooth3d, 1e-3)

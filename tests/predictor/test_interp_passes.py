@@ -1,13 +1,14 @@
-"""Whole-pass interpolation vs the sub-block formulation: bit identity.
+"""Plane replay and whole-pass scoring vs the sub-block formulation.
 
-Each prediction pass runs as a few whole-block operations (per-axis class
-runs, a block-wide mean, a repair of the boundary rows where the axes'
-orders disagree), and the auto-tuner scores all candidates of a level from
-one set of per-axis lattice predictions per spline family.  The oracle is
-the earlier path that split every pass into the product of its per-axis
-runs (``interp_oracle.SubBlockPredictor``); these tests pin equal bytes for
-codes, outliers, reconstructions, decompressed fields, per-candidate scores
-and auto-tune choices, plus the call counts the rewrite exists for.
+Compress and decompress replay each pass on contiguous parity planes (one
+flat run per axis, a repair of its boundary rows, a plane-wide mean and a
+repair where the axes' orders disagree), and the auto-tuner scores all
+candidates of a level from one set of per-axis lattice predictions per
+spline family.  The oracle is the earlier path that split every pass into
+the product of its per-axis runs (``interp_oracle.SubBlockPredictor``);
+these tests pin equal bytes for codes, outliers, reconstructions,
+decompressed fields, per-candidate scores and auto-tune choices, that
+padding never raises a floating-point warning, and the call counts.
 """
 
 import warnings
@@ -26,6 +27,7 @@ from repro.predictor.interpolation import (
     LevelConfig,
     level_plan,
     level_strides,
+    plane_level,
 )
 from repro.quantizer.linear import ByteQuantizer
 
@@ -154,6 +156,52 @@ class TestCompressDecompress:
         differ = out.view(np.uint64) != res.recon.view(np.uint64)
         assert (out[differ] == 0).all() and (res.recon[differ] == 0).all()
 
+    @pytest.mark.parametrize(
+        "shape", [(33, 33, 33), (64, 64, 64), (33, 17, 40), (96, 192)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_large_fields_match_oracle(self, shape):
+        """Several rows per plane along every axis, so the flat runs cross
+        row and plane ends, next to odd extents whose planes are padded."""
+        for dtype in (np.float32, np.float64):
+            x = make_field(shape, "walk", dtype, seed=4)
+            self._check(x, 16, 1e-2, autotune_levels(x, 16))
+            self._check(x, 8, 1e-3, MIXED)
+
+    @pytest.mark.parametrize("kind", ["walk", "zeros", "signed_zeros", "constant", "huge"])
+    def test_finite_fields_raise_no_warnings(self, kind):
+        """Padding entries hold finite garbage: replaying a finite field must
+        never overflow or produce an invalid value anywhere."""
+        for shape in [(33, 17, 40), (15, 33), (6, 5, 9, 17), (33,)]:
+            for dtype in (np.float32, np.float64):
+                if kind == "huge":
+                    x = make_field(shape, "walk", dtype) * dtype(1e36)
+                else:
+                    x = make_field(shape, kind, dtype)
+                eb = 1e-3 * max(float(np.ptp(x)), 1.0)
+                for cfgs in (None, MIXED, CONFIG_SETS[3]):
+                    pred = InterpolationPredictor(8)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        res = pred.compress(x, eb, cfgs)
+                        pred.decompress(
+                            res.codes, res.anchors, res.outlier_values, x.shape, eb,
+                            res.level_configs, x.dtype,
+                        )
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 5), (3, 0, 4)], ids=str)
+    def test_degenerate_shapes_match_oracle(self, shape):
+        for dtype in (np.float32, np.float64):
+            self._check(np.full(shape, 3.25, dtype=dtype), 16, 1e-2, None)
+
+    def test_recon_is_optional(self):
+        x = make_field((33, 17, 40), "walk", np.float32)
+        kept = InterpolationPredictor(16).compress(x, 1e-2)
+        dropped = InterpolationPredictor(16).compress(x, 1e-2, keep_recon=False)
+        assert dropped.recon is None
+        assert same_bytes(dropped.codes, kept.codes)
+        assert same_bytes(dropped.outlier_values, kept.outlier_values)
+
     @staticmethod
     def _check(x, anchor, eb, cfgs):
         new = InterpolationPredictor(anchor)
@@ -214,11 +262,13 @@ class TestPlanFootprint:
 
 
 class TestCallCounts:
-    def test_untiled_32cubed_cr_compress(self, monkeypatch):
-        """Per-pass whole-block work: few kernel calls, one quantize per pass."""
-        calls = {"predict": 0, "quantize": 0}
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of kernel calls: all of them, and those of the replay."""
+        calls = {"predict": 0, "quantize": 0, "replay_predict": 0}
         predict = interpolation.predict_kind_into
         quantize = ByteQuantizer.quantize_into
+        compress = InterpolationPredictor.compress
 
         def counting_predict(*args, **kwargs):
             calls["predict"] += 1
@@ -228,15 +278,51 @@ class TestCallCounts:
             calls["quantize"] += 1
             return quantize(self, *args, **kwargs)
 
+        def counting_compress(self, *args, **kwargs):
+            before = calls["predict"]
+            result = compress(self, *args, **kwargs)
+            calls["replay_predict"] += calls["predict"] - before
+            return result
+
         monkeypatch.setattr(interpolation, "predict_kind_into", counting_predict)
         monkeypatch.setattr(ByteQuantizer, "quantize_into", counting_quantize)
+        monkeypatch.setattr(InterpolationPredictor, "compress", counting_compress)
+        return calls
+
+    @staticmethod
+    def _replay_geometry(shape, levels):
+        """(passes, interpolated axes, boundary rows) of a replay."""
+        passes = axes = rows = 0
+        for s, cfg in levels.items():
+            for p in plane_level(shape, s, cfg.scheme, cfg.spline).passes:
+                passes += 1
+                axes += len(p.runs)
+                rows += sum(len(axis_rows) for _, axis_rows in p.runs)
+        return passes, axes, rows
+
+    def test_untiled_32cubed_cr_compress(self, calls):
+        """Per-pass whole-plane work: one quantize per pass; per axis, one
+        flat run plus at most three boundary rows."""
         x = make_field((32, 32, 32), "walk", np.float32)
         result = api.compress(x, codec="cusz-hi-cr", eb=1e-3)
         assert result.blob.meta["pipeline"] == CR_PIPELINE
 
-        passes = sum(
+        levels = _decode_levels(result.blob.meta["levels"])
+        passes, axes, rows = self._replay_geometry(x.shape, levels)
+        assert passes == sum(
             len(level_plan(x.shape, s, cfg.scheme, cfg.spline).passes)
-            for s, cfg in _decode_levels(result.blob.meta["levels"]).items()
+            for s, cfg in levels.items()
         )
         assert calls["quantize"] == passes <= 28
+        assert calls["replay_predict"] == axes + rows <= 4 * axes
         assert calls["predict"] <= 400
+
+    def test_md_cubic_replay(self, calls):
+        """The md scheme on every level: 12 axis predictions per 3-D level."""
+        x = make_field((33, 33, 33), "walk", np.float32)
+        levels = {s: LevelConfig("md", "cubic") for s in level_strides(16)}
+        InterpolationPredictor(16).compress(x, 1e-3, levels)
+        passes, axes, rows = self._replay_geometry(x.shape, levels)
+        assert calls["quantize"] == passes == 4 * 7
+        assert axes == 4 * 12
+        assert calls["replay_predict"] == axes + rows <= 4 * axes

@@ -42,6 +42,22 @@ class TestLorenzo:
                              res.outlier_pos, res.outlier_values)
         assert out[3, 3] == np.float32(1e30)
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    def test_saturation_keeps_residuals_in_int32(self, ndim):
+        """Alternating +-q at the saturation threshold maximises every
+        chained difference: 2**ndim * q must still fit int32."""
+        eb = 0.5
+        limit = (2**31 - 1) >> ndim
+        signs = np.indices((3,) * ndim).sum(axis=0) % 2 * 2 - 1
+        data = (signs * float(limit)).astype(np.float64)
+        res = lorenzo_encode(data, eb)
+        assert res.outlier_pos.size == 0
+        assert np.abs(res.residuals.astype(np.int64)).max() == limit << ndim
+        out = lorenzo_decode(res.residuals, data.shape, eb, data.dtype)
+        assert np.array_equal(out, data)
+        over = lorenzo_encode(data * (1 + 2 / limit), eb)
+        assert over.outlier_pos.size == data.size
+
     def test_eb_validation(self):
         with pytest.raises(ValueError):
             lorenzo_encode(np.zeros((4, 4), np.float32), -1.0)
@@ -63,6 +79,17 @@ class TestOffset:
         assert res.residuals[0] == q[0]
         assert res.residuals[32] == q[32]
         assert res.residuals[64] == q[64]
+
+    def test_saturation_keeps_deltas_in_int32(self):
+        """Neighbours at -q and +q on the saturation threshold: their delta
+        2q must fit int32 (at |q| = 2**30 it wrapped to -2**31)."""
+        data = np.array([-(2.0**30), 2.0**30, -(2.0**30) + 1, 2.0**30 - 1, 5.0])
+        res = offset_encode(data, 0.5)
+        assert res.outlier_pos.tolist() == [0, 1]
+        assert res.residuals[3] == 2**31 - 2
+        out = offset_decode(res.residuals, data.shape, 0.5, data.dtype,
+                            res.outlier_pos, res.outlier_values)
+        assert np.array_equal(out, data)
 
     def test_smooth_residuals_small(self, smooth3d):
         eb = 1e-3 * float(smooth3d.max() - smooth3d.min())

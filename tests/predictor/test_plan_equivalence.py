@@ -19,6 +19,7 @@ from repro.predictor.interpolation import (
     level_plan,
     level_plan_stats,
     level_strides,
+    plane_level,
 )
 from repro.predictor.splines import KIND_ORDER, axis_kind_segments, axis_predict
 
@@ -150,6 +151,16 @@ class TestPlanCache:
         after = level_plan_stats()
         assert p1 is p2
         assert after["hits"] > before["hits"]
+
+    def test_plane_geometry_lookups_are_counted(self):
+        """The replay's geometry cache reports through the same counters."""
+        before = level_plan_stats()
+        g1 = plane_level((20, 20, 20), 4, "md", "cubic")
+        g2 = plane_level((20, 20, 20), 4, "md", "cubic")
+        after = level_plan_stats()
+        assert g1 is g2
+        assert after["hits"] > before["hits"]
+        assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
 
     def test_plan_keys_are_distinct(self):
         assert level_plan((20, 20), 4, "md", "cubic") is not level_plan(

@@ -13,8 +13,8 @@ per-request deadlines, and ``retries``/``gave_up`` counters:
 3. ``POST /jobs`` + ``GET /jobs/{id}``    — run a manifest batch, poll the
    ``repro.batch-report/1`` report;
 4. ``GET  /archives/.../fields/...?tile=I`` — partial reads, twice, to watch
-   ``X-Repro-Source`` flip from ``store`` to ``cache``;
-5. ``GET  /stats``                        — the cache/batcher/jobs counters.
+   ``X-Repro-Source`` flip from ``store`` to ``worker-cache``;
+5. ``GET  /stats``                        — the pool/jobs/integrity counters.
 
 Run:  python examples/serve_client.py
 """
@@ -37,7 +37,7 @@ def start_background_server() -> tuple[str, int]:
     """Run a ReproServer on a daemon thread; returns (host, port)."""
     from repro.server import ReproServer
 
-    server = ReproServer(tempfile.mkdtemp(prefix="repro-serve-"), port=0, batch_window_ms=2)
+    server = ReproServer(tempfile.mkdtemp(prefix="repro-serve-"), port=0)
     started = threading.Event()
 
     def runner():
@@ -123,8 +123,7 @@ for attempt in (1, 2):
 
 # 5. The observable counters — server side and client side.
 stats = json.loads(call(host, port, "GET", "/stats")[2])
-print(f"stats.cache:     {stats['cache']}")
-print(f"stats.batcher:   {stats['batcher']}")
+print(f"stats.pool:      {stats['pool']}")
 print(f"stats.jobs:      {stats['jobs']}")
 print(f"stats.integrity: {stats['integrity']}")
 print(f"client:          {client.stats}")

@@ -459,8 +459,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             cache_bytes=DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes,
-            workers=args.workers,
-            batch_window_ms=args.batch_window_ms,
             worker_procs=args.workers_procs,
             queue_depth=args.queue_depth,
             deadline_ms=args.deadline_ms,
@@ -936,6 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve compress/decompress, archive reads and batch jobs over HTTP",
         "docs/API.md (HTTP endpoints), docs/OPERATIONS.md (worker pool, "
         "overload behavior, drain) and docs/COOKBOOK.md (recipe: query /stats)",
+        # A retired ``--workers N`` (compress threads) must be refused, not
+        # read as an abbreviation of ``--workers-procs N`` (processes).
+        allow_abbrev=False,
     )
     ps.add_argument(
         "root",
@@ -950,18 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="LRU byte budget for decompressed tile/field reads (0 disables the cache)",
-    )
-    ps.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="compress micro-batch worker threads (0 = CPU count)",
-    )
-    ps.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="how long a /compress request waits to coalesce with others",
     )
     ps.add_argument(
         "--workers-procs",

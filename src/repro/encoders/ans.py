@@ -37,7 +37,7 @@ RANS_L = np.uint32(1 << 23)
 #: memoized coding tables, mirroring the Huffman table cache: normalization
 #: is a Python settle loop and the decode slot table is a 4096-element
 #: expansion — both pure functions of the histogram bytes, so repeated
-#: fields in a batch or server micro-batch skip them.  Counters feed the
+#: fields in a batch or repeated server requests skip them.  Counters feed the
 #: server's GET /stats; key tuples carry a kind tag.
 _TABLES = CountedTableCache(capacity=256)
 

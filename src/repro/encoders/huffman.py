@@ -69,8 +69,8 @@ _HISTOGRAM_BLOCK = 1 << 17
 # Memoized table construction.
 #
 # Building the tree, canonical codes and the decode state tables is Python
-# over 256 symbols — trivial against one 16M-point field, but the server's
-# micro-batcher and the batch runner push *many* fields with recurring
+# over 256 symbols — trivial against one 16M-point field, but the server
+# and the batch runner push *many* fields with recurring
 # histograms (tiles of one field, timesteps of one variable), where table
 # construction becomes a fixed per-call tax.  All three derivations are pure
 # functions of their byte-level inputs, so they memoize by digest: frequency

@@ -329,7 +329,7 @@ def level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: str) ->
     """Memoized :class:`LevelPlan` for one level's pass geometry.
 
     Keyed by ``(shape, stride, scheme, spline)`` with a small LRU bound; safe
-    under the thread executors (tiled engine, server micro-batcher).
+    under the thread executors (tiled engine, server task thread).
     """
     key = (tuple(int(d) for d in shape), int(stride), scheme, spline)
     plan = _PLANS.lookup(key)

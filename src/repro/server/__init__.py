@@ -2,8 +2,8 @@
 
 The network layer of the system: a stdlib-only asyncio HTTP server exposing
 compress/decompress, random-access archive reads (whole fields and single
-tiles), and manifest batch jobs — with request micro-batching
-(:class:`MicroBatcher`), an optional multi-process worker tier
+tiles), and manifest batch jobs — with one task protocol for all heavy work,
+run on a frontend thread (:class:`InlinePool`) or in worker processes
 (:class:`WorkerPool`, ``--workers-procs``), a byte-budgeted LRU cache for
 decompressed reads (:class:`ByteBudgetLRU`), admission control and deadlines
 (429/503), graceful SIGTERM drain, and schema-versioned counters plus
@@ -12,12 +12,11 @@ endpoint reference, ``docs/OPERATIONS.md`` for deployment/tuning, and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the system.
 """
 
+from ..core.cache import ByteBudgetLRU
 from .app import DEFAULT_CACHE_BYTES, STATS_SCHEMA, HttpError, ReproServer, run_server
-from .batching import MicroBatcher
-from .cache import ByteBudgetLRU
 from .jobs import JobManager
 from .metrics import LatencyHistogram, RouteLatencies
-from .pool import DEFAULT_QUEUE_DEPTH, HashRing, WorkerPool
+from .pool import DEFAULT_QUEUE_DEPTH, HashRing, InlinePool, WorkerPool
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
@@ -26,11 +25,11 @@ __all__ = [
     "HttpError",
     "ReproServer",
     "run_server",
-    "MicroBatcher",
     "ByteBudgetLRU",
     "JobManager",
     "LatencyHistogram",
     "RouteLatencies",
     "HashRing",
     "WorkerPool",
+    "InlinePool",
 ]

@@ -19,7 +19,7 @@ POST   ``/jobs``                          submit a manifest to the batch runner
 GET    ``/jobs/{id}``                     poll a job (report embedded when done)
 GET    ``/codecs``                        registry capabilities table
 GET    ``/healthz``                       liveness + version/schema report
-GET    ``/stats``                         cache/batcher/jobs/request counters
+GET    ``/stats``                         pool/admission/jobs/request counters
 ====== ================================== =======================================
 
 ``POST /compress`` query parameters deserialize into one
@@ -29,31 +29,30 @@ over HTTP with no per-endpoint plumbing.
 
 Service-scale mechanisms sit between the sockets and the engine:
 
-* every CPU-heavy call runs off the event loop (``asyncio.to_thread``), so
-  slow decompressions never stall the accept loop or the health probe;
-* with ``--workers-procs N`` (N > 1) heavy work leaves the frontend process
-  entirely: a :class:`~repro.server.pool.WorkerPool` dispatches
-  compress/decompress/archive-read tasks to N worker processes, with the
-  read cache sharded per worker by consistent hashing on
-  ``(archive, field)`` — one multi-second compress no longer holds the
-  frontend's GIL (see ``docs/OPERATIONS.md`` for the topology);
-* in single-process mode, concurrent ``POST /compress`` requests coalesce
-  in a :class:`~repro.server.batching.MicroBatcher` and execute as one
-  LPT-scheduled pass (largest field first) instead of racing each other;
+* every CPU-heavy request (compress, decompress, archive read) is one task
+  of the :mod:`repro.server.pool` protocol, run off the event loop, so slow
+  decompressions never stall the accept loop or the health probe;
+* with ``--workers-procs N`` (N > 1) the tasks leave the frontend process
+  entirely: a :class:`~repro.server.pool.WorkerPool` dispatches them to N
+  worker processes, with the read cache sharded per worker by consistent
+  hashing on ``(archive, field)`` — one multi-second compress no longer
+  holds the frontend's GIL (see ``docs/OPERATIONS.md`` for the topology);
+* with one process an :class:`~repro.server.pool.InlinePool` runs the same
+  tasks, one at a time, on a single frontend thread;
 * decompressed tiles/fields land in a byte-budgeted
-  :class:`~repro.server.cache.ByteBudgetLRU`, so the repeated-read hot path
-  (dashboards polling the same slice) costs one dict lookup, with
-  hit/miss/eviction counters surfaced in ``/stats``.
+  :class:`~repro.core.cache.ByteBudgetLRU` beside the task body, so the
+  repeated-read hot path (dashboards polling the same slice) skips the
+  decode; ``X-Repro-Source`` and the pool's ``read_cache_hits`` show it.
 
 Production guardrails (all observable on ``GET /stats``, schema
-``repro.stats/1``):
+``repro.stats/2``):
 
 * **admission control** — once ``--queue-depth`` heavy requests are in
   flight, new ones get ``429`` with a ``Retry-After`` estimate instead of
   growing an unbounded backlog;
 * **deadlines** — with ``--deadline-ms`` set, a heavy request that cannot
-  finish in time returns ``503`` (and, pooled, is skipped by workers
-  before any compute if it expired while queued);
+  finish in time returns ``503`` (and is skipped before any compute if it
+  expired while queued);
 * **graceful drain** — SIGTERM (via :meth:`ReproServer.install_signal_handlers`)
   stops admissions (new requests get ``503``, ``/healthz``/``/stats`` stay
   live), lets in-flight requests finish, flushes final stats to the log,
@@ -92,10 +91,8 @@ from ..api import (
     RequestError,
     UnknownCodecError,
     build_request,
-    codec_name,
     registry,
 )
-from ..core.container import ContainerError
 from ..core.tiling import resolve_workers
 from ..encoders import ans as _ans_tables
 from ..encoders import huffman as _huffman_tables
@@ -103,18 +100,16 @@ from ..predictor.interpolation import level_plan_stats
 from ..service import (
     ArchiveCorruption,
     ArchiveError,
-    ArchiveNotFound,
     ArchiveStore,
     ManifestError,
 )
 from ..service.archive import blob_cache_stats
-from .batching import MicroBatcher
-from .cache import ByteBudgetLRU
 from .jobs import JobManager, check_bare_name
 from .metrics import RouteLatencies
 from .pool import (
     DEFAULT_QUEUE_DEPTH,
     DeadlineExceeded,
+    InlinePool,
     PoolSaturated,
     PoolTaskError,
     WorkerPool,
@@ -131,7 +126,7 @@ _DTYPES = ("float32", "float64")
 
 #: wire-format identifier stamped into the ``GET /stats`` document, so
 #: dashboards and tests can pin the counter shape
-STATS_SCHEMA = "repro.stats/1"
+STATS_SCHEMA = "repro.stats/2"
 
 
 class HttpError(Exception):
@@ -255,15 +250,10 @@ class ReproServer:
     cache_bytes:
         LRU byte budget for decompressed tiles/fields; ``0`` disables caching.
         In pooled mode the budget is split evenly across the worker shards.
-    workers:
-        Thread fan-out for the compress micro-batcher (``0`` = CPU count).
-    batch_window_ms, max_batch:
-        Micro-batching window: how long a compress request waits for
-        batchmates, and the batch size that flushes immediately.
     worker_procs:
-        Heavy-work processes behind the frontend.  ``1`` (default) keeps the
-        single-process in-process path; ``> 1`` routes compress/decompress/
-        archive reads through a :class:`~repro.server.pool.WorkerPool`;
+        Heavy-work processes behind the frontend.  ``1`` (default) runs the
+        tasks on one frontend thread (:class:`~repro.server.pool.InlinePool`);
+        ``> 1`` sends them to a :class:`~repro.server.pool.WorkerPool`;
         ``0`` means one worker per usable CPU.
     queue_depth:
         Admission bound: heavy requests in flight beyond this get 429 with
@@ -281,9 +271,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 8077,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        workers: int = 0,
-        batch_window_ms: float = 5.0,
-        max_batch: int = 32,
         max_body: int = _MAX_BODY_BYTES,
         worker_procs: int = 1,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -304,15 +291,11 @@ class ReproServer:
         self.queue_depth = int(queue_depth)
         self.deadline_ms = float(deadline_ms)
         self.drain_grace_s = float(drain_grace_s)
-        self.pool: WorkerPool | None = (
+        self.pool: WorkerPool = (
             WorkerPool(self.worker_procs, queue_depth=self.queue_depth, cache_bytes=cache_bytes)
             if self.worker_procs > 1
-            else None
+            else InlinePool(queue_depth=self.queue_depth, cache_bytes=cache_bytes)
         )
-        # Pooled mode hands the whole read-cache budget to the worker shards;
-        # the frontend LRU only serves the single-process path.
-        self.cache = ByteBudgetLRU(0 if self.pool is not None else cache_bytes)
-        self.batcher = MicroBatcher(window_ms=batch_window_ms, max_batch=max_batch, workers=workers)
         self.jobs = JobManager(self.archive_root, workers=1)
         self.latency = RouteLatencies()
         self._server: asyncio.AbstractServer | None = None
@@ -322,7 +305,6 @@ class ReproServer:
         self._draining = False
         self._drain_task: asyncio.Task | None = None
         self._inflight_heavy = 0
-        self._heavy_ewma_s = 0.0
         self._rejected_429 = 0
         self._expired_503 = 0
         self._draining_503 = 0
@@ -352,9 +334,8 @@ class ReproServer:
     async def start(self) -> None:
         os.makedirs(self.archive_root, exist_ok=True)
         self._started_s = time.time()
-        if self.pool is not None:
-            # spawn + handshake blocks; keep the loop responsive while workers boot
-            await asyncio.to_thread(self.pool.start)
+        # spawn + handshake blocks; keep the loop responsive while workers boot
+        await asyncio.to_thread(self.pool.start)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -372,9 +353,7 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.batcher.drain()
-        if self.pool is not None:
-            self.pool.close()
+        self.pool.close()
         self.jobs.shutdown()
 
     async def serve_forever(self) -> None:
@@ -419,13 +398,9 @@ class ReproServer:
         self._draining = True
         deadline = time.monotonic() + self.drain_grace_s
         while time.monotonic() < deadline:
-            pending = self._inflight_heavy + (self.pool.pending if self.pool else 0)
-            if pending == 0:
+            if self._inflight_heavy + self.pool.pending == 0:
                 break
             await asyncio.sleep(0.05)
-        await self.batcher.drain()
-        if self.pool is not None:
-            await self.pool.drain(grace_s=max(0.0, deadline - time.monotonic()))
         log.info("drain complete; final stats: %s", json.dumps(self.stats(), sort_keys=True))
         await self.stop()
 
@@ -601,11 +576,6 @@ class ReproServer:
             return None
         return time.time() + self.deadline_ms / 1000.0
 
-    def _retry_after_s(self) -> int:
-        """Single-process backlog-drain estimate, clamped to [1, 60] s."""
-        wall = self._heavy_ewma_s or 0.5
-        return max(1, min(60, int(self._inflight_heavy * wall + 0.999)))
-
     def _corruption_503(self, exc: ArchiveCorruption) -> HttpError:
         """Detected storage corruption: a typed, retryable 503 (a replica or
         ``repro archive repair`` may heal it), counted and flipping
@@ -613,42 +583,9 @@ class ReproServer:
         self._integrity["corruption"] += 1
         return HttpError(503, str(exc), headers={"Retry-After": "1"})
 
-    async def _run_heavy(self, work) -> tuple[int, dict, bytes]:
-        """Single-process guardrails around one heavy handler body.
-
-        ``work`` is a zero-arg coroutine function (not a coroutine — nothing
-        is created if admission refuses).  Applies the same admission bound
-        and deadline the pooled path gets from :class:`WorkerPool`.
-        """
-        if self._inflight_heavy >= self.queue_depth:
-            self._rejected_429 += 1
-            raise HttpError(
-                429,
-                f"{self._inflight_heavy} heavy requests in flight (bound {self.queue_depth})",
-                headers={"Retry-After": str(self._retry_after_s())},
-            )
-        deadline = self._deadline_ts()
-        self._inflight_heavy += 1
-        began = time.perf_counter()
-        try:
-            if deadline is None:
-                return await work()
-            try:
-                return await asyncio.wait_for(work(), timeout=max(0.0, deadline - time.time()))
-            except asyncio.TimeoutError:  # noqa: UP041 — distinct class on py3.10
-                self._expired_503 += 1
-                raise HttpError(503, f"deadline of {self.deadline_ms:g} ms exceeded") from None
-        finally:
-            self._inflight_heavy -= 1
-            wall = time.perf_counter() - began
-            self._heavy_ewma_s = (
-                wall if not self._heavy_ewma_s else 0.8 * self._heavy_ewma_s + 0.2 * wall
-            )
-
     async def _pool_call(self, kind: str, payload: dict, key: str | None = None) -> dict:
-        """Submit one task to the worker pool, mapping pool failures onto
-        the same HTTP statuses the single-process guardrails produce."""
-        assert self.pool is not None
+        """Run one heavy task through the pool, mapping its admission
+        refusals, deadlines and task failures onto HTTP statuses."""
         deadline = self._deadline_ts()
         self._inflight_heavy += 1
         try:
@@ -656,9 +593,9 @@ class ReproServer:
             if deadline is None:
                 return await future
             try:
-                # The worker also pre-checks expiry at dequeue (fast 503 for
-                # a backlog); this wait_for covers tasks that *started* in
-                # time but cannot finish in budget.
+                # The task body also pre-checks expiry at dequeue (fast 503
+                # for a backlog); this wait_for covers tasks that *started*
+                # in time but cannot finish in budget.
                 return await asyncio.wait_for(future, timeout=max(0.0, deadline - time.time()))
             except asyncio.TimeoutError:  # noqa: UP041 — distinct class on py3.10
                 self.pool.abandon(future)
@@ -673,6 +610,8 @@ class ReproServer:
             self._expired_503 += 1
             raise HttpError(503, f"deadline of {self.deadline_ms:g} ms exceeded") from None
         except PoolTaskError as exc:
+            if exc.status == 500:
+                log.error("%s task failed: %s", kind, exc.message)
             headers = {}
             if exc.kind in ("corruption", "worker-death", "fault"):
                 self._integrity[exc.kind.replace("-", "_")] += 1
@@ -731,64 +670,27 @@ class ReproServer:
                 f"body is {len(req.body)} bytes but shape={','.join(map(str, shape))} "
                 f"dtype={dtype} needs {expected}",
             )
-        if self.pool is not None:
-            result = await self._pool_call(
-                "compress",
-                {"request": request.to_dict(), "data": req.body, "dtype": dtype, "shape": shape},
-            )
-            payload = result["payload"]
-            headers = {
-                "X-Repro-Codec": result["codec"],
-                "X-Repro-CR": f"{result['raw_nbytes'] / max(1, len(payload)):.4f}",
-                "X-Repro-Eb-Abs": f"{result['eb_abs']:.8g}",
-            }
-            return 200, headers, payload
-        data = np.frombuffer(req.body, dtype=dtype).reshape(shape)
-
-        async def _work() -> tuple[int, dict, bytes]:
-            try:
-                result = await self.batcher.submit(data, request)
-            except (ValueError, TypeError, KeyError) as exc:
-                raise HttpError(400, f"compression rejected: {exc}") from None
-            blob = result.blob
-            payload = await asyncio.to_thread(blob.to_bytes)  # CRCs off the loop
-            headers = {
-                "X-Repro-Codec": codec_name(blob.codec),
-                "X-Repro-CR": f"{len(req.body) / max(1, len(payload)):.4f}",
-                "X-Repro-Eb-Abs": f"{blob.error_bound:.8g}",
-            }
-            return 200, headers, payload
-
-        return await self._run_heavy(_work)
+        result = await self._pool_call(
+            "compress",
+            {"request": request.to_dict(), "data": req.body, "dtype": dtype, "shape": shape},
+        )
+        payload = result["payload"]
+        headers = {
+            "X-Repro-Codec": result["codec"],
+            "X-Repro-CR": f"{result['raw_nbytes'] / max(1, len(payload)):.4f}",
+            "X-Repro-Eb-Abs": f"{result['eb_abs']:.8g}",
+        }
+        return 200, headers, payload
 
     async def _handle_decompress(self, req: _Request) -> tuple[int, dict, bytes]:
         if not req.body:
             raise HttpError(400, "POST /decompress needs a .rpz container body")
-        if self.pool is not None:
-            result = await self._pool_call("decompress", {"data": req.body})
-            headers = {
-                "X-Repro-Shape": ",".join(str(d) for d in result["shape"]),
-                "X-Repro-Dtype": result["dtype"],
-            }
-            return 200, headers, result["payload"]
-        from ..api import decompress as _decompress
-
-        async def _work() -> tuple[int, dict, bytes]:
-            def _decode() -> tuple[np.ndarray, bytes]:
-                data = _decompress(req.body)
-                return data, data.tobytes()
-
-            try:
-                data, body = await asyncio.to_thread(_decode)
-            except (ContainerError, ValueError, KeyError) as exc:
-                raise HttpError(400, f"not a decodable container: {exc}") from None
-            headers = {
-                "X-Repro-Shape": ",".join(str(d) for d in data.shape),
-                "X-Repro-Dtype": data.dtype.name,
-            }
-            return 200, headers, body
-
-        return await self._run_heavy(_work)
+        result = await self._pool_call("decompress", {"data": req.body})
+        headers = {
+            "X-Repro-Shape": ",".join(str(d) for d in result["shape"]),
+            "X-Repro-Dtype": result["dtype"],
+        }
+        return 200, headers, result["payload"]
 
     # ---------------------------------------------------------------- storage
     def _archive_path(self, name: str) -> str:
@@ -830,53 +732,21 @@ class ReproServer:
     ) -> tuple[int, dict, bytes]:
         path = self._archive_path(name)
         tile = req.query_int("tile")
-        if self.pool is not None:
-            # Shard on (archive, field) — tiles of one field share a worker
-            # cache, so repeated tile reads hit that worker's LRU.
-            result = await self._pool_call(
-                "read",
-                {"path": path, "field": field, "tile": tile},
-                key=f"{os.path.basename(path)}|{field}",
-            )
-            headers = {
-                "X-Repro-Shape": ",".join(str(d) for d in result["shape"]),
-                "X-Repro-Dtype": result["dtype"],
-                "X-Repro-Source": result["source"],
-            }
-            if result["origin"] is not None:
-                headers["X-Repro-Tile-Origin"] = ",".join(str(o) for o in result["origin"])
-            return 200, headers, result["payload"]
-        key = (path, field, tile)
-        cached = self.cache.get(key)
-        if cached is not None:
-            origin, data = cached
-            served_from = "cache"
-        else:
-
-            def _read():
-                with ArchiveStore(path, mode="r") as archive:
-                    if tile is None:
-                        return None, archive.get(field)
-                    return archive.get_tile(field, tile)
-
-            try:
-                origin, data = await asyncio.to_thread(_read)
-            except ArchiveNotFound as exc:
-                raise HttpError(404, str(exc)) from None
-            except ArchiveCorruption as exc:
-                raise self._corruption_503(exc) from None
-            except ArchiveError as exc:
-                raise HttpError(400, str(exc)) from None
-            self.cache.put(key, (origin, data), nbytes=data.nbytes)
-            served_from = "store"
+        # Shard on (archive, field) — tiles of one field share a worker
+        # cache, so repeated tile reads hit that worker's LRU.
+        result = await self._pool_call(
+            "read",
+            {"path": path, "field": field, "tile": tile},
+            key=f"{os.path.basename(path)}|{field}",
+        )
         headers = {
-            "X-Repro-Shape": ",".join(str(d) for d in data.shape),
-            "X-Repro-Dtype": data.dtype.name,
-            "X-Repro-Source": served_from,
+            "X-Repro-Shape": ",".join(str(d) for d in result["shape"]),
+            "X-Repro-Dtype": result["dtype"],
+            "X-Repro-Source": result["source"],
         }
-        if origin is not None:
-            headers["X-Repro-Tile-Origin"] = ",".join(str(o) for o in origin)
-        return 200, headers, await asyncio.to_thread(data.tobytes)
+        if result["origin"] is not None:
+            headers["X-Repro-Tile-Origin"] = ",".join(str(o) for o in result["origin"])
+        return 200, headers, result["payload"]
 
     # ------------------------------------------------------------------- jobs
     def _handle_job_submit(self, req: _Request) -> tuple[int, dict, bytes]:
@@ -902,17 +772,19 @@ class ReproServer:
         """Everything ``GET /stats`` reports, as one JSON-ready document.
 
         ``codec_tables`` exposes the memoized coding-table counters (Huffman
-        code/LUT tables, rANS tables, interpolation pass plans): micro-batched
-        requests with identical histograms must show ``huffman.hits`` growing
-        instead of rebuilding tables — the counters make that provable from
-        the outside.  ``archive_blob_cache`` is the parsed-frame cache behind
+        code/LUT tables, rANS tables, interpolation pass plans): requests
+        with identical histograms must show ``huffman.hits`` growing instead
+        of rebuilding tables — the counters make that provable from the
+        outside (in single-process mode; pooled, the tables live in the
+        workers).  ``archive_blob_cache`` is the parsed-frame cache behind
         per-tile archive reads.
 
-        ``schema`` pins the document shape (``repro.stats/1``); ``admission``
+        ``schema`` pins the document shape (``repro.stats/2``); ``admission``
         tracks the 429/503 guardrails, ``integrity`` the corruption/worker-
         death/fault 503s (plus the sticky ``degraded`` flag), ``latency``
-        holds the per-route histograms, and ``pool`` is the worker-pool
-        counter block (``None`` in single-process mode).
+        holds the per-route histograms, and ``pool`` is the task-pool
+        counter block (``workers`` is 1 and ``pids`` is ``[None]`` in
+        single-process mode, where the tasks run in the frontend).
         """
         return {
             "schema": STATS_SCHEMA,
@@ -931,9 +803,7 @@ class ReproServer:
             },
             "integrity": {**self._integrity, "degraded": self.degraded},
             "latency": self.latency.snapshot(),
-            "pool": self.pool.stats() if self.pool is not None else None,
-            "cache": self.cache.stats(),
-            "batcher": self.batcher.stats(),
+            "pool": self.pool.stats(),
             "jobs": self.jobs.counts(),
             "codec_tables": {
                 "huffman": _huffman_tables.table_cache_stats(),

@@ -7,9 +7,10 @@ starves every concurrent request — including ``GET /healthz``.  This module
 puts ``N`` **worker processes** behind the frontend:
 
 * each worker runs :func:`_worker_main`: a blocking loop over its own task
-  queue, executing ``compress`` / ``decompress`` / archive ``read`` tasks
-  with the same :mod:`repro.api` calls the in-process path uses — blobs are
-  byte-identical to the single-process server;
+  queue that hands every task to :func:`_execute` — the one task body, which
+  runs ``compress`` / ``decompress`` / archive ``read`` tasks through
+  :mod:`repro.api`.  Single-process serving (:class:`InlinePool`) runs the
+  same body on one frontend thread, so both tiers answer byte-identically;
 * tasks travel as small picklable tuples over per-worker
   ``multiprocessing`` queues (pipe transport); each worker sends its
   results back over its own pipe, and a dispatcher thread waits on all of
@@ -60,11 +61,13 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait
 
 __all__ = [
     "HashRing",
     "WorkerPool",
+    "InlinePool",
     "PoolSaturated",
     "PoolTaskError",
     "DeadlineExceeded",
@@ -159,10 +162,9 @@ class HashRing:
 
 
 def _task_failure_for(exc: Exception) -> tuple[int, str]:
-    """Map a task exception to ``(http_status, kind)`` — the same split the
-    frontend uses on the in-process path.  Detected storage corruption is a
-    retryable, *typed* 503 (the entry may heal via ``repro archive repair``
-    or another replica), never a bare 500."""
+    """Map a task exception to ``(http_status, kind)``.  Detected storage
+    corruption is a retryable, *typed* 503 (the entry may heal via ``repro
+    archive repair`` or another replica), never a bare 500."""
     from ..faults import FaultInjected
     from ..service import ArchiveCorruption, ArchiveError, ArchiveNotFound
 
@@ -178,10 +180,10 @@ def _task_failure_for(exc: Exception) -> tuple[int, str]:
 
 
 def _run_task(kind: str, payload: dict, cache) -> dict:
-    """Execute one task inside a worker process (pure function of payload).
+    """Execute one task (pure function of payload, plus the read cache).
 
-    Uses exactly the same :mod:`repro.api` entry points as the in-process
-    server path, so pooled and single-process responses are byte-identical.
+    Every heavy request of both serving tiers ends here, so pooled and
+    single-process responses are byte-identical.
     """
     import numpy as np
 
@@ -256,7 +258,7 @@ def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
 
     # Importing repro.faults arms any REPRO_FAULTS plan the spawning frontend
     # exported, with this process's own hit counters.
-    from ..faults import fire as _fault_fire
+    from .. import faults  # noqa: F401
 
     cache = ByteBudgetLRU(cache_bytes)
     # Ready handshake: the heavy module imports above take seconds; tell the
@@ -269,19 +271,34 @@ def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
         item = task_q.get()
         if item is None:
             break
-        task_id, kind, deadline_ts, payload = item
-        if deadline_ts is not None and time.time() > deadline_ts:
-            result_conn.send((task_id, "expired", None))
-            continue
-        try:
+        result_conn.send(_execute(item, cache, worker_id))
+
+
+def _execute(item: tuple, cache, worker_id: int | None = None) -> tuple:
+    """Run one dequeued task; returns the ``(task_id, status, value)``
+    result message both tiers feed to :meth:`WorkerPool._handle_result`.
+
+    A task whose deadline passed while it was queued is skipped
+    (``expired``).  Failures map to ``error`` with ``(http_status, message,
+    kind)`` from :func:`_task_failure_for`.  ``worker_id`` is set only in
+    worker processes: the ``pool.worker-task`` chaos hook fires there and
+    never in the frontend, so a SIGKILL plan cannot take the server down.
+    """
+    task_id, kind, deadline_ts, payload = item
+    if deadline_ts is not None and time.time() > deadline_ts:
+        return task_id, "expired", None
+    try:
+        if worker_id is not None:
+            from ..faults import fire
+
             # Chaos hook ("pool.worker-task"): SIGKILL at task K, injected
             # error, or stall — after the dequeue pre-check, so the fault
             # lands on *started* work.
-            _fault_fire("pool.worker-task", worker=worker_id, kind=kind)
-            result_conn.send((task_id, "ok", _run_task(kind, payload, cache)))
-        except Exception as exc:  # noqa: BLE001 — per-task isolation boundary
-            status, failure_kind = _task_failure_for(exc)
-            result_conn.send((task_id, "error", (status, f"{exc}", failure_kind)))
+            fire("pool.worker-task", worker=worker_id, kind=kind)
+        return task_id, "ok", _run_task(kind, payload, cache)
+    except Exception as exc:  # noqa: BLE001 — per-task isolation boundary
+        status, failure_kind = _task_failure_for(exc)
+        return task_id, "error", (status, f"{exc}", failure_kind)
 
 
 # ----------------------------------------------------------------- dispatcher
@@ -335,7 +352,8 @@ class WorkerPool:
         self.cache_bytes = int(cache_bytes)
         self._ctx = multiprocessing.get_context(start_method)
         self._ring = HashRing(self.workers)
-        self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
+        #: one task queue per worker, made by start()
+        self._task_queues: list = []
         #: the read end of each worker's result pipe (None once it hit EOF)
         self._result_conns: list = [None] * self.workers
         self._procs: list = [None] * self.workers
@@ -367,6 +385,7 @@ class WorkerPool:
         milliseconds — without it, every deadlined task submitted during the
         workers' multi-second import phase would expire before starting.
         """
+        self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
         for wid in range(self.workers):
             self._spawn_worker(wid)
         self._await_ready()
@@ -462,15 +481,6 @@ class WorkerPool:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=join_s)
 
-    async def drain(self, grace_s: float = 30.0) -> bool:
-        """Wait (up to ``grace_s``) for in-flight tasks to settle; returns
-        whether the pool emptied.  Admission must already be stopped by the
-        caller — the pool itself keeps accepting until :meth:`close`."""
-        deadline = time.monotonic() + grace_s
-        while self.pending and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        return not self.pending
-
     # ----------------------------------------------------------------- submit
     @property
     def pending(self) -> int:
@@ -515,8 +525,12 @@ class WorkerPool:
             self._depth_high_water = max(self._depth_high_water, depth + 1)
             # Under the lock, so a respawn's queue swap cannot fall between
             # routing and the put (put only appends to the feeder's buffer).
-            self._task_queues[wid].put((task_id, kind, deadline_ts, payload))
+            self._enqueue(wid, (task_id, kind, deadline_ts, payload))
         return future
+
+    def _enqueue(self, wid: int, item: tuple) -> None:
+        """Hand ``item`` to worker ``wid`` (called under the lock)."""
+        self._task_queues[wid].put(item)
 
     def abandon(self, future: asyncio.Future) -> None:
         """Mark ``future``'s task as given-up-on (its deadline fired in the
@@ -651,3 +665,37 @@ class WorkerPool:
                 "per_worker_dispatched": list(self._per_worker),
                 "pids": [p.pid if p is not None else None for p in self._procs],
             }
+
+
+class InlinePool(WorkerPool):
+    """The single-process tier: :class:`WorkerPool`'s task protocol run on
+    one executor thread inside the frontend process.
+
+    Admission, deadlines, :meth:`abandon`, result accounting and
+    :meth:`stats` are the pool's own; only :meth:`_enqueue` differs.  It
+    spawns no process and no dispatcher thread, and its read cache gets the
+    whole ``cache_bytes``.  One thread, like one worker process: tasks run
+    one at a time in arrival order, so a queued task's deadline is checked
+    when it would start (see docs/PERFORMANCE.md for the throughput).
+    """
+
+    def __init__(self, queue_depth: int = DEFAULT_QUEUE_DEPTH, cache_bytes: int = 0):
+        from ..core.cache import ByteBudgetLRU
+
+        super().__init__(1, queue_depth=queue_depth, cache_bytes=cache_bytes)
+        self._cache = ByteBudgetLRU(self.cache_bytes)
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-inline")
+
+    def start(self) -> None:
+        """Nothing to spawn: the executor thread starts with the first task."""
+
+    def _enqueue(self, wid: int, item: tuple) -> None:
+        self._executor.submit(self._run, item)
+
+    def _run(self, item: tuple) -> None:
+        self._handle_result(*_execute(item, self._cache))
+
+    def close(self, join_s: float = 5.0) -> None:
+        super().close(join_s)
+        # Queued tasks were already failed with a 503 by close(); drop them.
+        self._executor.shutdown(wait=False, cancel_futures=True)

@@ -95,7 +95,6 @@ def serve(tmp_path):
     def run_scenario(scenario, **server_kwargs):
         server_kwargs.setdefault("archive_root", str(tmp_path))
         server_kwargs.setdefault("port", 0)
-        server_kwargs.setdefault("batch_window_ms", 2.0)
 
         async def main():
             server = ReproServer(**server_kwargs)

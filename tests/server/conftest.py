@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import compress
+from repro import api
 from repro.server import ReproServer
 from repro.service import ArchiveStore
 
@@ -90,7 +90,6 @@ def serve(tmp_path):
     def run_scenario(scenario, **server_kwargs):
         server_kwargs.setdefault("archive_root", str(tmp_path))
         server_kwargs.setdefault("port", 0)
-        server_kwargs.setdefault("batch_window_ms", 2.0)
 
         async def main():
             server = ReproServer(**server_kwargs)
@@ -118,6 +117,7 @@ def seeded_archive(tmp_path, field16):
     """An archive with one plain entry and one 8-tile entry, pre-written."""
     path = tmp_path / "corpus.rpza"
     with ArchiveStore(str(path), mode="w", backend="file") as archive:
-        archive.add_blob("plain", compress(field16, eb=1e-3))
-        archive.add_blob("tiled", compress(field16, eb=1e-3, tile_shape=(8, 8, 8)))
+        for name, tiles in (("plain", None), ("tiled", (8, 8, 8))):
+            request = api.build_request(eb=1e-3, tiles=tiles)
+            archive.add_blob(name, api.compress(field16, request).blob)
     return path

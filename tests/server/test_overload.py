@@ -154,6 +154,71 @@ class TestDeadlines:
 
         assert serve(scenario, deadline_ms=60_000.0).status == 200
 
+    def test_queued_task_past_its_deadline_is_skipped(
+        self, serve, http, field32, monkeypatch
+    ):
+        """Single-process tasks run one at a time: a deadlined compress
+        queued behind a slowed one gets 503 at its deadline, and when the
+        executor reaches it the expired task is skipped before any compute
+        (``pool.expired``) — it never reaches ``_run_task``."""
+        import time as time_mod
+
+        from repro.server import pool
+
+        real_run_task = pool._run_task
+        started = []
+
+        def spy_run_task(kind, payload, cache):
+            started.append(tuple(payload["shape"]))
+            if tuple(payload["shape"]) == field32.shape:
+                time_mod.sleep(0.8)
+            return real_run_task(kind, payload, cache)
+
+        monkeypatch.setattr(pool, "_run_task", spy_run_task)
+        tiny = np.zeros((8, 8, 8), dtype=np.float32)
+
+        async def scenario(server):
+            slow = asyncio.ensure_future(
+                http(server, "POST", _compress_target(field32), field32.tobytes())
+            )
+            while not started:  # wait until the slow task is running
+                await asyncio.sleep(0.01)
+            queued = await http(server, "POST", _compress_target(tiny), tiny.tobytes())
+            await slow
+            for _ in range(100):  # the slowed task's late answer races the scrape
+                stats = (await http(server, "GET", "/stats")).json()
+                if stats["pool"]["pending"] == 0:
+                    break
+                await asyncio.sleep(0.05)
+            return queued, stats
+
+        queued, stats = serve(scenario, deadline_ms=300.0)
+        assert queued.status == 503
+        assert b"deadline" in queued.body
+        assert started == [field32.shape], "the expired task must not start"
+        assert stats["pool"]["expired"] == 1
+        assert stats["pool"]["completed"] == 0
+
+
+class TestSingleProcessChaosHook:
+    def test_worker_task_fault_never_fires_in_the_frontend(self, serve, http, field32):
+        """``pool.worker-task`` plans target worker processes.  Single-process
+        serving runs its tasks in the frontend, where the hook does not
+        fire: an armed error plan leaves compress at 200."""
+        from repro.faults import FaultPlan, FaultSpec, ReproFaults
+
+        plan = FaultPlan([FaultSpec("pool.worker-task", "error", at=1, count=8)], seed=7)
+
+        async def scenario(server):
+            resp = await http(server, "POST", _compress_target(field32), field32.tobytes())
+            stats = (await http(server, "GET", "/stats")).json()
+            return resp, stats
+
+        with ReproFaults(plan):
+            resp, stats = serve(scenario)
+        assert resp.status == 200
+        assert stats["integrity"]["fault"] == 0
+
 
 class TestGracefulDrain:
     def test_sigterm_finishes_inflight_and_refuses_new(
@@ -162,20 +227,20 @@ class TestGracefulDrain:
         """SIGTERM mid-request: the in-flight compress completes with 200,
         new work gets 503, probes stay live, then the server stops itself.
 
-        The in-flight compress is artificially slowed (the
-        ``test_batching.py`` monkeypatch idiom) so the drain window is wide
-        enough to probe deterministically."""
+        The in-flight compress is artificially slowed (the task body
+        :func:`repro.server.pool._run_task` is monkeypatched) so the drain
+        window is wide enough to probe deterministically."""
         import time as time_mod
 
-        from repro.server import batching
+        from repro.server import pool
 
-        real_compress_one = batching._compress_one
+        real_run_task = pool._run_task
 
-        def slow_compress_one(job):
+        def slow_run_task(kind, payload, cache):
             time_mod.sleep(0.6)
-            return real_compress_one(job)
+            return real_run_task(kind, payload, cache)
 
-        monkeypatch.setattr(batching, "_compress_one", slow_compress_one)
+        monkeypatch.setattr(pool, "_run_task", slow_run_task)
 
         async def scenario(server):
             server.install_signal_handlers()

@@ -56,7 +56,7 @@ class TestPooledServing:
     def test_pooled_results_match_single_process(self, serve, http, field16, seeded_archive):
         """One scenario, every heavy endpoint: the pooled server's compress
         blob, decompress bytes, field/tile reads and /stats pool counters,
-        checked against the single-process server's bytes."""
+        checked against the single-process server's bytes and headers."""
         shape = ",".join(map(str, field16.shape))
 
         async def scenario(server):
@@ -75,23 +75,19 @@ class TestPooledServing:
             stats = (await http(server, "GET", "/stats")).json()
             return comp, deco, plain, tile, again, stats
 
-        single = serve(scenario)
+        single = serve(scenario, cache_bytes=1 << 20)
         pooled = serve(scenario, worker_procs=2, cache_bytes=1 << 20)
 
-        s_comp, s_deco, s_plain, s_tile, _, s_stats = single
-        p_comp, p_deco, p_plain, p_tile, p_again, p_stats = pooled
-        assert p_comp.body == s_comp.body, "pooled compress must be byte-identical"
-        for header in ("x-repro-codec", "x-repro-cr", "x-repro-eb-abs"):
-            assert p_comp.headers[header] == s_comp.headers[header]
-        assert p_deco.body == s_deco.body
-        assert p_deco.headers["x-repro-shape"] == s_deco.headers["x-repro-shape"]
-        assert p_plain.body == s_plain.body
-        assert p_tile.body == s_tile.body
-        assert p_tile.headers["x-repro-tile-origin"] == s_tile.headers["x-repro-tile-origin"]
+        for s_resp, p_resp in zip(single[:5], pooled[:5]):
+            assert p_resp.status == s_resp.status
+            assert p_resp.body == s_resp.body, "pooled responses must be byte-identical"
+            assert p_resp.headers == s_resp.headers
         # Second read of the same field lands on the same shard's LRU.
-        assert p_again.headers["x-repro-source"] == "worker-cache"
+        assert pooled[4].headers["x-repro-source"] == "worker-cache"
 
-        assert s_stats["pool"] is None
+        s_stats, p_stats = single[5], pooled[5]
+        assert set(s_stats["pool"]) == set(p_stats["pool"])
+        assert s_stats["pool"]["workers"] == 1 and s_stats["pool"]["pids"] == [None]
         pool = p_stats["pool"]
         assert pool["workers"] == 2
         assert pool["completed"] >= 5
@@ -114,7 +110,7 @@ class TestPooledServing:
         assert missing.status == 404
 
     def test_stats_schema_is_versioned(self, serve, http, field16):
-        """``repro.stats/1``: the counter sections dashboards pin, including
+        """``repro.stats/2``: the counter sections dashboards pin, including
         the per-route latency histograms the guardrails feed."""
         shape = ",".join(map(str, field16.shape))
 
@@ -129,7 +125,7 @@ class TestPooledServing:
             return (await http(server, "GET", "/stats")).json()
 
         stats = serve(scenario)
-        assert stats["schema"] == STATS_SCHEMA == "repro.stats/1"
+        assert stats["schema"] == STATS_SCHEMA == "repro.stats/2"
         assert stats["draining"] is False
         admission = stats["admission"]
         assert set(admission) == {

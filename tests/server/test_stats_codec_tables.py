@@ -1,5 +1,5 @@
-"""GET /stats codec-table counters: identical micro-batched histograms must
-show table-cache hits instead of rebuilt tables (the satellite contract)."""
+"""GET /stats codec-table counters: repeated requests with identical
+histograms must show table-cache hits instead of rebuilt tables."""
 
 from repro.encoders import huffman
 

@@ -370,11 +370,14 @@ class TestServeCommand:
             "--host",
             "--port",
             "--cache-bytes",
-            "--workers",
             "--workers-procs",
             "--queue-depth",
             "--deadline-ms",
         } <= flags
+        assert not {"--workers", "--batch-window-ms"} & flags
+        # The retired --workers must not abbreviate to --workers-procs.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", ".", "--workers", "2"])
 
     def test_serve_pool_flag_defaults_match_docs(self):
         """docs/OPERATIONS.md documents these defaults; drift fails here."""

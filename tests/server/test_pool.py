@@ -26,7 +26,7 @@ import pytest
 import repro
 from repro import api
 from repro.server import STATS_SCHEMA, HashRing
-from repro.server.pool import PoolTaskError, WorkerPool
+from repro.server.pool import InlinePool, PoolTaskError, WorkerPool
 
 
 class TestHashRing:
@@ -171,6 +171,97 @@ def test_worker_runs_in_separate_process(serve, http):
     pids = serve(scenario, worker_procs=2)
     assert os.getpid() not in pids
     assert len(set(pids)) == 2
+
+
+def _compress_payload(field: np.ndarray) -> dict:
+    request = api.build_request(eb=1e-3)
+    return {"request": request.to_dict(), "data": field.tobytes(),
+            "dtype": field.dtype.name, "shape": field.shape}
+
+
+def _wavy(n: int) -> np.ndarray:
+    return np.fromfunction(
+        lambda i, j, k: np.sin(i / 9) * np.cos(j / 7) + k / (2 * n), (n, n, n)
+    ).astype(np.float32)
+
+
+class TestInlinePool:
+    """The single-process tier's executor, driven without HTTP."""
+
+    def test_single_task_round_trips(self, field16):
+        async def main():
+            pool = InlinePool(cache_bytes=0)
+            pool.start()
+            try:
+                blob = await pool.submit("compress", _compress_payload(field16))
+                back = await pool.submit("decompress", {"data": blob["payload"]})
+                return blob, back, pool.stats()
+            finally:
+                pool.close()
+
+        blob, back, stats = asyncio.run(main())
+        assert blob["payload"] == api.compress(field16, eb=1e-3).to_bytes()
+        out = np.frombuffer(back["payload"], dtype=back["dtype"]).reshape(back["shape"])
+        assert out.shape == field16.shape
+        assert np.max(np.abs(out - field16)) <= blob["eb_abs"] * (1 + 1e-6)
+        assert stats["completed"] == 2 and stats["pending"] == 0
+        assert stats["pids"] == [None], "the inline tier spawns no process"
+
+    def test_task_submitted_while_one_runs_is_not_starved(self):
+        """A task submitted while earlier ones are computing completes
+        without any further submissions."""
+
+        async def main():
+            pool = InlinePool()
+            pool.start()
+            try:
+                big = _compress_payload(_wavy(48))
+                first_wave = [pool.submit("compress", big) for _ in range(2)]
+                await asyncio.sleep(0.05)  # the executor thread is busy
+                late = pool.submit("compress", _compress_payload(_wavy(16)))
+                results = await asyncio.wait_for(
+                    asyncio.gather(*first_wave, late), timeout=60
+                )
+                return results, pool.stats()
+            finally:
+                pool.close()
+
+        results, stats = asyncio.run(main())
+        assert len(results) == 3 and all(r["payload"] for r in results)
+        assert stats["dispatched"] == stats["completed"] == 3
+        assert stats["errors"] == stats["expired"] == 0
+
+    def test_tasks_run_one_at_a_time_in_arrival_order(self, monkeypatch):
+        """One executor thread off the event loop: the smallest task,
+        submitted first, runs first (no largest-first reordering)."""
+        import threading
+
+        from repro.server import pool as pool_mod
+
+        seen = []
+        real = pool_mod._run_task
+
+        def recording(kind, payload, cache):
+            seen.append((tuple(payload["shape"]), threading.current_thread().name))
+            return real(kind, payload, cache)
+
+        monkeypatch.setattr(pool_mod, "_run_task", recording)
+        sizes = [8, 32, 16]
+
+        async def main():
+            pool = InlinePool()
+            pool.start()
+            try:
+                futures = [pool.submit("compress", _compress_payload(_wavy(n))) for n in sizes]
+                return await asyncio.wait_for(asyncio.gather(*futures), timeout=60)
+            finally:
+                pool.close()
+
+        asyncio.run(main())
+        assert [shape for shape, _ in seen] == [(n, n, n) for n in sizes]
+        threads = {name for _, name in seen}
+        assert len(threads) == 1
+        assert threads.pop().startswith("repro-inline")
 
 
 def test_no_task_is_lost_when_workers_are_sigkilled(field16):

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import compress
+import repro.api as api
 from repro.analysis import format_table
 from repro.server import ReproServer
 from repro.service import ArchiveStore
@@ -68,8 +68,8 @@ def test_served_mixed_workload_throughput(tmp_path, capsys):
         lambda i, j, k: np.sin(i / 17) * np.cos(j / 13) + k / 64, SHAPE
     ).astype(np.float32)
     with ArchiveStore(str(tmp_path / "corpus.rpza"), mode="w", backend="file") as archive:
-        archive.add_blob("plain", compress(field, eb=EB))
-        archive.add_blob("tiled", compress(field, eb=EB, tile_shape=TILES))
+        archive.add_blob("plain", api.compress(field, api.build_request(eb=EB)).blob)
+        archive.add_blob("tiled", api.compress(field, api.build_request(eb=EB, tiles=TILES)).blob)
 
     async def bench():
         server = ReproServer(str(tmp_path), port=0)

@@ -23,8 +23,7 @@ registry::
     recon  = api.decompress(result.blob)
 
 The top-level :func:`compress`/:func:`decompress` helpers cover the common
-path (and keep the pre-1.4 keyword surface alive as deprecation shims); the
-subpackages expose the full system: ``repro.core`` (cuSZ-Hi engine +
+path; the subpackages expose the full system: ``repro.core`` (cuSZ-Hi engine +
 container), ``repro.predictor``, ``repro.encoders``, ``repro.baselines``,
 ``repro.gpu``, ``repro.datasets``, ``repro.metrics``, ``repro.analysis``,
 ``repro.service`` (batch archives), ``repro.server`` (HTTP service),
@@ -37,7 +36,6 @@ lazily on first attribute access, so ``import repro`` stays light.
 from __future__ import annotations
 
 import importlib
-import warnings as _warnings
 
 import numpy as _np
 
@@ -45,11 +43,11 @@ from . import api, core, datasets, encoders, gpu, metrics, predictor, quantizer
 from .core.compressor import CuszHi
 from .core.config import CR_MODE, TP_MODE, CuszHiConfig
 from .core.container import CompressedBlob, ContainerError
-from .core.registry import codec_class, codec_name, list_codecs
+from .api.registry import codec_class, codec_name, list_codecs
 
 #: single version source: the CLI (``repro --version``), the HTTP service
 #: (``GET /healthz``) and packaging all report this string.
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 #: heavy subpackages imported lazily via module ``__getattr__`` — keeping
 #: ``import repro`` free of asyncio/http (server, client) and the baseline
@@ -98,31 +96,18 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY_SUBPACKAGES))
 
 
-def compress(
-    data,
-    eb: float | None = None,
-    mode: str | None = None,
-    codec: str | None = None,
-    tile_shape: tuple[int, ...] | None = None,
-    workers: int = 0,
-    executor: str | None = None,
-    request: "api.CompressionRequest | None" = None,
-):
+def compress(data, eb: float | None = None, request: "api.CompressionRequest | None" = None):
     """Compress a float field; returns the :class:`CompressedBlob`.
 
-    The blessed forms are ``compress(data, eb)`` for the paper-default
-    cuSZ-Hi-CR path and ``compress(data, request=...)`` with a
-    :class:`repro.api.CompressionRequest` for everything else (use
-    :func:`repro.api.compress` when you want the full
-    :class:`~repro.api.CompressionResult` instead of just the blob).
+    ``compress(data, eb)`` runs the paper-default cuSZ-Hi-CR path;
+    ``compress(data, request=...)`` takes a :class:`repro.api.CompressionRequest`
+    for everything else (use :func:`repro.api.compress` when you want the full
+    :class:`~repro.api.CompressionResult` instead of just the blob).  The
+    pre-1.4 ``mode``/``codec``/``tile_shape``/``workers``/``executor``
+    keywords were removed in 1.7; build a request instead::
 
-    .. deprecated:: 1.4
-        The ``mode``/``codec``/``tile_shape``/``workers``/``executor``
-        keywords are shims over the request contract and emit
-        ``DeprecationWarning``; build a request instead::
-
-            api.build_request(codec="fzgpu", eb=1e-3)
-            api.build_request(mode="tp", eb=1e-3, tiles=(128,)*3, workers=4)
+        api.build_request(codec="fzgpu", eb=1e-3)
+        api.build_request(mode="tp", eb=1e-3, tiles=(128,)*3, workers=4)
     """
     if isinstance(eb, api.CompressionRequest):
         raise TypeError(
@@ -130,47 +115,15 @@ def compress(
             "pass it by keyword: compress(data, request=...)"
         )
     if request is not None:
-        # A request is self-contained: any keyword alongside it (including
-        # eb — the request already carries its bound) is a conflict, never
-        # silently ignored.
-        if (
-            eb is not None
-            or mode is not None
-            or codec is not None
-            or tile_shape is not None
-            or workers
-            or executor
-        ):
-            raise api.RequestError("pass either a request or legacy keywords, not both")
+        # A request is self-contained (it carries its bound): an eb alongside
+        # it is a conflict, never silently ignored.
+        if eb is not None:
+            raise api.RequestError("pass either a request or eb, not both")
         return api.compress(data, request).blob
-    legacy = {
-        "mode": mode,
-        "codec": codec,
-        "tile_shape": tile_shape,
-        "workers": workers or None,
-        "executor": executor,
-    }
     if eb is None:
-        # eb was a required positional before 1.4; keep the hard failure so
-        # nobody silently compresses under a bound they never chose.
+        # Never compress under a bound the caller did not choose.
         raise TypeError("compress() missing the error bound: pass eb= (or a request=)")
-    used = [k for k, v in legacy.items() if v is not None]
-    if used:
-        _warnings.warn(
-            f"repro.compress({', '.join(f'{k}=...' for k in used)}) is deprecated; "
-            "build a repro.api.CompressionRequest (repro.api.build_request) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    req = api.build_request(
-        codec=codec,
-        mode=None if codec is not None else mode,
-        eb=eb,
-        tiles=tuple(tile_shape) if tile_shape is not None else None,
-        workers=workers or None,
-        executor=executor,
-    )
-    return api.compress(data, req).blob
+    return api.compress(data, api.build_request(eb=eb)).blob
 
 
 def decompress(blob) -> "_np.ndarray":

@@ -36,8 +36,8 @@ import time
 from ..client import ClientError, ReproClient, RetryPolicy
 from ..faults import FaultInjected, fire
 from ..service.archive import ArchiveStore
-from ..service.manifest import ManifestError, parse_manifest
-from ..service.runner import _run_field_job
+from ..service.manifest import JobSpec, ManifestError, parse_manifest
+from ..service.runner import _run_field_job, append_field
 
 __all__ = ["ClusterWorker", "WorkerError"]
 
@@ -133,7 +133,6 @@ class ClusterWorker:
             raise WorkerError(f"coordinator shipped an unusable manifest: {exc}") from None
         by_name = {f.name: f for f in spec.fields}
         ttl_s = float(manifest_doc.get("lease_ttl_s", 15.0))
-        defaults = {"job": spec, "inner_executor": "serial", "inner_workers": 1}
 
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -168,7 +167,7 @@ class ClusterWorker:
                         continue
                     if status != "granted":
                         raise WorkerError(f"unexpected lease response: {grant!r}")
-                    self._work_one(shard, by_name, defaults, grant)
+                    self._work_one(shard, spec, by_name, grant)
         finally:
             self._stop_heartbeat.set()
             heartbeat.join(timeout=5.0)
@@ -176,7 +175,7 @@ class ClusterWorker:
         self.summary["client"] = dict(self.client.stats)
         return dict(self.summary)
 
-    def _work_one(self, shard: ArchiveStore, by_name, defaults, grant: dict) -> None:
+    def _work_one(self, shard: ArchiveStore, spec: JobSpec, by_name, grant: dict) -> None:
         field = grant["field"]
         lease_id = grant["lease_id"]
         fspec = by_name.get(field)
@@ -200,26 +199,15 @@ class ClusterWorker:
                 },
             )
             return
-        result, payload, stream_info = _run_field_job((fspec, defaults))
+        result, payload, stream_info = _run_field_job(spec, fspec, ("serial", 1))
         if result.status == "ok":
             try:
                 # Chaos point: `kill` here is the SIGKILL-mid-append scenario
                 # (lease expires, the field is reassigned); `error` models a
                 # full disk — the field is acked failed, not retried forever.
                 fire("cluster.shard-append", worker=self.name, field=field)
-                meta = {"job": defaults["job"].name, "worker": self.name}
-                if stream_info is not None:
-                    shard.add_stream(
-                        field,
-                        payload,
-                        shape=stream_info["shape"],
-                        dtype=stream_info["dtype"],
-                        eb_abs=stream_info["eb_abs"],
-                        timesteps=stream_info["timesteps"],
-                        meta=meta,
-                    )
-                else:
-                    shard.add_blob(field, payload, meta=meta)
+                meta = {"job": spec.name, "worker": self.name}
+                append_field(shard, field, payload, stream_info, meta)
             except (FaultInjected, OSError, ValueError) as exc:
                 result.status = "failed"
                 result.error = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,5 @@
-"""Core compressor framework: container format, configuration, registry and
-the cuSZ-Hi front end (paper §4)."""
+"""Core compressor framework: container format, configuration and the
+cuSZ-Hi front end (paper §4).  Codec ids live in :mod:`repro.api.registry`."""
 
 from .compressor import CuszHi, resolve_error_bound
 from .config import CR_MODE, TP_MODE, CuszHiConfig
@@ -12,7 +12,6 @@ from .container import (
     tile_entries,
     unpack_tile,
 )
-from .registry import CODEC_IDS, codec_class, codec_name, list_codecs
 from .selector import ArchetypeScore, score_archetypes, select_compressor
 from .streaming import StreamReader, StreamWriter
 from .tiling import Tile, TiledEngine, TileGrid, resolve_workers
@@ -34,10 +33,6 @@ __all__ = [
     "TileGrid",
     "TiledEngine",
     "resolve_workers",
-    "CODEC_IDS",
-    "codec_class",
-    "codec_name",
-    "list_codecs",
     "StreamWriter",
     "StreamReader",
     "select_compressor",

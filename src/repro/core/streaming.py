@@ -25,10 +25,10 @@ import struct
 
 import numpy as np
 
+from ..api.registry import codec_class
 from .compressor import CuszHi, resolve_error_bound
 from .config import CuszHiConfig
 from .container import CompressedBlob
-from .registry import codec_class
 
 __all__ = ["StreamWriter", "StreamReader"]
 

@@ -25,11 +25,12 @@ auto-sizes to the visible CPU count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..api.registry import CODEC_IDS, codec_class
 from ..gpu.costmodel import aggregate_tile_traces
 from ..gpu.kernel import KernelTrace
 from .compressor import CuszHi, resolve_error_bound
@@ -40,7 +41,6 @@ from .container import (
     tile_count,
     unpack_tile,
 )
-from .registry import CODEC_IDS, codec_class
 
 __all__ = [
     "Tile",
@@ -49,6 +49,7 @@ __all__ = [
     "EXECUTORS",
     "resolve_workers",
     "runs_serially",
+    "executor_pool",
     "map_tiles",
 ]
 
@@ -201,64 +202,25 @@ def runs_serially(executor: str, workers: int, n_jobs: int) -> bool:
     decisions for process pickling) share the exact dispatch predicate
     instead of duplicating it.
     """
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r} (choose from {EXECUTORS})")
     return executor == "serial" or workers <= 1 or n_jobs <= 1
 
 
-def map_tiles(fn, jobs, executor: str, workers: int, return_exceptions: bool = False,
-              on_result=None):
-    """Run ``fn`` over ``jobs`` with the selected executor, preserving order.
-
-    With ``return_exceptions=True`` a failing job yields its exception object
-    in place of a result instead of aborting the whole map — the isolation
-    the batch archive service needs so one poisoned field (including
-    worker-crash/pickling failures that ``fn``-internal try/except can never
-    catch) cannot take down the rest of the run.
-
-    With ``on_result(i, result)`` set, each job's outcome is handed to the
-    callback *as it completes* (``i`` is the job's submission index) instead
-    of being accumulated, and the function returns ``None`` — the streaming
-    mode the batch service uses to archive fields incrementally rather than
-    after a full barrier, so a crash loses at most the in-flight jobs.  The
-    callback runs in the caller's thread.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r} (choose from {EXECUTORS})")
-    jobs = list(jobs)
-
-    def _call(job):
-        if not return_exceptions:
-            return fn(job)
-        try:
-            return fn(job)
-        except Exception as exc:  # noqa: BLE001 — isolation boundary
-            return exc
-
-    if runs_serially(executor, workers, len(jobs)):
-        if on_result is None:
-            return [_call(job) for job in jobs]
-        for i, job in enumerate(jobs):
-            on_result(i, _call(job))
-        return None
+def executor_pool(executor: str, workers: int):
+    """A fresh ``concurrent.futures`` pool of ``workers`` lanes for a
+    parallel ``executor`` (``"threads"`` or ``"processes"``)."""
     pool_cls = ThreadPoolExecutor if executor == "threads" else ProcessPoolExecutor
-    n = min(workers, len(jobs))
-    with pool_cls(max_workers=n) as pool:
-        if on_result is None and not return_exceptions:
-            return list(pool.map(fn, jobs))
-        futures = {pool.submit(fn, job): i for i, job in enumerate(jobs)}
-        out = None if on_result is not None else [None] * len(jobs)
-        for f in as_completed(futures):
-            i = futures[f]
-            try:
-                result = f.result()
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                if not return_exceptions:
-                    raise
-                result = exc
-            if on_result is not None:
-                on_result(i, result)
-            else:
-                out[i] = result
-        return out
+    return pool_cls(max_workers=workers)
+
+
+def map_tiles(fn, jobs, executor: str, workers: int):
+    """Run ``fn`` over ``jobs`` with the selected executor, preserving order."""
+    jobs = list(jobs)
+    if runs_serially(executor, workers, len(jobs)):
+        return [fn(job) for job in jobs]
+    with executor_pool(executor, min(workers, len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _compress_tile_job(job):

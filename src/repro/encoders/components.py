@@ -299,6 +299,11 @@ class TUPLQ(_TUPL):
 
 
 # ------------------------------------------------------------------ bitmaps
+#: rounds of byte-level RRE a bitmap may be nested under (each undone round
+#: can expand its input up to 8x, so decode refuses deeper headers)
+_MAX_BITMAP_DEPTH = 4
+
+
 def _compress_bitmap(bits: np.ndarray) -> bytes:
     """Recursively compress a presence bitmap (paper: RRE "compresses the
     bitmap recursively").
@@ -311,7 +316,7 @@ def _compress_bitmap(bits: np.ndarray) -> bytes:
     payload = np.packbits(bits).tobytes()
     nbits = bits.size
     depth = 0
-    while depth < 4 and len(payload) > 64:
+    while depth < _MAX_BITMAP_DEPTH and len(payload) > 64:
         nxt = _rre_bytes_encode(payload)
         if len(nxt) >= len(payload):
             break
@@ -323,6 +328,8 @@ def _compress_bitmap(bits: np.ndarray) -> bytes:
 def _decompress_bitmap(buf: bytes) -> tuple[np.ndarray, int]:
     """Inverse of :func:`_compress_bitmap`; returns ``(bits, bytes_consumed)``."""
     nbits, depth = struct.unpack_from("<QB", buf, 0)
+    if depth > _MAX_BITMAP_DEPTH:
+        raise ValueError(f"bitmap nested {depth} rounds deep (at most {_MAX_BITMAP_DEPTH})")
     off = struct.calcsize("<QB")
     # The payload length is self-delimiting through the nested RRE headers;
     # at depth 0 it is ceil(nbits/8) bytes.
@@ -335,6 +342,9 @@ def _decompress_bitmap(buf: bytes) -> tuple[np.ndarray, int]:
         consumed = off + inner
         for _ in range(depth):
             payload = _rre_bytes_decode(payload)
+    if nbits > 8 * len(payload):
+        # unpackbits(count=nbits) would zero-pad to the declared size.
+        raise ValueError(f"bitmap declares {nbits} bits but carries {len(payload)} bytes")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
     return bits, consumed
 

@@ -1,13 +1,12 @@
 """Experiment-matrix runner: execute a config's cells into an archive.
 
-Built from the same parts as :class:`repro.service.runner.BatchRunner` and
-sharing its guarantees:
+Runs on the batch runner's executor path,
+:func:`repro.service.runner.run_units`, and shares its guarantees:
 
 * **LPT scheduling** — cells are submitted largest-first over per-cell
   element counts (:func:`repro.gpu.costmodel.lpt_order`), so one big
   trailing dataset does not serialize the sweep;
-* **failure isolation** — each cell runs behind
-  ``map_tiles(..., return_exceptions=True)``; a failing cell marks itself
+* **failure isolation** — a failing cell (or its dead worker) marks itself
   ``failed`` in the report and the rest of the matrix still lands;
 * **resume** — every finished cell is flushed to the archive (footer-flip
   index semantics) *with its metrics in the entry's ``meta``*, so a rerun
@@ -28,12 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from ..api import build_request, kernel_for
-from ..core.tiling import map_tiles, resolve_workers
+from ..core.tiling import resolve_workers
 from ..datasets.registry import get_info, load
 from ..faults import fire as _fault_fire
-from ..gpu.costmodel import lpt_order
 from ..metrics import max_abs_error, psnr
 from ..service.archive import ArchiveStore
+from ..service.runner import run_units
 from .config import EvalConfig
 from .matrix import EvalCell, expand
 
@@ -130,14 +129,8 @@ def _load_dataset(name: str, shape: tuple[int, ...] | None, seed: int) -> np.nda
     return load(name, shape=shape, seed=seed)
 
 
-def _run_cell_job(job) -> tuple[CellResult, bytes | None]:
-    """One cell, module-level so the "processes" executor can pickle it.
-
-    Returns ``(result, payload)``; the parent owns the archive.
-    """
-    cell, inner = job
-    t0 = time.perf_counter()
-    result = CellResult(
+def _cell_row(cell: EvalCell) -> CellResult:
+    return CellResult(
         cell=cell.cell_id,
         dataset=cell.dataset.name,
         variant=cell.variant,
@@ -148,6 +141,15 @@ def _run_cell_job(job) -> tuple[CellResult, bytes | None]:
         rate=cell.rate,
         tiles=list(cell.tiles) if cell.tiles is not None else None,
     )
+
+
+def _run_cell_job(cell: EvalCell, inner: tuple[str, int]) -> tuple[CellResult, bytes | None]:
+    """One cell, module-level so the "processes" executor can pickle it.
+
+    Returns ``(result, payload)``; the parent owns the archive.
+    """
+    t0 = time.perf_counter()
+    result = _cell_row(cell)
     try:
         # Chaos hook ("eval.cell"): kill/error a worker at cell K — the
         # sweep's per-cell isolation and resume must absorb it.
@@ -197,20 +199,6 @@ def run_eval(
     """
     owns = not isinstance(archive, ArchiveStore)
     store = archive if isinstance(archive, ArchiveStore) else ArchiveStore(archive, mode="a")
-    try:
-        return _run(cfg, store, resume, executor, workers)
-    finally:
-        if owns:
-            store.close()
-
-
-def _run(
-    cfg: EvalConfig,
-    store: ArchiveStore,
-    resume: bool,
-    executor: str | None,
-    workers: int | None,
-) -> EvalRun:
     run = EvalRun(
         config=cfg,
         archive=store.path,
@@ -218,68 +206,26 @@ def _run(
         workers=resolve_workers(cfg.workers if workers is None else workers),
     )
     t0 = time.perf_counter()
-    cells = expand(cfg)
-    by_id: dict[str, CellResult] = {}
-    pending: list[EvalCell] = []
-    for cell in cells:
-        if resume and cell.cell_id in store:
-            meta = store.entry(cell.cell_id).meta.get(META_KEY, {})
-            by_id[cell.cell_id] = CellResult.from_json(meta)
-            run.resumed.append(cell.cell_id)
-        else:
-            pending.append(cell)
-
-    inner = (
-        "serial" if run.executor == "processes" else "threads",
-        1 if run.executor != "serial" else 0,
-    )
-    costs = [_cell_cost(c) for c in pending]
-    order, makespan = lpt_order(costs, run.workers)
-    run.lpt_makespan_elements = makespan
-    jobs = [(pending[i], inner) for i in order]
-    replace = not resume
-
-    def archive_outcome(i: int, outcome) -> None:
-        # Runs in the parent as each cell completes: the archive index is
-        # flushed per cell, so an interrupted sweep resumes from the last
-        # finished cell, not from the start.
-        cell = jobs[i][0]
-        if isinstance(outcome, Exception):
-            by_id[cell.cell_id] = CellResult(
-                cell=cell.cell_id,
-                dataset=cell.dataset.name,
-                variant=cell.variant,
-                kind=cell.kind,
-                status="failed",
-                error=f"{type(outcome).__name__}: {outcome}",
-            )
-            return
-        result, payload = outcome
-        if result.status == "ok":
-            try:
-                store.add_blob(
-                    cell.cell_id,
-                    payload,
-                    meta={META_KEY: result.to_json(), "config": cfg.name},
-                    replace=replace,
-                )
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                result.status = "failed"
-                result.error = f"{type(exc).__name__}: {exc}"
-        by_id[cell.cell_id] = result
-        run.executed.append(cell.cell_id)
-
-    map_tiles(
-        _run_cell_job,
-        jobs,
-        run.executor,
-        run.workers,
-        return_exceptions=True,
-        on_result=archive_outcome,
-    )
-    # Report rows follow expansion order, not LPT submission order.
-    run.cells = [by_id[c.cell_id] for c in cells]
-    position = {c.cell_id: i for i, c in enumerate(cells)}
-    run.executed.sort(key=position.__getitem__)
-    run.wall_s = time.perf_counter() - t0
+    try:
+        cells = {cell.cell_id: cell for cell in expand(cfg)}
+        run.cells, run.executed, run.lpt_makespan_elements = run_units(
+            cells,
+            _cell_cost,
+            _run_cell_job,
+            store,
+            resume,
+            run.executor,
+            run.workers,
+            blank=_cell_row,
+            present=lambda key: CellResult.from_json(store.entry(key).meta.get(META_KEY, {})),
+            append=lambda key, row, payload: store.add_blob(
+                key, payload, meta={META_KEY: row.to_json(), "config": cfg.name}, replace=not resume
+            ),
+        )
+        run.wall_s = time.perf_counter() - t0
+    finally:
+        if owns:
+            store.close()
+    executed = set(run.executed)
+    run.resumed = [key for key in cells if key not in executed]
     return run

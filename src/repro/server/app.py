@@ -296,7 +296,7 @@ class ReproServer:
             if self.worker_procs > 1
             else InlinePool(queue_depth=self.queue_depth, cache_bytes=cache_bytes)
         )
-        self.jobs = JobManager(self.archive_root, workers=1)
+        self.jobs = JobManager(self.archive_root)
         self.latency = RouteLatencies()
         self._server: asyncio.AbstractServer | None = None
         self._started_s = time.time()

@@ -2,8 +2,8 @@
 
 A job is one :class:`~repro.service.manifest.JobSpec` manifest executed by
 :class:`~repro.service.runner.BatchRunner` into an archive under the server's
-archive root.  Jobs run on a small worker thread pool so the event loop keeps
-serving reads while a corpus compresses; clients poll ``GET /jobs/{id}``
+archive root.  Jobs run one at a time on a worker thread so the event loop
+keeps serving reads while a corpus compresses; clients poll ``GET /jobs/{id}``
 until the state is ``done`` (the response then embeds the full
 ``repro.batch-report/1`` report) or ``failed`` (the response carries the
 error).  Manifest *validation* errors surface synchronously at submit time —
@@ -66,17 +66,16 @@ class JobState:
 class JobManager:
     """Submit/poll façade over a worker pool running :class:`BatchRunner`.
 
-    Jobs deliberately run with ``executor="serial", workers=1`` regardless of
-    what the manifest asks for: the server is already fanning out across
-    requests, so letting one job spawn its own pool would oversubscribe the
-    cores every other endpoint is being served on.  Parallelism between jobs
-    comes from this manager's own ``workers`` pool.
+    Jobs deliberately run one at a time with ``executor="serial",
+    workers=1`` regardless of what the manifest asks for: the server is
+    already fanning out across requests, so letting one job spawn its own
+    pool would oversubscribe the cores every other endpoint is being served
+    on.
     """
 
-    def __init__(self, archive_root: str, workers: int = 1, executor: str | None = "serial"):
+    def __init__(self, archive_root: str):
         self.archive_root = archive_root
-        self.job_executor = executor
-        self._pool = ThreadPoolExecutor(max_workers=max(1, workers), thread_name_prefix="repro-job")
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-job")
         self._jobs: dict[str, JobState] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -104,7 +103,7 @@ class JobManager:
         t0 = time.perf_counter()
         try:
             with ArchiveStore(state.archive_path, mode="a", backend="file") as archive:
-                runner = BatchRunner(state.spec, archive, executor=self.job_executor, workers=1)
+                runner = BatchRunner(state.spec, archive, executor="serial", workers=1)
                 report = runner.run()
             state.report = report.to_json()
             state.status = "done"

@@ -55,9 +55,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..api.registry import codec_class, codec_name
 from ..core.cache import ByteBudgetLRU
 from ..core.container import CompressedBlob, ContainerError, is_tiled
-from ..core.registry import codec_class, codec_name
 from ..core.streaming import StreamReader
 from ..core.tiling import TiledEngine
 from ..faults import mangle as _fault_mangle

@@ -1,16 +1,17 @@
 """Batch runner: schedule a manifest's fields across executors into an archive.
 
 The runner is the orchestration layer between a :class:`~repro.service.
-manifest.JobSpec` and an :class:`~repro.service.archive.ArchiveStore`:
+manifest.JobSpec` and an :class:`~repro.service.archive.ArchiveStore`.  Its
+executor path is :func:`run_units`, which the eval orchestrator shares:
 
 * **LPT scheduling** — fields are submitted largest-first
   (:func:`repro.gpu.costmodel.lpt_order` over per-field element counts), so a
   greedy worker pool approximates the minimal makespan instead of letting one
   big trailing field serialize the run;
-* **failure isolation** — each field compresses inside its own try/except
-  *and* behind ``map_tiles(..., return_exceptions=True)``, so a missing raw
-  file or a poisoned worker marks that one field ``failed`` in the report and
-  the rest of the corpus still lands in the archive;
+* **failure isolation** — each field compresses inside its own try/except,
+  and a worker crash or failed append fails only its own unit, so a missing
+  raw file or a poisoned worker marks that one field ``failed`` in the report
+  and the rest of the corpus still lands in the archive;
 * **resumability** — fields whose names are already present in the archive
   are reported ``skipped`` without being scheduled, so re-running a manifest
   after a crash (or appending fields to it) only pays for the missing work;
@@ -28,13 +29,15 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..api import codec_name
 from ..core.streaming import StreamWriter
-from ..core.tiling import map_tiles, resolve_workers
+from ..core.tiling import executor_pool, resolve_workers, runs_serially
 from ..datasets.io import read_raw
 from ..datasets.registry import get_info, load
 from ..gpu.costmodel import lpt_order
@@ -42,7 +45,15 @@ from ..metrics.error import max_abs_error, psnr
 from .archive import ArchiveStore
 from .manifest import FieldSpec, JobSpec, resolve_field_path
 
-__all__ = ["BatchRunner", "BatchReport", "FieldResult", "REPORT_SCHEMA", "estimate_field_cost"]
+__all__ = [
+    "BatchRunner",
+    "BatchReport",
+    "FieldResult",
+    "REPORT_SCHEMA",
+    "append_field",
+    "estimate_field_cost",
+    "run_units",
+]
 
 REPORT_SCHEMA = "repro.batch-report/1"
 
@@ -123,6 +134,82 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------------
+# The one work-unit executor: batch fields and eval cells both run here.
+# --------------------------------------------------------------------------
+
+
+def run_units(units, cost, job, store, resume, executor, workers, *, blank, present, append):
+    """Run ``job`` over the units ``store`` lacks, archiving each as it lands.
+
+    ``units`` maps each unit's archive entry name to the unit (a manifest
+    field, a matrix cell), in report order.
+
+    * **Resume** — with ``resume`` set, a unit already in ``store`` does not
+      run; ``present(key)`` builds its row.
+    * **LPT scheduling** — the rest are submitted largest-``cost``-first
+      to ``job(unit, inner)``, a module-level function so the processes
+      executor can pickle it.  ``inner`` is the ``(executor, workers)`` pair
+      a unit may fan its tiles out on: units are the unit of parallelism, so
+      never a nested process pool, and no tile threads on the lanes process
+      workers run on.
+    * **Streaming archive** — ``job`` returns ``(row, *payload)``.  As each
+      unit completes, this thread archives an ``ok`` row with
+      ``append(key, row, *payload)``, so a crashed run loses at most the
+      in-flight units and payloads are dropped as they land.
+    * **Failure isolation** — a job that raises or a worker that dies
+      reports ``blank(unit)`` (the unit's row before it ran) with ``error``
+      set; an append that raises turns its row ``failed``.  The other units
+      still land.
+
+    Returns ``(rows, executed, makespan)``: one row per unit in input
+    order, the keys that ran this time in input order, and the modeled LPT
+    makespan of those units in ``cost`` units.
+    """
+    rows, executed = {}, []
+    for key in units:
+        if resume and key in store:
+            rows[key] = present(key)
+        else:
+            executed.append(key)
+    order, makespan = lpt_order([cost(units[key]) for key in executed], workers)
+    submitted = [executed[i] for i in order]
+    inner = ("serial" if executor == "processes" else "threads", 1 if executor != "serial" else 0)
+
+    def land(key, outcome) -> None:
+        try:
+            row, *payload = outcome()
+        except Exception as exc:  # noqa: BLE001 — a raising job or dead worker fails one unit
+            row = blank(units[key])
+            row.error = f"{type(exc).__name__}: {exc}"
+        else:
+            if row.status == "ok":
+                try:
+                    append(key, row, *payload)
+                except Exception as exc:  # noqa: BLE001 — isolation boundary
+                    row.status = "failed"
+                    row.error = f"{type(exc).__name__}: {exc}"
+        rows[key] = row
+
+    if runs_serially(executor, workers, len(submitted)):
+        for key in submitted:
+            land(key, partial(job, units[key], inner))
+    else:
+        with executor_pool(executor, min(workers, len(submitted))) as pool:
+            futures = {pool.submit(job, units[key], inner): key for key in submitted}
+            for future in as_completed(futures):
+                land(futures[future], future.result)
+    return [rows[key] for key in units], executed, makespan
+
+
+def append_field(store: ArchiveStore, name, payload, stream_info, meta, replace=False):
+    """Archive one compressed manifest field: a snapshot stream when the job
+    returned ``stream_info`` (its geometry), a single blob otherwise."""
+    if stream_info is not None:
+        return store.add_stream(name, payload, **stream_info, meta=meta, replace=replace)
+    return store.add_blob(name, payload, meta=meta, replace=replace)
+
+
+# --------------------------------------------------------------------------
 # Per-field job, module-level so the "processes" executor can pickle it.
 # Returns (FieldResult, payload, stream_info) — the parent owns the archive.
 # --------------------------------------------------------------------------
@@ -155,29 +242,26 @@ def _load_field(spec: FieldSpec, base_dir: str, seed_offset: int = 0) -> np.ndar
     return data
 
 
-def _field_request(spec: FieldSpec, defaults):
-    """This field's canonical request, with the tiling fan-out pinned to the
-    lanes the batch executor leaves free (never nest pools)."""
-    request = spec.request(defaults["job"])
-    if request.tiling is not None:
-        request = request.with_tiling_execution(
-            defaults["inner_executor"], defaults["inner_workers"]
-        )
-    return request
+def _field_row(spec: FieldSpec) -> FieldResult:
+    return FieldResult(name=spec.name, status="failed", timesteps=spec.timesteps)
 
 
-def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
-    # Deferred: keeps this module import-light and the job tuple picklable
-    # for the "processes" executor.
+def _run_field_job(
+    job: JobSpec, spec: FieldSpec, inner: tuple[str, int]
+) -> tuple[FieldResult, bytes | None, dict | None]:
+    # Deferred: keeps this module import-light for the "processes" executor.
     from ..api import compress as _compress, decompress as _decompress
 
-    spec, defaults = job
     t0 = time.perf_counter()
-    result = FieldResult(name=spec.name, status="failed", timesteps=spec.timesteps)
+    result = _field_row(spec)
     try:
-        request = _field_request(spec, defaults)
+        # The field's canonical request (resolved against the job-level one
+        # in FieldSpec.request), with its tile fan-out pinned to ``inner``.
+        request = spec.request(job)
+        if request.tiling is not None:
+            request = request.with_tiling_execution(*inner)
         if spec.is_stream:
-            payload, info = _compress_stream(spec, defaults, request)
+            payload, info = _compress_stream(spec, job.base_dir, request)
             first = info["first_snapshot"]
             result.shape = tuple(first.shape)
             result.dtype = first.dtype.name
@@ -193,7 +277,7 @@ def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
                 "timesteps": spec.timesteps,
             }
         else:
-            data = _load_field(spec, defaults["job"].base_dir)
+            data = _load_field(spec, job.base_dir)
             compressed = _compress(data, request)
             blob = compressed.blob
             recon = _decompress(blob)
@@ -219,14 +303,12 @@ def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
         return result, None, None
 
 
-def _compress_stream(spec, defaults, request):
+def _compress_stream(spec, base_dir, request):
     from dataclasses import replace
 
     from ..api import DEFAULT_CODEC, kernel_for
 
-    snapshots = [
-        _load_field(spec, defaults["job"].base_dir, seed_offset=t) for t in range(spec.timesteps)
-    ]
+    snapshots = [_load_field(spec, base_dir, seed_offset=t) for t in range(spec.timesteps)]
     kwargs = {}
     if request.tiling is not None:
         kwargs.update(
@@ -281,104 +363,35 @@ class BatchRunner:
         self.workers = resolve_workers(spec.workers if workers is None else workers)
         self.resume = resume
 
-    # ------------------------------------------------------------- scheduling
-    def _estimate_cost(self, spec: FieldSpec) -> float:
-        """Per-field work estimate in elements (feeds the LPT makespan model)."""
-        return estimate_field_cost(self.spec, spec)
-
-    # -------------------------------------------------------------------- run
     def run(self) -> BatchReport:
         """Run the job; closes the archive afterwards if this runner opened it
         from a path (callers passing an ArchiveStore keep ownership)."""
+        t0 = time.perf_counter()
+        meta = {"job": self.spec.name}
         try:
-            return self._run()
+            rows, _, makespan = run_units(
+                {f.name: f for f in self.spec.fields},
+                partial(estimate_field_cost, self.spec),
+                partial(_run_field_job, self.spec),
+                self.archive,
+                self.resume,
+                self.executor,
+                self.workers,
+                blank=_field_row,
+                present=lambda name: FieldResult(name=name, status="skipped"),
+                append=lambda name, _row, payload, stream_info: append_field(
+                    self.archive, name, payload, stream_info, meta, replace=not self.resume
+                ),
+            )
+            return BatchReport(
+                job=self.spec.name,
+                archive=self.archive.path,
+                executor=self.executor,
+                workers=self.workers,
+                fields=rows,
+                wall_s=time.perf_counter() - t0,
+                lpt_makespan_elements=makespan,
+            )
         finally:
             if self._owns_archive:
                 self.archive.close()
-
-    def _run(self) -> BatchReport:
-        report = BatchReport(
-            job=self.spec.name,
-            archive=self.archive.path,
-            executor=self.executor,
-            workers=self.workers,
-        )
-        t0 = time.perf_counter()
-        pending: list[FieldSpec] = []
-        for fspec in self.spec.fields:
-            if self.resume and fspec.name in self.archive:
-                report.fields.append(FieldResult(name=fspec.name, status="skipped"))
-            else:
-                pending.append(fspec)
-        defaults = {
-            # The whole JobSpec travels with each field job (it is a frozen
-            # picklable dataclass): per-field requests resolve against the
-            # job-level CompressionRequest in one place (FieldSpec.request).
-            "job": self.spec,
-            # Fields are the unit of parallelism: never nest process pools,
-            # and keep tile threads off the lanes process workers run on.
-            "inner_executor": "serial" if self.executor == "processes" else "threads",
-            "inner_workers": 1 if self.executor != "serial" else 0,
-        }
-        costs = [self._estimate_cost(f) for f in pending]
-        order, makespan = lpt_order(costs, self.workers)
-        report.lpt_makespan_elements = makespan
-        jobs = [(pending[i], defaults) for i in order]
-        by_name: dict[str, FieldResult] = {}
-        replace = not self.resume
-
-        def archive_outcome(i: int, outcome) -> None:
-            # Runs in this thread as each field completes: the archive (and
-            # its index footer) is flushed per field, so a crashed batch
-            # loses at most the in-flight fields and payloads are dropped as
-            # they land instead of accumulating across the whole corpus.
-            fspec = jobs[i][0]
-            if isinstance(outcome, Exception):
-                by_name[fspec.name] = FieldResult(
-                    name=fspec.name,
-                    status="failed",
-                    error=f"{type(outcome).__name__}: {outcome}",
-                    timesteps=fspec.timesteps,
-                )
-                return
-            result, payload, stream_info = outcome
-            if result.status == "ok":
-                try:
-                    if stream_info is not None:
-                        self.archive.add_stream(
-                            fspec.name,
-                            payload,
-                            shape=stream_info["shape"],
-                            dtype=stream_info["dtype"],
-                            eb_abs=stream_info["eb_abs"],
-                            timesteps=stream_info["timesteps"],
-                            meta={"job": self.spec.name},
-                            replace=replace,
-                        )
-                    else:
-                        self.archive.add_blob(
-                            fspec.name,
-                            payload,
-                            meta={"job": self.spec.name},
-                            replace=replace,
-                        )
-                except Exception as exc:  # noqa: BLE001 — isolation boundary
-                    result.status = "failed"
-                    result.error = f"{type(exc).__name__}: {exc}"
-            by_name[fspec.name] = result
-
-        map_tiles(
-            _run_field_job,
-            jobs,
-            self.executor,
-            self.workers,
-            return_exceptions=True,
-            on_result=archive_outcome,
-        )
-        # Report rows follow manifest order, not LPT submission order.
-        for fspec in pending:
-            report.fields.append(by_name[fspec.name])
-        position = {f.name: i for i, f in enumerate(self.spec.fields)}
-        report.fields.sort(key=lambda r: position[r.name])
-        report.wall_s = time.perf_counter() - t0
-        return report

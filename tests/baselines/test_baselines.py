@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api.registry import CODEC_IDS
 from repro.baselines import CuszI, CuszIB, CuszL, CuszP2, FzGpu
-from repro.core.registry import CODEC_IDS
 
 FIXED_EB = [
     ("cusz-l", CuszL),

@@ -47,3 +47,29 @@ def quantcode_bytes(rng):
     envelope = np.abs(np.sin(np.linspace(0, 40 * np.pi, n))) ** 3
     vals = np.clip(np.rint(rng.standard_normal(n) * 2.0 * envelope), -127, 127)
     return (vals + 128).astype(np.uint8).tobytes()
+
+
+#: the RRE bitmap bit count a hostile blob declares (far past its payload)
+HOSTILE_NBITS = 2**28
+
+
+@pytest.fixture(scope="session")
+def hostile_rre_blob():
+    """A 32^3 ``cusz-hi-tp`` container whose ``codes`` RRE bitmap header (the
+    u64 at byte 4) declares 2^28 bits, with its CRCs re-sealed so only the
+    decoder's own bounds stand between it and a 768 MB zero-padded unpack.
+
+    Returns ``(bytes, declared output nbytes)``.
+    """
+    import repro.api as api
+    from repro.core.container import CompressedBlob
+
+    field = np.fromfunction(
+        lambda i, j, k: np.sin(i / 5) * np.cos(j / 4) + 0.3 * np.sin(k / 3), (32, 32, 32)
+    ).astype(np.float32)
+    blob = api.compress(field, api.build_request(codec="cusz-hi-tp", eb=1e-3)).blob
+    blob = CompressedBlob.from_bytes(blob.to_bytes())
+    codes = bytearray(blob.segments["codes"])
+    codes[4:12] = HOSTILE_NBITS.to_bytes(8, "little")
+    blob.segments["codes"] = bytes(codes)
+    return blob.to_bytes(), field.nbytes

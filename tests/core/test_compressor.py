@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import repro
+import repro.api as api
+from repro.api.registry import CODEC_IDS
 from repro.core.compressor import CuszHi, resolve_error_bound
 from repro.core.config import CR_MODE, TP_MODE, CuszHiConfig
-from repro.core.registry import CODEC_IDS
 
 
 class TestConfig:
@@ -188,12 +189,12 @@ class TestCompressDecompress:
 
 class TestPublicApi:
     def test_compress_decompress_helpers(self, smooth3d):
-        blob = repro.compress(smooth3d, 1e-3, mode="tp")
+        blob = api.compress(smooth3d, api.build_request(mode="tp", eb=1e-3)).blob
         out = repro.decompress(blob)
         assert np.abs(smooth3d.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound
 
     def test_codec_parameter(self, smooth3d):
-        blob = repro.compress(smooth3d, 1e-3, codec="cusz-l")
+        blob = api.compress(smooth3d, api.build_request(codec="cusz-l", eb=1e-3)).blob
         assert blob.codec == CODEC_IDS["cusz-l"]
         out = repro.decompress(blob.to_bytes())
         assert np.abs(smooth3d.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.registry import (
+from repro.api.registry import (
     CODEC_IDS,
     codec_class,
     codec_name,
     list_codecs,
-    register_codec,
+    register_kernel,
 )
 
 
@@ -46,4 +46,4 @@ class TestDispatch:
 
     def test_register_unknown_name_rejected(self):
         with pytest.raises(KeyError):
-            register_codec("not-in-table")(object)
+            register_kernel("not-in-table")(object)

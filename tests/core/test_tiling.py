@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import compress, decompress
+import repro.api as api
+from repro import decompress
+from repro.api.registry import CODEC_IDS
 from repro.core import (
     CompressedBlob,
     CuszHi,
@@ -28,7 +30,6 @@ from repro.core import (
     unpack_tile,
 )
 from repro.core.compressor import resolve_error_bound
-from repro.core.registry import CODEC_IDS
 from repro.gpu import (
     RTX_6000_ADA,
     aggregate_tile_traces,
@@ -37,6 +38,10 @@ from repro.gpu import (
 )
 
 EXECUTORS = ("serial", "threads", "processes")
+
+
+def _compress(field, eb, **request):
+    return api.compress(field, api.build_request(eb=eb, **request)).blob
 
 
 def _field(shape, seed=7):
@@ -159,13 +164,13 @@ class TestTiledRoundTrip:
 
     def test_odd_field_odd_tiles(self):
         field = _field((37, 29))
-        blob = compress(field, 1e-3, tile_shape=(16, 16), executor="threads", workers=2)
+        blob = _compress(field, 1e-3, tiles=(16, 16), executor="threads", workers=2)
         recon = decompress(blob)
         assert float(np.abs(field - recon).max()) <= blob.error_bound
 
     def test_1d_and_float64(self):
         field = _field((301,)).astype(np.float64)
-        blob = compress(field, 1e-4, tile_shape=(64,), executor="serial")
+        blob = _compress(field, 1e-4, tiles=(64,), executor="serial")
         recon = decompress(blob)
         assert recon.dtype == np.float64
         assert float(np.abs(field - recon).max()) <= blob.error_bound
@@ -190,7 +195,7 @@ class TestTiledFrame:
     @pytest.fixture(scope="class")
     def packed(self):
         field = _field((37, 30))
-        blob = compress(field, 1e-3, tile_shape=(16, 16), executor="serial")
+        blob = _compress(field, 1e-3, tiles=(16, 16), executor="serial")
         return field, blob
 
     def test_offsets_tile_the_frame_exactly(self, packed):
@@ -322,6 +327,6 @@ class TestConfigKnobs:
     def test_top_level_compress_rejects_misuse(self):
         field = _field((16, 16))
         with pytest.raises(ValueError):
-            compress(field, 1e-3, codec="cusz-l", tile_shape=(8, 8))
+            _compress(field, 1e-3, codec="cusz-l", tiles=(8, 8))
         with pytest.raises(ValueError):
-            compress(field, 1e-3, workers=4)
+            _compress(field, 1e-3, workers=4)

@@ -342,6 +342,18 @@ class TestMalformedRequests:
 
         serve(scenario)
 
+    def test_decompress_rejects_overdeclared_bitmap(self, serve, http, hostile_rre_blob):
+        """CRC-valid body whose RRE bitmap declares 2^28 bits: a typed 400,
+        not a 500 from a MemoryError in the worker."""
+        body, _ = hostile_rre_blob
+
+        async def scenario(server):
+            resp = await http(server, "POST", "/decompress", body)
+            assert resp.status == 400
+            assert "bitmap" in resp.json()["error"]
+
+        serve(scenario)
+
     def test_unknown_route_404(self, serve, http):
         async def scenario(server):
             assert (await http(server, "GET", "/nope")).status == 404

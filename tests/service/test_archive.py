@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro import CuszHi, compress
+import repro.api as api
+from repro import CuszHi
 from repro.core.streaming import StreamWriter
 from repro.datasets import load
 from repro.service import ArchiveError, ArchiveStore
@@ -89,7 +90,7 @@ class TestRoundTrip:
 class TestTiledAndStream:
     def test_partial_tile_decode(self, tmp_path, fields):
         data = fields["miranda"]
-        blob = compress(data, eb=1e-3, tile_shape=(8, 12, 12))
+        blob = api.compress(data, api.build_request(eb=1e-3, tiles=(8, 12, 12))).blob
         with ArchiveStore(str(tmp_path / "a.rpza"), mode="w") as arch:
             arch.add_blob("m", blob)
             origin, tile = arch.get_tile("m", 0)

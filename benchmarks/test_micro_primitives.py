@@ -10,15 +10,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.compressor import resolve_error_bound
 from repro.encoders.ans import RansCodec
 from repro.encoders.components import BIT, RRE, RZE, TCMS
 from repro.encoders.huffman import HuffmanCodec
 from repro.datasets import load
 from repro.predictor.autotune import autotune_levels
-from repro.predictor.interpolation import InterpolationPredictor
+from repro.predictor import interpolation
+from repro.predictor.interpolation import InterpolationPredictor, level_strides
 from repro.predictor.lorenzo import lorenzo_decode, lorenzo_encode
 from repro.predictor.reorder import reorder_permutation
+from repro.predictor.splines import SPLINES
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +193,53 @@ class TestPredictors:
             return reorder_permutation(nyx_field.shape, 16)
 
         benchmark(build)
+
+
+# --------------------------------------------------------------------------
+# Cold and warm per-shape geometry: what a new shape costs a long-lived
+# worker, and what every later call of that shape costs.
+# --------------------------------------------------------------------------
+
+#: the 24 (stride, scheme, spline) levels the auto-tuner may pick at A = 16
+_LEVELS = [(s, scheme, spline) for s in level_strides(16) for scheme in ("md", "1d")
+           for spline in SPLINES]
+
+
+def _clear_geometry_caches():
+    import importlib
+
+    from repro.core.compressor import _level_kernels
+
+    interpolation._PLANS.clear()
+    interpolation._PLANE_LEVELS.clear()
+    importlib.import_module("repro.predictor.reorder")._PERM_CACHE.clear()
+    _level_kernels.cache_clear()
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("shape", [(1 << 20,), (64, 64, 64)], ids=["1M-1d", "64^3"])
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_plane_levels(self, benchmark, shape, cache):
+        """All 24 parity-plane levels of one shape."""
+
+        def build():
+            if cache == "cold":
+                _clear_geometry_caches()
+            return [interpolation.plane_level(shape, *level) for level in _LEVELS]
+
+        assert len(benchmark(build)) == len(_LEVELS)
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_compress_32(self, benchmark, cache):
+        """``api.compress`` of a 32^3 field: the first call of a shape
+        (geometry caches cleared) and every later one."""
+        field = load("nyx", shape=(32, 32, 32), seed=0)
+        request = api.build_request(eb=1e-3)
+        api.compress(field, request)  # imports and per-process tables
+
+        def run():
+            if cache == "cold":
+                _clear_geometry_caches()
+            return api.compress(field, request)
+
+        assert benchmark(run).blob.compression_ratio > 1

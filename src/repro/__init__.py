@@ -28,9 +28,16 @@ container), ``repro.predictor``, ``repro.encoders``, ``repro.baselines``,
 ``repro.gpu``, ``repro.datasets``, ``repro.metrics``, ``repro.analysis``,
 ``repro.service`` (batch archives), ``repro.server`` (HTTP service),
 ``repro.client`` (retrying HTTP client) and ``repro.faults``
-(seed-deterministic fault injection for the chaos suite).  Heavy modules
-(``analysis``, ``baselines``, ``client``, ``server``, ``service``) import
-lazily on first attribute access, so ``import repro`` stays light.
+(seed-deterministic fault injection for the chaos suite).
+
+``import repro`` loads NumPy and the codec engine (``api``, ``core``,
+``datasets``, ``encoders``, ``gpu``, ``metrics``, ``predictor``,
+``quantizer``) and nothing more: the heavy modules (``analysis``, ``baselines``, ``client``, ``faults``, ``server``,
+``service``) import on first attribute access, and no import path of the
+library, the CLI, the server or a pool worker loads scipy, which only SSIM
+needs (the optional ``analysis`` extra).  A pool worker boots without
+``asyncio`` or the HTTP frontend.  ``tests/test_lazy_import.py`` checks each
+of these in a fresh interpreter.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ included so examples can still show the fields in a terminal.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from ..metrics import psnr, ssim2d
+from ..metrics.ssim import uniform_filter
 
 __all__ = ["take_slice", "artifact_score", "ascii_heatmap", "slice_report"]
 

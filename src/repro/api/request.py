@@ -290,8 +290,9 @@ class CompressionRequest:
         return replace(self, data=None) if self.data is not None else self
 
     def with_tiling_execution(self, executor: str | None, workers: int) -> "CompressionRequest":
-        """Override only the tiling fan-out (scheduler layers use this to
-        keep nested pools off the cores they already occupy)."""
+        """Override only the tiling fan-out.  A tiled frame records it, so
+        schedulers that only need to keep nested pools off their own lanes
+        use :func:`repro.core.tiling.tile_fanout` instead."""
         if self.tiling is None:
             return self
         return replace(self, tiling=replace(self.tiling, executor=executor, workers=workers))

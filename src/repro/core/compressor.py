@@ -15,11 +15,14 @@ model.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import prod
+
 import numpy as np
 
 from ..encoders.pipelines import CR_PIPELINE, TP_PIPELINE, get_pipeline
 from ..gpu.costmodel import pipeline_kernels
-from ..gpu.kernel import KernelTrace
+from ..gpu.kernel import KernelRecord, KernelTrace
 from ..predictor.autotune import autotune_levels
 from ..predictor.interpolation import (
     InterpolationPredictor,
@@ -271,37 +274,49 @@ class CuszHi:
         level_cfgs: dict[int, LevelConfig],
         anchor_stride: int,
     ) -> None:
-        """Append the interpolation kernel schedule (geometry-derived sizes).
-
-        One kernel per (level, pass): reads 2-4 neighbor values per predicted
-        point per interpolated axis, writes the reconstruction and one code
-        byte.  This mirrors the CUDA grid: all passes of a level are separate
-        launches with full-array footprints.
-        """
+        """Append the interpolation kernel schedule (geometry-derived sizes):
+        the anchor copy, then :func:`_level_kernels` per level."""
         n_anchor = 1
         for d in shape:
             n_anchor *= (d + anchor_stride - 1) // anchor_stride
         trace.launch("anchors", n_anchor * itemsize, n_anchor * itemsize)
+        shape = tuple(int(d) for d in shape)
         for s in level_strides(anchor_stride):
             cfg = level_cfgs.get(s, LevelConfig())
-            for vectors, axes in level_passes(shape, s, cfg.scheme):
-                targets = 1
-                for v in vectors:
-                    targets *= v.size
-                if targets == 0:
-                    continue
-                neighbors = 4 if cfg.spline != "linear" else 2
-                # Neighbor values come from the shared-memory tile each
-                # thread block stages once, so DRAM traffic does not scale
-                # with the number of interpolated axes — only the per-point
-                # FMA count does (Fig. 4's md vs 1d difference is compute).
-                trace.launch(
-                    f"interp-s{s}-{''.join(map(str, axes))}",
-                    bytes_read=targets * neighbors * itemsize,
-                    bytes_written=targets * (itemsize + 1),
-                    flops=targets * (8 * len(axes) + 6),
-                    efficiency_class="gather",
-                )
+            trace.records.extend(_level_kernels(shape, s, cfg.scheme, cfg.spline, int(itemsize)))
+
+
+@lru_cache(maxsize=256)
+def _level_kernels(
+    shape: tuple[int, ...], stride: int, scheme: str, spline: str, itemsize: int
+) -> tuple[KernelRecord, ...]:
+    """The launches of one level, memoized: they depend on geometry only.
+
+    One kernel per pass: reads 2-4 neighbor values per predicted point per
+    interpolated axis, writes the reconstruction and one code byte.  This
+    mirrors the CUDA grid: all passes of a level are separate launches with
+    full-array footprints.
+    """
+    neighbors = 4 if spline != "linear" else 2
+    records = []
+    for vectors, axes in level_passes(shape, stride, scheme):
+        targets = prod(v.size for v in vectors)
+        if targets == 0:
+            continue
+        # Neighbor values come from the shared-memory tile each thread
+        # block stages once, so DRAM traffic does not scale with the number
+        # of interpolated axes — only the per-point FMA count does (Fig. 4's
+        # md vs 1d difference is compute).
+        records.append(
+            KernelRecord(
+                f"interp-s{stride}-{''.join(map(str, axes))}",
+                bytes_read=targets * neighbors * itemsize,
+                bytes_written=targets * (itemsize + 1),
+                flops=targets * (8 * len(axes) + 6),
+                efficiency_class="gather",
+            )
+        )
+    return tuple(records)
 
 
 # Register the class for every cuSZ-Hi id so the dispatcher can route blobs.

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "runs_serially",
     "executor_pool",
     "map_tiles",
+    "tile_fanout",
 ]
 
 EXECUTORS = ("serial", "threads", "processes")
@@ -214,8 +217,31 @@ def executor_pool(executor: str, workers: int):
     return pool_cls(max_workers=workers)
 
 
+#: the ``(executor, workers)`` fan-out a unit scheduler pinned for the
+#: current thread (see :func:`tile_fanout`); ``None`` outside one
+_FANOUT: ContextVar[tuple[str, int] | None] = ContextVar("tile_fanout", default=None)
+
+
+@contextmanager
+def tile_fanout(executor: str, workers: int):
+    """Run every :func:`map_tiles` of this thread on ``(executor, workers)``.
+
+    Schedulers that run whole units on their own lanes (the batch runner,
+    the eval sweep) use this to keep tile pools off those lanes.  It changes
+    only where tiles run: a frame still records the fan-out its request
+    asked for, so its bytes do not depend on the scheduler.
+    """
+    token = _FANOUT.set((executor, resolve_workers(workers)))
+    try:
+        yield
+    finally:
+        _FANOUT.reset(token)
+
+
 def map_tiles(fn, jobs, executor: str, workers: int):
-    """Run ``fn`` over ``jobs`` with the selected executor, preserving order."""
+    """Run ``fn`` over ``jobs`` with the selected executor, preserving order
+    (or with the :func:`tile_fanout` pinned for this thread)."""
+    executor, workers = _FANOUT.get() or (executor, workers)
     jobs = list(jobs)
     if runs_serially(executor, workers, len(jobs)):
         return [fn(job) for job in jobs]
@@ -321,6 +347,7 @@ class TiledEngine:
             workers = min(resolve_workers(recorded), resolve_workers(0))
         else:
             workers = resolve_workers(workers)
+        executor, workers = _FANOUT.get() or (executor, workers)
         jobs = []
         entries = []
         for i in range(n):

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..api import build_request, kernel_for
-from ..core.tiling import resolve_workers
+from ..core.tiling import resolve_workers, tile_fanout
 from ..datasets.registry import get_info, load
 from ..faults import fire as _fault_fire
 from ..metrics import max_abs_error, psnr
@@ -110,18 +110,13 @@ def cell_request(cell: EvalCell):
     return build_request(codec=cell.variant, eb=cell.eb, eb_mode=cell.eb_mode, tiles=cell.tiles)
 
 
-def _cell_compressor(cell: EvalCell, inner: tuple[str, int]):
+def _cell_compressor(cell: EvalCell):
     if cell.kind == "ablation":
         from ..analysis.ablation import ABLATION_STEPS
         from ..core.compressor import CuszHi
 
         return CuszHi(config=dict(ABLATION_STEPS)[cell.variant])
-    request = cell_request(cell)
-    if request.tiling is not None:
-        # Cells are the unit of parallelism: keep tile fan-out off the lanes
-        # the cell executor is scheduled on (mirrors BatchRunner).
-        request = request.with_tiling_execution(*inner)
-    return kernel_for(request)
+    return kernel_for(cell_request(cell))
 
 
 @lru_cache(maxsize=4)
@@ -155,9 +150,11 @@ def _run_cell_job(cell: EvalCell, inner: tuple[str, int]) -> tuple[CellResult, b
         # sweep's per-cell isolation and resume must absorb it.
         _fault_fire("eval.cell", cell=cell.cell_id)
         data = _load_dataset(cell.dataset.name, cell.dataset.shape, cell.dataset.seed)
-        comp = _cell_compressor(cell, inner)
-        blob = comp.compress(data, cell.eb)
-        recon = comp.decompress(blob)
+        comp = _cell_compressor(cell)
+        # Cells are the unit of parallelism: their tiles fan out on ``inner``.
+        with tile_fanout(*inner):
+            blob = comp.compress(data, cell.eb)
+            recon = comp.decompress(blob)
         result.shape = [int(d) for d in data.shape]
         result.dtype = data.dtype.name
         result.eb_abs = float(blob.error_bound)

@@ -5,14 +5,32 @@ Standard SSIM [Wang et al. 2004] with an 8x8 uniform window, computed with
 ``scipy.ndimage.uniform_filter`` so the local moments are two separable
 passes.  Inputs are the original and reconstructed slices; the dynamic range
 is taken from the original, matching the PSNR convention.
+
+scipy is the optional ``analysis`` extra: it is imported on first use, so
+``import repro`` and every compress/serve/batch path load none of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 __all__ = ["ssim2d"]
+
+
+def uniform_filter(data: np.ndarray, size: int) -> np.ndarray:
+    """``scipy.ndimage.uniform_filter``, importing scipy on first use.
+
+    Raises an ``ImportError`` naming the ``analysis`` extra when scipy is
+    not installed.
+    """
+    try:
+        from scipy.ndimage import uniform_filter as _filter
+    except ImportError as exc:
+        raise ImportError(
+            "SSIM and artifact scores need scipy; install the 'analysis' extra: "
+            "pip install 'repro-cusz-hi[analysis]'"
+        ) from exc
+    return _filter(data, size)
 
 
 def ssim2d(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:

@@ -41,10 +41,9 @@ def level_of_coordinates(shape: tuple[int, ...], anchor_stride: int) -> np.ndarr
     max_level = int(np.log2(anchor_stride))
     level = np.full(shape, max_level, dtype=np.int8)
     for d, dim in enumerate(shape):
-        coords = np.arange(dim, dtype=np.int64)
         tz = np.full(dim, max_level, dtype=np.int8)
-        for l in range(max_level - 1, -1, -1):
-            tz[(coords % (1 << (l + 1))) != 0] = l
+        for l in range(max_level):
+            tz[1 << l :: 2 << l] = l  # the odd multiples of 2**l
         view = [1] * len(shape)
         view[d] = dim
         np.minimum(level, tz.reshape(view), out=level)

@@ -160,35 +160,42 @@ def axis_kind_segments(dim: int, stride: int, spline: str) -> list[tuple[int, in
     vector, covering it exactly.  Mirrors the ``np.where`` cascade of
     :func:`axis_predict`, so a run's single formula reproduces the masked
     selection bit for bit.
+
+    Target ``i`` sits at ``t = s + 2*s*i``; each neighbor test of the cascade
+    is monotone in ``i`` (``t - 3s >= 0`` holds from ``i = 1`` on, ``t + s``
+    and ``t + 3s`` stay inside the axis below closed-form counts), so the
+    class can change only at those three indices and the runs follow in
+    constant time, whatever the axis length.
     """
     if spline not in SPLINES:
         raise KeyError(f"unknown spline {spline!r}")
     s = int(stride)
-    t = np.arange(s, dim, 2 * s)
-    if t.size == 0:
+    n = len(range(s, dim, 2 * s))
+    if n == 0:
         return []
-    has_p1 = (t + s) <= dim - 1
-    if spline == "linear":
-        kind = np.where(has_p1, KIND_LIN, KIND_COPY)
-    else:
-        has_m3 = (t - 3 * s) >= 0
-        has_p3 = (t + 3 * s) <= dim - 1
-        full = has_m3 & has_p3 & has_p1
-        quad_l = has_m3 & has_p1 & ~has_p3
-        quad_r = ~has_m3 & has_p1 & has_p3
-        lin = has_p1 & ~(full | quad_l | quad_r)
-        kind = np.full(t.size, KIND_COPY, dtype=np.int64)
-        kind[lin] = KIND_LIN
-        kind[quad_r] = KIND_QUAD_R
-        kind[quad_l] = KIND_QUAD_L
-        kind[full] = KIND_FULL
-    segments = []
-    start = 0
-    for i in range(1, t.size + 1):
-        if i == t.size or kind[i] != kind[start]:
-            segments.append((start, i, int(kind[start])))
-            start = i
+    # t + s <= dim - 1  <=>  2*s*(i + 1) <= dim - 1; t + 3s likewise at i + 2.
+    n_p1 = min(n, (dim - 1) // (2 * s))
+    n_p3 = min(n, max(0, (dim - 1) // (2 * s) - 1))
+    cuts = sorted({0, 1, n_p3, n_p1, n})  # all in [0, n], as n >= 1
+    segments: list[tuple[int, int, int]] = []
+    for i0, i1 in zip(cuts, cuts[1:]):
+        kind = _target_kind(i0 >= 1, i0 < n_p1, i0 < n_p3, spline)
+        if segments and segments[-1][2] == kind:
+            segments[-1] = (segments[-1][0], i1, kind)
+        else:
+            segments.append((i0, i1, kind))
     return segments
+
+
+def _target_kind(has_m3: bool, has_p1: bool, has_p3: bool, spline: str) -> int:
+    """Boundary class of one target from its neighbor availability."""
+    if not has_p1:
+        return KIND_COPY
+    if spline == "linear":
+        return KIND_LIN
+    if has_m3:
+        return KIND_FULL if has_p3 else KIND_QUAD_L
+    return KIND_QUAD_R if has_p3 else KIND_LIN
 
 
 def _weighted_sum(terms, out: np.ndarray, tmp: np.ndarray) -> None:

@@ -12,24 +12,38 @@ endpoint reference, ``docs/OPERATIONS.md`` for deployment/tuning, and
 ``docs/ARCHITECTURE.md`` for where this layer sits in the system.
 """
 
-from ..core.cache import ByteBudgetLRU
-from .app import DEFAULT_CACHE_BYTES, STATS_SCHEMA, HttpError, ReproServer, run_server
-from .jobs import JobManager
-from .metrics import LatencyHistogram, RouteLatencies
-from .pool import DEFAULT_QUEUE_DEPTH, HashRing, InlinePool, WorkerPool
+import importlib
 
-__all__ = [
-    "DEFAULT_CACHE_BYTES",
-    "DEFAULT_QUEUE_DEPTH",
-    "STATS_SCHEMA",
-    "HttpError",
-    "ReproServer",
-    "run_server",
-    "ByteBudgetLRU",
-    "JobManager",
-    "LatencyHistogram",
-    "RouteLatencies",
-    "HashRing",
-    "WorkerPool",
-    "InlinePool",
-]
+#: every exported name and the submodule defining it.  They import lazily
+#: via module ``__getattr__`` (as ``repro`` does for its heavy subpackages),
+#: so a spawned pool worker, which imports :mod:`repro.server.pool`, loads
+#: neither :mod:`repro.server.app` nor ``asyncio``.
+_EXPORTS = {
+    "DEFAULT_CACHE_BYTES": ".app",
+    "DEFAULT_QUEUE_DEPTH": ".pool",
+    "STATS_SCHEMA": ".app",
+    "HttpError": ".app",
+    "ReproServer": ".app",
+    "run_server": ".app",
+    "ByteBudgetLRU": "..core.cache",
+    "JobManager": ".jobs",
+    "LatencyHistogram": ".metrics",
+    "RouteLatencies": ".metrics",
+    "HashRing": ".pool",
+    "WorkerPool": ".pool",
+    "InlinePool": ".pool",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+        globals()[name] = value  # cache: later access skips this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -49,11 +49,14 @@ the frontend's drain sequence, which stops admissions first and sends each
 worker a sentinel once in-flight work has settled.  A frontend that dies
 without draining (SIGKILL) sends no sentinel; each worker has a thread
 that waits on its parent's sentinel and ends the worker when it fires.
+A spawned worker imports only this module's task path: neither
+:mod:`repro.server.app` nor ``asyncio`` (the frontend imports asyncio for
+:meth:`WorkerPool.submit`), so a boot or a respawn costs little more than
+``import repro``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import itertools
 import multiprocessing
@@ -63,6 +66,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # only the frontend's side needs asyncio; workers never load it
+    import asyncio
 
 __all__ = [
     "HashRing",
@@ -508,6 +515,8 @@ class WorkerPool:
         flight — admission control happens *here*, before any bytes hit a
         queue.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         with self._lock:

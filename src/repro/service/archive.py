@@ -13,7 +13,7 @@ share the same API and index schema:
             seq u64, index_offset u64, index_len u64, index_crc32 u32,
             slot_crc32 u32 (over the preceding 28 bytes), b"RPZAIDX2"
         footer slot 1 (fixed offset 48, same layout)
-        frames and index JSON blocks, appended in completion order
+        frames and index JSON blocks, appended in the order they are added
 
     Every add appends the new frame *after* the current index JSON, writes a
     fresh index after the frame, and only then writes the **stale** footer

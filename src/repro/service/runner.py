@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import as_completed
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from ..api import codec_name
 from ..core.streaming import StreamWriter
-from ..core.tiling import executor_pool, resolve_workers, runs_serially
+from ..core.tiling import executor_pool, resolve_workers, runs_serially, tile_fanout
 from ..datasets.io import read_raw
 from ..datasets.registry import get_info, load
 from ..gpu.costmodel import lpt_order
@@ -152,10 +151,12 @@ def run_units(units, cost, job, store, resume, executor, workers, *, blank, pres
       a unit may fan its tiles out on: units are the unit of parallelism, so
       never a nested process pool, and no tile threads on the lanes process
       workers run on.
-    * **Streaming archive** — ``job`` returns ``(row, *payload)``.  As each
-      unit completes, this thread archives an ``ok`` row with
-      ``append(key, row, *payload)``, so a crashed run loses at most the
-      in-flight units and payloads are dropped as they land.
+    * **Streaming archive** — ``job`` returns ``(row, *payload)``.  Units
+      land in submission order: each as soon as it and every unit
+      submitted before it are done, when this thread archives an ``ok`` row
+      with ``append(key, row, *payload)``.  A crashed run loses at most the
+      unlanded units, payloads are dropped as they land, and the archive's
+      bytes do not depend on the executor or on scheduling.
     * **Failure isolation** — a job that raises or a worker that dies
       reports ``blank(unit)`` (the unit's row before it ran) with ``error``
       set; an append that raises turns its row ``failed``.  The other units
@@ -195,9 +196,9 @@ def run_units(units, cost, job, store, resume, executor, workers, *, blank, pres
             land(key, partial(job, units[key], inner))
     else:
         with executor_pool(executor, min(workers, len(submitted))) as pool:
-            futures = {pool.submit(job, units[key], inner): key for key in submitted}
-            for future in as_completed(futures):
-                land(futures[future], future.result)
+            futures = [pool.submit(job, units[key], inner) for key in submitted]
+            for key, future in zip(submitted, futures):
+                land(key, future.result)
     return [rows[key] for key in units], executed, makespan
 
 
@@ -256,12 +257,11 @@ def _run_field_job(
     result = _field_row(spec)
     try:
         # The field's canonical request (resolved against the job-level one
-        # in FieldSpec.request), with its tile fan-out pinned to ``inner``.
+        # in FieldSpec.request); its tiles fan out on ``inner``.
         request = spec.request(job)
-        if request.tiling is not None:
-            request = request.with_tiling_execution(*inner)
         if spec.is_stream:
-            payload, info = _compress_stream(spec, job.base_dir, request)
+            with tile_fanout(*inner):
+                payload, info = _compress_stream(spec, job.base_dir, request)
             first = info["first_snapshot"]
             result.shape = tuple(first.shape)
             result.dtype = first.dtype.name
@@ -278,9 +278,10 @@ def _run_field_job(
             }
         else:
             data = _load_field(spec, job.base_dir)
-            compressed = _compress(data, request)
-            blob = compressed.blob
-            recon = _decompress(blob)
+            with tile_fanout(*inner):
+                compressed = _compress(data, request)
+                blob = compressed.blob
+                recon = _decompress(blob)
             payload = blob.to_bytes()
             stream_info = None
             result.shape = tuple(data.shape)

@@ -207,3 +207,48 @@ class TestPublicApi:
 def _rows(trace) -> list[tuple]:
     return [(r.name, r.bytes_read, r.bytes_written, r.flops, r.efficiency_class)
             for r in trace.records]
+
+
+def _interp_kernels_oracle(shape, itemsize, level_cfgs, anchor_stride) -> list[tuple]:
+    """The interpolation launches rebuilt from ``level_passes`` index vectors
+    on every call (the schedule the memoized one must reproduce)."""
+    from repro.predictor.interpolation import LevelConfig, level_passes, level_strides
+
+    n_anchor = 1
+    for d in shape:
+        n_anchor *= (d + anchor_stride - 1) // anchor_stride
+    rows = [("anchors", n_anchor * itemsize, n_anchor * itemsize, 0, "streaming")]
+    for s in level_strides(anchor_stride):
+        cfg = level_cfgs.get(s, LevelConfig())
+        for vectors, axes in level_passes(shape, s, cfg.scheme):
+            targets = 1
+            for v in vectors:
+                targets *= v.size
+            if targets == 0:
+                continue
+            neighbors = 4 if cfg.spline != "linear" else 2
+            rows.append((
+                f"interp-s{s}-{''.join(map(str, axes))}",
+                targets * neighbors * itemsize,
+                targets * (itemsize + 1),
+                targets * (8 * len(axes) + 6),
+                "gather",
+            ))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (37,), (1000,), (20, 33), (9, 16, 17), (16, 16, 16), (5, 6, 7, 9)]
+)
+@pytest.mark.parametrize("scheme", ["md", "1d"])
+@pytest.mark.parametrize("itemsize", [4, 8])
+def test_interp_kernels_match_the_per_call_schedule(shape, scheme, itemsize):
+    from repro.gpu.kernel import KernelTrace
+    from repro.predictor.interpolation import LevelConfig
+
+    level_cfgs = {8: LevelConfig(scheme, "linear"), 4: LevelConfig(scheme, "cubic"),
+                  2: LevelConfig(scheme, "natural_cubic")}  # stride 1: the default
+    for _ in range(2):  # the second call is served from the memo
+        trace = KernelTrace()
+        CuszHi._interp_kernels(trace, shape, itemsize, level_cfgs, 16)
+        assert _rows(trace) == _interp_kernels_oracle(shape, itemsize, level_cfgs, 16)

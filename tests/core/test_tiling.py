@@ -145,6 +145,29 @@ class TestTiledRoundTrip:
                 "tile_index"
             ).tolist()
 
+    def test_pinned_fanout_runs_tiles_here_and_keeps_the_frame(self, field, frames, monkeypatch):
+        """Under ``tile_fanout`` the tiles of a threads-configured frame run on
+        the calling thread, and the frame is byte for byte the unpinned one
+        (it records the fan-out it was configured with)."""
+        import threading
+
+        from repro.core import tiling
+
+        threads = set()
+        real_job = tiling._compress_tile_job
+
+        def spy(job):
+            threads.add(threading.current_thread().name)
+            return real_job(job)
+
+        monkeypatch.setattr(tiling, "_compress_tile_job", spy)
+        comp = CuszHi(config=CuszHiConfig(tile_shape=(16, 16, 16), executor="threads", workers=2))
+        with tiling.tile_fanout("serial", 1):
+            pinned = comp.compress(field, 1e-3)
+        assert threads == {threading.current_thread().name}
+        assert pinned.to_bytes() == frames["threads"].to_bytes()
+        assert pinned.meta["executor"] == "threads" and pinned.meta["workers"] == "2"
+
     def test_same_absolute_bound_as_untiled(self, field, frames, untiled):
         """The rel->abs bound must resolve against the *full* field, so the
         tiled guarantee is exactly the untiled guarantee."""

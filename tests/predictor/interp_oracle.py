@@ -1,6 +1,6 @@
 """Test-only oracles for the interpolation predictor.
 
-Two earlier formulations of the same arithmetic, kept out of ``src/``:
+Earlier formulations of the same arithmetic, kept out of ``src/``:
 
 * :func:`predict_block` — the mask-based highest-order-wins prediction of
   one pass over an ``np.ix_`` open mesh (the original reference path).
@@ -8,6 +8,8 @@ Two earlier formulations of the same arithmetic, kept out of ``src/``:
   split into the product of its per-axis class runs, one spline formula per
   sub-block, quantized per sub-block.  Its codes, outliers, reconstructions
   and ``pass_error`` scores are the bytes the whole-pass path must reproduce.
+* :func:`axis_kind_segments_loop` and :func:`level_of_coordinates_loop` —
+  the per-target geometry builders that the closed-form ones replaced.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from repro.predictor.interpolation import (
     level_strides,
 )
 from repro.predictor.splines import (
+    KIND_COPY,
+    KIND_FULL,
+    KIND_LIN,
     KIND_OFFSETS,
     KIND_ORDER,
+    KIND_QUAD_L,
+    KIND_QUAD_R,
     axis_kind_segments,
     axis_predict,
     predict_kind_into,
@@ -251,3 +258,54 @@ def autotune_choices(data, anchor_stride, candidates=CANDIDATES, target_fraction
                 best_err, best_cfg = err, cfg
         chosen[s] = best_cfg
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# Per-target geometry builders: the loops the closed-form builders replaced.
+# ---------------------------------------------------------------------------
+
+
+def axis_kind_segments_loop(dim: int, stride: int, spline: str) -> list[tuple[int, int, int]]:
+    """Class runs of the targets ``stride, 3*stride, ...``, by classifying
+    every target and walking the class vector one target at a time."""
+    s = int(stride)
+    t = np.arange(s, dim, 2 * s)
+    if t.size == 0:
+        return []
+    has_p1 = (t + s) <= dim - 1
+    if spline == "linear":
+        kind = np.where(has_p1, KIND_LIN, KIND_COPY)
+    else:
+        has_m3 = (t - 3 * s) >= 0
+        has_p3 = (t + 3 * s) <= dim - 1
+        full = has_m3 & has_p3 & has_p1
+        quad_l = has_m3 & has_p1 & ~has_p3
+        quad_r = ~has_m3 & has_p1 & has_p3
+        lin = has_p1 & ~(full | quad_l | quad_r)
+        kind = np.full(t.size, KIND_COPY, dtype=np.int64)
+        kind[lin] = KIND_LIN
+        kind[quad_r] = KIND_QUAD_R
+        kind[quad_l] = KIND_QUAD_L
+        kind[full] = KIND_FULL
+    segments = []
+    start = 0
+    for i in range(1, t.size + 1):
+        if i == t.size or kind[i] != kind[start]:
+            segments.append((start, i, int(kind[start])))
+            start = i
+    return segments
+
+
+def level_of_coordinates_loop(shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
+    """Per-point interpolation level, one divisibility mask per level."""
+    max_level = int(np.log2(anchor_stride))
+    level = np.full(shape, max_level, dtype=np.int8)
+    for d, dim in enumerate(shape):
+        coords = np.arange(dim, dtype=np.int64)
+        tz = np.full(dim, max_level, dtype=np.int8)
+        for l in range(max_level - 1, -1, -1):
+            tz[(coords % (1 << (l + 1))) != 0] = l
+        view = [1] * len(shape)
+        view[d] = dim
+        np.minimum(level, tz.reshape(view), out=level)
+    return level

@@ -176,3 +176,30 @@ class TestSchedulingAndReport:
         assert pickle.loads(pickle.dumps(spec)) == spec
         job = JobSpec(name="j", fields=(spec,))
         assert pickle.loads(pickle.dumps(job)) == job
+
+
+def test_executors_write_identical_archive_bytes(tmp_path):
+    """Results land in submission order, so the archive a pooled batch writes
+    is byte for byte the one a serial batch writes."""
+    import hashlib
+
+    spec = _spec(
+        [
+            {"name": "n0", "dataset": "nyx", "shape": [20, 20, 20]},
+            {"name": "m1", "dataset": "miranda", "shape": [16, 24, 24], "tiles": [8, 12, 12]},
+            {"name": "c2", "dataset": "cesm-atm", "shape": [32, 48], "eb": 1e-4},
+            {"name": "s3", "dataset": "jhtdb", "shape": [16, 16, 16], "timesteps": 3,
+             "tiles": [8, 8, 8]},
+            {"name": "r4", "dataset": "rtm", "shape": [24, 16, 16]},
+            {"name": "h5", "dataset": "hurricane", "shape": [8, 24, 24], "mode": "tp"},
+        ],
+        tmp_path,
+    )
+    digests = {}
+    for executor in ("serial", "threads", "processes"):
+        path = tmp_path / f"{executor}.rpza"
+        with ArchiveStore(str(path), mode="a") as arch:
+            assert BatchRunner(spec, arch, executor=executor, workers=2).run().ok
+        digests[executor] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests["threads"] == digests["serial"]
+    assert digests["processes"] == digests["serial"]

@@ -30,37 +30,46 @@ container), ``repro.predictor``, ``repro.encoders``, ``repro.baselines``,
 ``repro.client`` (retrying HTTP client) and ``repro.faults``
 (seed-deterministic fault injection for the chaos suite).
 
-``import repro`` loads NumPy and the codec engine (``api``, ``core``,
-``datasets``, ``encoders``, ``gpu``, ``metrics``, ``predictor``,
-``quantizer``) and nothing more: the heavy modules (``analysis``, ``baselines``, ``client``, ``faults``, ``server``,
-``service``) import on first attribute access, and no import path of the
-library, the CLI, the server or a pool worker loads scipy, which only SSIM
-needs (the optional ``analysis`` extra).  A pool worker boots without
-``asyncio`` or the HTTP frontend.  ``tests/test_lazy_import.py`` checks each
-of these in a fresh interpreter.
+``import repro`` loads no NumPy: every exported name and subpackage
+imports on first attribute access (PEP 562 module ``__getattr__``), so the
+CLI parser, the HTTP client, the fault hooks and the process-pool serving
+frontend start without the codec engine.  ``import repro.api`` loads the
+whole engine (``core``, ``datasets``, ``encoders``, ``gpu``, ``metrics``,
+``predictor``, ``quantizer``) and nothing more, so a caller pays for it
+before its first compress, not inside it.  No import path of the library,
+the CLI, the server or a pool worker loads scipy, which only SSIM needs
+(the optional ``analysis`` extra).  A pool worker imports the engine, but
+not ``asyncio`` or the HTTP frontend, before its ready handshake.
+``tests/test_lazy_import.py`` checks each of these in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import importlib
 
-import numpy as _np
-
-from . import api, core, datasets, encoders, gpu, metrics, predictor, quantizer
-from .core.compressor import CuszHi
-from .core.config import CR_MODE, TP_MODE, CuszHiConfig
-from .core.container import CompressedBlob, ContainerError
-from .api.registry import codec_class, codec_name, list_codecs
-
 #: single version source: the CLI (``repro --version``), the HTTP service
 #: (``GET /healthz``) and packaging all report this string.
 __version__ = "1.7.0"
 
-#: heavy subpackages imported lazily via module ``__getattr__`` — keeping
-#: ``import repro`` free of asyncio/http (server, client) and the baseline
-#: zoo.  ``client`` and ``faults`` are modules, not packages, but lazy-load
-#: the same way.
-_LAZY_SUBPACKAGES = ("analysis", "baselines", "client", "faults", "server", "service")
+#: every subpackage (and the ``client``/``faults`` modules) imports on first
+#: attribute access, like the exported names below.
+_LAZY_SUBPACKAGES = (
+    "analysis", "api", "baselines", "client", "core", "datasets", "encoders",
+    "faults", "gpu", "metrics", "predictor", "quantizer", "server", "service",
+)
+
+#: exported name -> the module defining it
+_EXPORTS = {
+    "CuszHi": ".core.compressor",
+    "CuszHiConfig": ".core.config",
+    "CR_MODE": ".core.config",
+    "TP_MODE": ".core.config",
+    "CompressedBlob": ".core.container",
+    "ContainerError": ".core.container",
+    "codec_class": ".api.registry",
+    "codec_name": ".api.registry",
+    "list_codecs": ".api.registry",
+}
 
 __all__ = [
     "compress",
@@ -93,14 +102,17 @@ __all__ = [
 
 def __getattr__(name: str):
     if name in _LAZY_SUBPACKAGES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module  # cache: subsequent access skips this hook
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # cache: subsequent access skips this hook
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_SUBPACKAGES))
+    return sorted(set(globals()) | set(__all__))
 
 
 def compress(data, eb: float | None = None, request: "api.CompressionRequest | None" = None):
@@ -116,6 +128,8 @@ def compress(data, eb: float | None = None, request: "api.CompressionRequest | N
         api.build_request(codec="fzgpu", eb=1e-3)
         api.build_request(mode="tp", eb=1e-3, tiles=(128,)*3, workers=4)
     """
+    from . import api
+
     if isinstance(eb, api.CompressionRequest):
         raise TypeError(
             "compress() got a CompressionRequest as the error bound; "
@@ -133,6 +147,9 @@ def compress(data, eb: float | None = None, request: "api.CompressionRequest | N
     return api.compress(data, api.build_request(eb=eb)).blob
 
 
-def decompress(blob) -> "_np.ndarray":
-    """Decompress a :class:`CompressedBlob` or its serialized ``bytes``."""
+def decompress(blob):
+    """Decompress a :class:`CompressedBlob` or its serialized ``bytes`` into
+    a NumPy array."""
+    from . import api
+
     return api.decompress(blob)

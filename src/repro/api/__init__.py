@@ -23,6 +23,8 @@ after appending a wire id to ``CODEC_IDS``); every consumer — CLI
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from .registry import (
@@ -120,3 +122,11 @@ def kernel_for(request: CompressionRequest):
     analysis harness build on when they need the raw engine."""
     codec = registry.get(request.codec)
     return codec.kernel(request)
+
+
+# ``import repro.api`` loads the whole engine (``import repro`` itself is
+# lazy), so a caller pays for it here and not inside its first compress.
+for _name in ("core.compressor", "core.selector", "core.streaming", "core.tiling",
+              "datasets", "encoders", "gpu", "metrics", "predictor", "quantizer"):
+    importlib.import_module(f"..{_name}", __name__)
+del _name

@@ -43,6 +43,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..defaults import EXECUTORS, REQUEST_SCHEMA
+
 __all__ = [
     "REQUEST_SCHEMA",
     "DEFAULT_CODEC",
@@ -57,14 +59,8 @@ __all__ = [
     "check_executor",
 ]
 
-#: wire-format identifier stamped into serialized requests (``to_dict``)
-REQUEST_SCHEMA = "repro.request/1"
-
 #: the codec a request resolves to when nothing else is asked for
 DEFAULT_CODEC = "cusz-hi-cr"
-
-#: the executor lineup every fan-out knob in the system chooses from
-EXECUTORS = ("serial", "threads", "processes")
 
 
 class RequestError(ValueError):

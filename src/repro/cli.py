@@ -36,20 +36,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
+# Building the parser and running `serve` load no NumPy: each command
+# imports the engine pieces it runs.
 from . import __version__
-from .api import (
-    EXECUTORS,
-    REQUEST_SCHEMA,
-    CapabilityError,
-    RequestError,
-    UnknownCodecError,
-    build_request,
-    codec_name,
-)
-from .core.container import CompressedBlob, ContainerError
-from .datasets.io import read_raw, write_raw
+from .defaults import EXECUTORS, REQUEST_SCHEMA
 
 
 def _fail(msg: str) -> int:
@@ -57,19 +47,24 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _read_blob(path: str) -> CompressedBlob:
-    """Read + parse one container file; raises ContainerError/OSError."""
+def _read_blob(path: str):
+    """Read + parse one container file into a ``CompressedBlob``; raises
+    ContainerError/OSError."""
+    from .core.container import CompressedBlob
+
     with open(path, "rb") as fh:
         return CompressedBlob.from_bytes(fh.read())
 
 
 def _cmd_compress(args) -> int:
+    from .api import CapabilityError, RequestError, UnknownCodecError, build_request, compress
+    from .datasets.io import read_raw
+
     shape = tuple(args.dims) if args.dims else None
     data = read_raw(args.input, shape=shape)
     if data.ndim == 1 and shape is None:
         print("error: pass -d/--dims (or encode dims in the file name)", file=sys.stderr)
         return 2
-    from .api import compress
 
     # Flags parse into the one canonical request; all defaulting/validation
     # (eb, tiling, pipeline, codec capabilities) happens in repro.api.
@@ -98,13 +93,16 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    from .api import UnknownCodecError, decompress
+    from .core.container import ContainerError
+    from .datasets.io import write_raw
+
     try:
         blob = _read_blob(args.input)
     except OSError as exc:
         return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
     except ContainerError as exc:
         return _fail(f"{args.input}: {exc}")
-    from .api import decompress
 
     try:
         recon = decompress(blob)
@@ -116,6 +114,11 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    import numpy as np
+
+    from .api import codec_name
+    from .core.container import ContainerError
+
     try:
         blob = _read_blob(args.input)
     except OSError as exc:
@@ -160,6 +163,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bench_pipeline(args) -> int:
+    from .api import CapabilityError, RequestError, UnknownCodecError
     from .bench import format_report, run_pipeline_bench, write_report
 
     try:
@@ -339,6 +343,7 @@ def _cmd_archive_ls(args) -> int:
 
 
 def _cmd_archive_get(args) -> int:
+    from .datasets.io import write_raw
     from .service import ArchiveError
 
     try:
@@ -441,10 +446,24 @@ def _cmd_archive_repair(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .server.pool import DEFAULT_CACHE_BYTES, build_pool
+
+    try:
+        pool = build_pool(
+            args.workers_procs,
+            queue_depth=args.queue_depth,
+            cache_bytes=DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes,
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
+    # Worker processes boot first: their engine imports run while this
+    # process imports the HTTP frontend, which loads no NumPy.
+    pool.spawn()
+
     import asyncio
     import logging
 
-    from .server import DEFAULT_CACHE_BYTES, ReproServer
+    from .server.app import ReproServer
 
     # Operational events (drain progress, final stats flush, worker
     # restarts) are emitted on the "repro.server" logger; without a handler
@@ -455,15 +474,10 @@ def _cmd_serve(args) -> int:
 
     try:
         server = ReproServer(
-            args.root,
-            host=args.host,
-            port=args.port,
-            cache_bytes=DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes,
-            worker_procs=args.workers_procs,
-            queue_depth=args.queue_depth,
-            deadline_ms=args.deadline_ms,
+            args.root, host=args.host, port=args.port, deadline_ms=args.deadline_ms, pool=pool
         )
     except ValueError as exc:
+        pool.close()
         return _fail(str(exc))
 
     async def _serve() -> None:

@@ -31,7 +31,6 @@ from ..predictor.interpolation import (
     level_strides,
 )
 from ..predictor.reorder import inverse_reorder, reorder
-from ..api.registry import CODEC_IDS, register_kernel_class
 from .config import CuszHiConfig
 from .container import CompressedBlob
 
@@ -325,5 +324,10 @@ def _level_kernels(
 # dispatch table lives in repro.api.registry; the per-id codec_id/codec_name
 # class attributes are intentionally NOT stamped here — CuszHi derives its id
 # from its config via the codec_id property above.)
+#
+# Imported here, once CuszHi exists: importing repro.api loads the whole
+# engine, and the engine imports CuszHi from this module.
+from ..api.registry import CODEC_IDS, register_kernel_class  # noqa: E402
+
 for _name in ("cusz-hi-cr", "cusz-hi-tp", "cusz-hi", "cusz-hi-tiled"):
     register_kernel_class(_name, CuszHi, stamp=False)

@@ -24,7 +24,6 @@ auto-sizes to the visible CPU count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..api.registry import CODEC_IDS, codec_class
+from ..defaults import EXECUTORS, resolve_workers
 from ..gpu.costmodel import aggregate_tile_traces
 from ..gpu.kernel import KernelTrace
 from .compressor import CuszHi, resolve_error_bound
@@ -56,20 +56,8 @@ __all__ = [
     "tile_fanout",
 ]
 
-EXECUTORS = ("serial", "threads", "processes")
-
 #: edge tiles thinner than this get merged into their neighbor in "merge" mode
 _MIN_EDGE_EXTENT = 4
-
-
-def resolve_workers(workers: int | None) -> int:
-    """``0``/``None`` means auto: one worker per visible CPU."""
-    if workers:
-        return int(workers)
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

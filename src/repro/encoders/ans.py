@@ -192,9 +192,16 @@ class RansCodec:
         nchunks = (n + chunk_size - 1) // chunk_size
         state = np.frombuffer(buf, dtype=np.uint32, count=nchunks, offset=off).copy()
         off += 4 * nchunks
-        offsets = np.frombuffer(buf, dtype=np.uint64, count=nchunks, offset=off).astype(np.int64)
+        offsets = np.frombuffer(buf, dtype=np.uint64, count=nchunks, offset=off)
         off += 8 * nchunks
         payload = np.frombuffer(buf, dtype=np.uint8, offset=off)
+        past = np.flatnonzero(offsets > payload.size)
+        if past.size:
+            raise ValueError(
+                f"rANS lane {past[0]} starts at byte {offsets[past[0]]}, "
+                f"past the end of its {payload.size}-byte payload"
+            )
+        offsets = offsets.astype(np.int64)
 
         cdf, slot2sym = self._decode_tables(freqs)
 
@@ -224,6 +231,10 @@ class RansCodec:
                 if not need.any():
                     break
                 idx = np.flatnonzero(need)
-                state[idx] = (state[idx] << np.uint32(8)) | padded[cursor[idx]].astype(np.uint32)
+                try:
+                    pulled = padded[cursor[idx]]
+                except IndexError:  # a lane that starts in range can still run off the end
+                    raise ValueError("rANS lane reads past the end of its payload") from None
+                state[idx] = (state[idx] << np.uint32(8)) | pulled.astype(np.uint32)
                 cursor[idx] += 1
         return out.reshape(-1)[:n].tobytes()

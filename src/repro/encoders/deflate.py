@@ -37,7 +37,10 @@ class DeflateCodec:
         return co.compress(buf) + co.flush()
 
     def decode(self, buf: bytes) -> bytes:
-        return zlib.decompress(buf, -self.wbits)
+        try:
+            return zlib.decompress(buf, -self.wbits)
+        except zlib.error as exc:  # a corrupt stream is bad input, typed as such
+            raise ValueError(f"{self.name} stream does not inflate: {exc}") from None
 
 
 from .gpulz import GpuLzCodec as _GpuLzCodec

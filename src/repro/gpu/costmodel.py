@@ -19,11 +19,15 @@ axis) are derived from each stage's measured input/output sizes via
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..encoders.pipelines import StageTrace
 from .device import DeviceSpec
 from .kernel import EFFICIENCY, KernelRecord, KernelTrace
+
+if TYPE_CHECKING:  # annotation only: repro.encoders imports this module
+    from ..encoders.pipelines import StageTrace
 
 __all__ = [
     "kernel_time_s",

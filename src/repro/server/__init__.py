@@ -19,7 +19,7 @@ import importlib
 #: so a spawned pool worker, which imports :mod:`repro.server.pool`, loads
 #: neither :mod:`repro.server.app` nor ``asyncio``.
 _EXPORTS = {
-    "DEFAULT_CACHE_BYTES": ".app",
+    "DEFAULT_CACHE_BYTES": ".pool",
     "DEFAULT_QUEUE_DEPTH": ".pool",
     "STATS_SCHEMA": ".app",
     "HttpError": "..http",

@@ -77,49 +77,30 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import math
 import os
 import signal
+import sys
 import time
 
-import numpy as np
-
-from ..api import (
-    REQUEST_SCHEMA,
-    CapabilityError,
-    RequestError,
-    UnknownCodecError,
-    build_request,
-    registry,
-)
-from ..core.tiling import resolve_workers
-from ..encoders import ans as _ans_tables
-from ..encoders import huffman as _huffman_tables
+from ..core.cache import ByteBudgetLRU, CountedTableCache
+from ..defaults import REQUEST_SCHEMA
 from ..http import HttpError, HttpServer, Request, json_response
-from ..predictor.interpolation import level_plan_stats
-from ..service import (
-    ArchiveCorruption,
-    ArchiveError,
-    ArchiveStore,
-    ManifestError,
-)
-from ..service.archive import blob_cache_stats
 from .jobs import JobManager, check_bare_name
 from .metrics import RouteLatencies
 from .pool import (
+    DEFAULT_CACHE_BYTES,
     DEFAULT_QUEUE_DEPTH,
     DeadlineExceeded,
-    InlinePool,
     PoolSaturated,
     PoolTaskError,
     WorkerPool,
+    build_pool,
 )
 
 __all__ = ["HttpError", "ReproServer", "DEFAULT_CACHE_BYTES", "STATS_SCHEMA"]
 
 log = logging.getLogger("repro.server")
 
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 _MAX_BODY_BYTES = 1024 * 1024 * 1024
 _DTYPES = ("float32", "float64")
 
@@ -136,6 +117,20 @@ def _coerce_option(value: str):
         except ValueError:
             continue
     return value
+
+
+#: the ``/stats`` blocks of caches nothing in this process has used
+_UNUSED_TABLE = CountedTableCache().stats()
+_UNUSED_LRU = ByteBudgetLRU(0).stats()
+
+
+def _cache_stats(module: str, read: str, unused: dict = _UNUSED_TABLE) -> dict:
+    """A process-wide cache's ``/stats`` block: ``module.read()`` once this
+    process has imported ``module``, else ``unused``.  A pooled frontend
+    runs no codec work, so it reports its caches without importing the
+    engine that owns them."""
+    counters = getattr(sys.modules.get(module), read, None)
+    return counters() if counters is not None else dict(unused)
 
 
 def _safe_name(name: str, what: str) -> str:
@@ -190,6 +185,11 @@ class ReproServer:
         requests get 503.
     drain_grace_s:
         How long :meth:`drain` waits for in-flight work before stopping.
+    pool:
+        A pool from :func:`~repro.server.pool.build_pool` to serve with,
+        in place of the one ``worker_procs``, ``queue_depth`` and
+        ``cache_bytes`` would build.  ``repro serve`` passes one whose
+        workers it spawned before importing this module.
     """
 
     def __init__(
@@ -203,25 +203,20 @@ class ReproServer:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         deadline_ms: float = 0.0,
         drain_grace_s: float = 30.0,
+        pool: WorkerPool | None = None,
     ):
         self.archive_root = os.path.abspath(archive_root)
         self.host = host
         self._requested_port = port
-        self.worker_procs = resolve_workers(worker_procs) if worker_procs == 0 else int(worker_procs)
-        if self.worker_procs < 1:
-            raise ValueError(f"worker_procs must be >= 0 (0 = CPU count), got {worker_procs}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if pool is None:
+            pool = build_pool(worker_procs, queue_depth=queue_depth, cache_bytes=cache_bytes)
         if deadline_ms < 0:
             raise ValueError(f"deadline_ms must be >= 0 (0 = no deadline), got {deadline_ms}")
-        self.queue_depth = int(queue_depth)
+        self.pool = pool
+        self.worker_procs = pool.workers
+        self.queue_depth = pool.queue_depth
         self.deadline_ms = float(deadline_ms)
         self.drain_grace_s = float(drain_grace_s)
-        self.pool: WorkerPool = (
-            WorkerPool(self.worker_procs, queue_depth=self.queue_depth, cache_bytes=cache_bytes)
-            if self.worker_procs > 1
-            else InlinePool(queue_depth=self.queue_depth, cache_bytes=cache_bytes)
-        )
         self.jobs = JobManager(self.archive_root)
         self.latency = RouteLatencies()
         self._http = HttpServer(self._handle, max_body)
@@ -345,7 +340,8 @@ class ReproServer:
             )
         if parts == ["codecs"]:
             self._require(req, "GET")
-            return json_response({"request_schema": REQUEST_SCHEMA, "codecs": registry.table()})
+            table = await self._pool_call("codecs", {})
+            return json_response({"request_schema": REQUEST_SCHEMA, **table})
         if parts == ["stats"]:
             self._require(req, "GET")
             return json_response(self.stats())
@@ -393,10 +389,10 @@ class ReproServer:
             return None
         return time.time() + self.deadline_ms / 1000.0
 
-    def _corruption_503(self, exc: ArchiveCorruption) -> HttpError:
-        """Detected storage corruption: a typed, retryable 503 (a replica or
-        ``repro archive repair`` may heal it), counted and flipping
-        ``/healthz`` to degraded — never a bare 500."""
+    def _corruption_503(self, exc: Exception) -> HttpError:
+        """Detected storage corruption (``ArchiveCorruption``): a typed,
+        retryable 503 (a replica or ``repro archive repair`` may heal it),
+        counted and flipping ``/healthz`` to degraded — never a bare 500."""
         self._integrity["corruption"] += 1
         return HttpError(503, str(exc), headers={"Retry-After": "1"})
 
@@ -442,35 +438,33 @@ class ReproServer:
             self._inflight_heavy -= 1
 
     # ---------------------------------------------------------------- compute
-    def _compress_request(self, req: Request):
-        """Deserialize ``POST /compress`` query parameters into the one
-        canonical :class:`~repro.api.CompressionRequest` (all eb/codec/
-        tiling/pipeline defaulting and validation lives in ``repro.api``).
+    @staticmethod
+    def _compress_query(req: Request) -> dict:
+        """Parse ``POST /compress`` query parameters into the keywords of
+        :func:`repro.api.build_request`, which the task runs: all eb/codec/
+        tiling/pipeline defaulting and validation lives in ``repro.api``,
+        and its errors come back as 400s with their messages.
 
         Codec-specific options ride as ``opt.<key>=<value>`` query
         parameters (numbers coerced), e.g. ``codec=cuzfp&opt.rate=8`` —
         so every registered codec, including fixed-rate ones, is reachable
         over HTTP."""
         codec = req.query.get("codec")
-        mode = req.query.get("mode")
         options = {}
         for key, value in req.query.items():
             if key.startswith("opt."):
                 options[key[4:]] = _coerce_option(value)
-        try:
-            return build_request(
-                codec=codec,
-                mode=None if codec is not None else mode,
-                eb=req.query_float("eb"),
-                eb_mode=req.query.get("eb_mode"),
-                tiles=req.query_dims("tiles"),
-                workers=req.query_int("workers"),
-                executor=req.query.get("executor"),
-                pipeline=req.query.get("pipeline"),
-                options=options or None,
-            )
-        except (RequestError, CapabilityError, UnknownCodecError) as exc:
-            raise HttpError(400, str(exc)) from None
+        return {
+            "codec": codec,
+            "mode": None if codec is not None else req.query.get("mode"),
+            "eb": req.query_float("eb"),
+            "eb_mode": req.query.get("eb_mode"),
+            "tiles": req.query_dims("tiles"),
+            "workers": req.query_int("workers"),
+            "executor": req.query.get("executor"),
+            "pipeline": req.query.get("pipeline"),
+            "options": options or None,
+        }
 
     async def _handle_compress(self, req: Request) -> tuple[int, dict, bytes]:
         shape = req.query_dims("shape")
@@ -479,17 +473,9 @@ class ReproServer:
         dtype = req.query.get("dtype", "float32")
         if dtype not in _DTYPES:
             raise HttpError(400, f"dtype must be one of {_DTYPES}, got {dtype!r}")
-        request = self._compress_request(req)
-        expected = math.prod(shape) * np.dtype(dtype).itemsize
-        if len(req.body) != expected:
-            raise HttpError(
-                400,
-                f"body is {len(req.body)} bytes but shape={','.join(map(str, shape))} "
-                f"dtype={dtype} needs {expected}",
-            )
+        query = self._compress_query(req)
         result = await self._pool_call(
-            "compress",
-            {"request": request.to_dict(), "data": req.body, "dtype": dtype, "shape": shape},
+            "compress", {"query": query, "data": req.body, "dtype": dtype, "shape": shape}
         )
         payload = result["payload"]
         headers = {
@@ -530,6 +516,8 @@ class ReproServer:
         return json_response({"archives": names})
 
     async def _handle_archive_entries(self, name: str) -> tuple[int, dict, bytes]:
+        from ..service import ArchiveCorruption, ArchiveError, ArchiveStore
+
         path = self._archive_path(name)
 
         def _list() -> list[dict]:
@@ -574,7 +562,7 @@ class ReproServer:
         archive = req.query.get("archive")
         try:
             snapshot = self.jobs.submit(doc, archive=archive)
-        except (ManifestError, ValueError) as exc:
+        except ValueError as exc:  # ManifestError, or a bad archive name
             raise HttpError(400, str(exc)) from None
         return json_response(snapshot, status=202)
 
@@ -623,11 +611,13 @@ class ReproServer:
             "pool": self.pool.stats(),
             "jobs": self.jobs.counts(),
             "codec_tables": {
-                "huffman": _huffman_tables.table_cache_stats(),
-                "ans": _ans_tables.table_cache_stats(),
-                "interp_plans": level_plan_stats(),
+                "huffman": _cache_stats("repro.encoders.huffman", "table_cache_stats"),
+                "ans": _cache_stats("repro.encoders.ans", "table_cache_stats"),
+                "interp_plans": _cache_stats("repro.predictor.interpolation", "level_plan_stats"),
             },
-            "archive_blob_cache": blob_cache_stats(),
+            "archive_blob_cache": _cache_stats(
+                "repro.service.archive", "blob_cache_stats", _UNUSED_LRU
+            ),
         }
 
 

@@ -17,9 +17,10 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
-from ..service import ArchiveStore, BatchRunner, parse_manifest
-from ..service.manifest import JobSpec
+if TYPE_CHECKING:  # the batch layer loads the engine: import it per job
+    from ..service.manifest import JobSpec
 
 __all__ = ["JobManager", "JobState", "check_bare_name"]
 
@@ -88,6 +89,8 @@ class JobManager:
         manifest and :class:`ValueError` on a bad archive name — both are
         HTTP 4xx material, reported before a job id is ever allocated.
         """
+        from ..service import parse_manifest
+
         spec = parse_manifest(doc, base_dir=self.archive_root)
         with self._lock:
             job_id = f"job-{next(self._ids)}"
@@ -99,6 +102,8 @@ class JobManager:
         return state.snapshot()
 
     def _run(self, state: JobState) -> None:
+        from ..service import ArchiveStore, BatchRunner
+
         state.status = "running"
         t0 = time.perf_counter()
         try:

@@ -49,16 +49,20 @@ the frontend's drain sequence, which stops admissions first and sends each
 worker a sentinel once in-flight work has settled.  A frontend that dies
 without draining (SIGKILL) sends no sentinel; each worker has a thread
 that waits on its parent's sentinel and ends the worker when it fires.
-A spawned worker imports only this module's task path: neither
-:mod:`repro.server.app` nor ``asyncio`` (the frontend imports asyncio for
-:meth:`WorkerPool.submit`), so a boot or a respawn costs little more than
-``import repro``.
+A spawned worker imports the codec engine (``import repro.api``) before its
+ready handshake, but neither :mod:`repro.server.app` nor ``asyncio`` (the
+frontend imports asyncio for :meth:`WorkerPool.submit`).  This module itself
+imports no NumPy: ``repro serve --workers-procs N`` builds the pool with
+:func:`build_pool` and calls :meth:`WorkerPool.spawn` before the frontend
+imports anything else, so the workers' engine imports overlap the
+frontend's own boot.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import multiprocessing
 import os
 import signal
@@ -67,6 +71,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING
+
+from ..defaults import resolve_workers
 
 if TYPE_CHECKING:  # only the frontend's side needs asyncio; workers never load it
     import asyncio
@@ -79,10 +85,15 @@ __all__ = [
     "PoolTaskError",
     "DeadlineExceeded",
     "DEFAULT_QUEUE_DEPTH",
+    "DEFAULT_CACHE_BYTES",
+    "build_pool",
 ]
 
 #: default bound on tasks in flight (queued + executing) across the pool
 DEFAULT_QUEUE_DEPTH = 64
+
+#: default read-cache budget for decompressed tiles/fields, across the pool
+DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 #: EWMA smoothing for completed-task wall times (Retry-After estimation)
 _EWMA_ALPHA = 0.2
@@ -197,10 +208,17 @@ def _run_task(kind: str, payload: dict, cache) -> dict:
     from .. import api
 
     if kind == "compress":
-        from ..api import CompressionRequest
-
-        request = CompressionRequest.from_dict(payload["request"])
-        data = np.frombuffer(payload["data"], dtype=payload["dtype"]).reshape(payload["shape"])
+        # The frontend holds no engine, so the query is validated here, and
+        # only then the body against it, as a single process always did.
+        request = api.build_request(**payload["query"])
+        body, shape, dtype = payload["data"], payload["shape"], payload["dtype"]
+        expected = math.prod(shape) * np.dtype(dtype).itemsize
+        if len(body) != expected:
+            raise ValueError(
+                f"body is {len(body)} bytes but shape={','.join(map(str, shape))} "
+                f"dtype={dtype} needs {expected}"
+            )
+        data = np.frombuffer(body, dtype=dtype).reshape(shape)
         result = api.compress(data, request)
         blob_bytes = result.to_bytes()
         return {
@@ -235,6 +253,8 @@ def _run_task(kind: str, payload: dict, cache) -> dict:
             "origin": tuple(origin) if origin is not None else None,
             "source": source,
         }
+    if kind == "codecs":
+        return {"codecs": api.registry.table()}
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
@@ -261,14 +281,13 @@ def _worker_main(worker_id: int, task_q, result_conn, cache_bytes: int) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    from ..core.cache import ByteBudgetLRU
-
     # Importing repro.faults arms any REPRO_FAULTS plan the spawning frontend
     # exported, with this process's own hit counters.
-    from .. import faults  # noqa: F401
+    from .. import api, faults  # noqa: F401  (api: the whole codec engine)
+    from ..core.cache import ByteBudgetLRU
 
     cache = ByteBudgetLRU(cache_bytes)
-    # Ready handshake: the heavy module imports above take seconds; tell the
+    # Ready handshake: the engine import above takes most of a boot; tell the
     # frontend before blocking on the queue so start() can wait for a pool
     # that actually dequeues promptly (deadlined tasks submitted while a
     # worker is still importing would all expire at the dequeue pre-check).
@@ -384,17 +403,29 @@ class WorkerPool:
         self._per_worker = [0] * self.workers
 
     # -------------------------------------------------------------- lifecycle
+    def spawn(self) -> None:
+        """Start the worker processes without waiting for them.
+
+        ``repro serve`` calls this before its frontend imports the HTTP
+        stack, so the workers boot while it does.  Idempotent; :meth:`start`
+        calls it too.
+        """
+        if self._task_queues:
+            return
+        self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
+        for wid in range(self.workers):
+            self._spawn_worker(wid)
+
     def start(self) -> None:
-        """Spawn the workers, wait for their ready handshake, start dispatch.
+        """Spawn the workers (unless :meth:`spawn` has), wait for their ready
+        handshake, start dispatch.
 
         Blocking (the server calls it via ``asyncio.to_thread``).  Waiting
         for the handshake means a freshly started pool dequeues within
         milliseconds — without it, every deadlined task submitted during the
-        workers' multi-second import phase would expire before starting.
+        workers' engine import would expire before starting.
         """
-        self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
-        for wid in range(self.workers):
-            self._spawn_worker(wid)
+        self.spawn()
         self._await_ready()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-pool-dispatch", daemon=True
@@ -689,6 +720,9 @@ class InlinePool(WorkerPool):
     """
 
     def __init__(self, queue_depth: int = DEFAULT_QUEUE_DEPTH, cache_bytes: int = 0):
+        # The tasks run in this process: load the engine a worker imports
+        # before its handshake, and the archive layer reads use, up front.
+        from .. import api, service  # noqa: F401
         from ..core.cache import ByteBudgetLRU
 
         super().__init__(1, queue_depth=queue_depth, cache_bytes=cache_bytes)
@@ -697,6 +731,8 @@ class InlinePool(WorkerPool):
 
     def start(self) -> None:
         """Nothing to spawn: the executor thread starts with the first task."""
+
+    spawn = start
 
     def _enqueue(self, wid: int, item: tuple) -> None:
         self._executor.submit(self._run, item)
@@ -708,3 +744,22 @@ class InlinePool(WorkerPool):
         super().close(join_s)
         # Queued tasks were already failed with a 503 by close(); drop them.
         self._executor.shutdown(wait=False, cancel_futures=True)
+
+
+def build_pool(
+    worker_procs: int,
+    queue_depth: int = DEFAULT_QUEUE_DEPTH,
+    cache_bytes: int = DEFAULT_CACHE_BYTES,
+) -> WorkerPool:
+    """The task pool for ``worker_procs`` processes, not yet spawned.
+
+    ``1`` runs the tasks on one frontend thread (:class:`InlinePool`, which
+    imports the engine), more send them to a :class:`WorkerPool`, and ``0``
+    means one worker per usable CPU.
+    """
+    procs = resolve_workers(worker_procs) if worker_procs == 0 else int(worker_procs)
+    if procs < 1:
+        raise ValueError(f"worker_procs must be >= 0 (0 = CPU count), got {worker_procs}")
+    if procs == 1:
+        return InlinePool(queue_depth=queue_depth, cache_bytes=cache_bytes)
+    return WorkerPool(procs, queue_depth=queue_depth, cache_bytes=cache_bytes)

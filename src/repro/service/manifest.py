@@ -176,7 +176,7 @@ def _as_dims(value, what: str) -> tuple[int, ...] | None:
     ok = (
         isinstance(value, (list, tuple))
         and bool(value)
-        and all(isinstance(d, int) and d > 0 for d in value)
+        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in value)
     )
     _require(ok, f"{what} must be a non-empty list of positive integers, got {value!r}")
     return tuple(int(d) for d in value)

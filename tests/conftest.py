@@ -73,3 +73,39 @@ def hostile_rre_blob():
     codes[4:12] = HOSTILE_NBITS.to_bytes(8, "little")
     blob.segments["codes"] = bytes(codes)
     return blob.to_bytes(), field.nbytes
+
+
+def _sealed_codes_blob(pipeline: str, mutate) -> bytes:
+    import repro.api as api
+    from repro.core.container import CompressedBlob
+
+    field = np.fromfunction(
+        lambda i, j, k: np.sin(i / 5) * np.cos(j / 4) + 0.3 * np.sin(k / 3), (16, 16, 16)
+    ).astype(np.float32)
+    request = api.build_request(codec="cusz-hi", pipeline=pipeline, eb=1e-3)
+    blob = CompressedBlob.from_bytes(api.compress(field, request).to_bytes())
+    codes = bytearray(blob.segments["codes"])
+    mutate(codes)
+    blob.segments["codes"] = bytes(codes)
+    return blob.to_bytes()
+
+
+@pytest.fixture(scope="session")
+def sealed_codes_blob():
+    """``make(pipeline, mutate)``: a 16^3 ``cusz-hi`` container over
+    ``pipeline`` whose ``codes`` stream ``mutate`` rewrites (a ``bytearray``,
+    in place), its CRCs re-sealed so only the decoder sees the damage."""
+    return _sealed_codes_blob
+
+
+@pytest.fixture(scope="session")
+def hostile_ans_blob():
+    """An ``nvCOMP::ANS`` container whose one rANS lane starts at byte 2^40
+    of a payload of under 1 KiB.  The lane's u64 offset sits at byte 528 of
+    the ``codes`` stream, after the 12-byte header, 512 bytes of
+    frequencies and the lane's u32 state."""
+
+    def far_offset(codes: bytearray) -> None:
+        codes[528:536] = (2**40).to_bytes(8, "little")
+
+    return _sealed_codes_blob("nvCOMP::ANS", far_offset)

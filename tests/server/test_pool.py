@@ -175,8 +175,9 @@ def test_worker_runs_in_separate_process(serve, http):
 
 
 def _compress_payload(field: np.ndarray) -> dict:
-    request = api.build_request(eb=1e-3)
-    return {"request": request.to_dict(), "data": field.tobytes(),
+    """A compress task as ``POST /compress?eb=1e-3`` queues it: the query's
+    ``build_request`` keywords, validated in the task."""
+    return {"query": {"eb": 1e-3}, "data": field.tobytes(),
             "dtype": field.dtype.name, "shape": field.shape}
 
 

@@ -354,6 +354,17 @@ class TestMalformedRequests:
 
         serve(scenario)
 
+    def test_decompress_rejects_hostile_rans_lane_offset(self, serve, http, hostile_ans_blob):
+        """CRC-valid body whose rANS lane starts at byte 2^40: a typed 400,
+        not a 500 from an IndexError in the worker."""
+
+        async def scenario(server):
+            resp = await http(server, "POST", "/decompress", hostile_ans_blob)
+            assert resp.status == 400
+            assert "rANS lane 0" in resp.json()["error"]
+
+        serve(scenario)
+
     def test_unknown_route_404(self, serve, http):
         async def scenario(server):
             assert (await http(server, "GET", "/nope")).status == 404

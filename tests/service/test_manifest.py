@@ -172,6 +172,13 @@ class TestValidation:
         with pytest.raises(ManifestError, match="shape"):
             parse_manifest({"fields": [{"name": "x", "dataset": "nyx", "shape": [0, 4]}]})
 
+    def test_boolean_dims_are_refused(self):
+        """Regression: ``shape = [true, 8, 8]`` parsed as ``(1, 8, 8)``
+        (``bool`` is an ``int``); the eval config already refused it."""
+        doc = {"fields": [{"name": "x", "dataset": "nyx", "shape": [True, 8, 8]}]}
+        with pytest.raises(ManifestError, match=r"shape must be .*\[True, 8, 8\]"):
+            parse_manifest(doc)
+
     @pytest.mark.parametrize("tiles", [8, [0, 4], [], "8x8"])
     def test_bad_tiles_are_manifest_errors(self, tiles):
         """Regression: a scalar `tiles = 8` escaped as a raw TypeError."""

@@ -231,6 +231,7 @@ class TestKeepAlive:
         assert client.get("/y").status == 200  # reopens transparently
         assert client.stats["conn_opens"] == 2
         assert keepalive_server.connections == 2
+        client.close()
 
     def test_http10_server_degrades_to_per_request_connections(self, scripted_server):
         client = _client(scripted_server)
@@ -248,12 +249,14 @@ class TestKeepAlive:
         assert client.stats["requests"] == 4
         assert client.stats["retries"] == 0
         assert client.stats["conn_opens"] == 4
+        client.close()
 
     def test_retry_counters_still_work_over_keepalive(self, keepalive_server):
         keepalive_server.script[:] = [(503, {}, b"drain")]
         client = _client(keepalive_server, max_attempts=3)
         assert client.get("/stats").status == 200
         assert client.stats == {"requests": 1, "retries": 1, "gave_up": 0, "conn_opens": 1}
+        client.close()
 
 
 class TestAsyncClient:

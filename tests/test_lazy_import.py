@@ -99,6 +99,46 @@ def test_entry_points_load_no_scipy(entry):
     assert _loaded_after(f"import {entry}", ["scipy"]) == {"scipy": False}
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro",
+        "import repro.client",
+        "import repro.http",
+        "import repro.faults",
+        "import repro.server.pool",
+        "import repro.server.app",
+        "import repro.cli; repro.cli.build_parser()",
+    ],
+)
+def test_frontend_imports_load_no_numpy(code):
+    """What a process-pool ``repro serve`` frontend (and any HTTP client)
+    imports: none of it may pull in NumPy or the codec engine."""
+    loaded = _loaded_after(code, ["numpy", "repro.api", "repro.core.compressor"])
+    assert not any(loaded.values()), loaded
+
+
+def test_import_repro_api_loads_the_engine():
+    """``import repro.api`` still pays for the whole engine up front, so a
+    caller's first compress does not."""
+    loaded = _loaded_after("import repro.api", ["numpy", "repro.core.compressor",
+                                                "repro.encoders.huffman"])
+    assert all(loaded.values()), loaded
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.core", "repro.core.compressor", "repro.core.tiling", "repro.core.streaming",
+     "repro.encoders", "repro.gpu", "repro.predictor", "repro.quantizer", "repro.datasets",
+     "repro.metrics", "repro.baselines", "repro.service", "repro.analysis", "repro.evaluation"],
+)
+def test_any_engine_module_can_be_imported_first(module):
+    """``import repro`` no longer imports the engine in one fixed order, so
+    a fresh process (a spawned pool or tile worker unpickling its target)
+    may enter it anywhere; no entry may hit an import cycle."""
+    assert _loaded_after(f"import {module}", [module]) == {module: True}
+
+
 def test_pool_worker_boot_loads_no_frontend():
     """What a spawned worker imports before its ready handshake: the parent's
     main module (``python -m repro.cli``), the pickled target's module and
@@ -110,6 +150,25 @@ def test_pool_worker_boot_loads_no_frontend():
         ["asyncio", "ssl", "repro.server.app", "scipy"],
     )
     assert not any(loaded.values()), loaded
+
+
+def test_pool_worker_imports_the_engine_before_its_handshake():
+    """A worker sends ``ready`` only once the engine is loaded, so deadlined
+    tasks never wait out its import.  The sentinel is queued first, so the
+    worker loop runs no task: whatever it loaded, it loaded to boot."""
+    code = (
+        "import multiprocessing, queue\n"
+        "from repro.server.pool import _worker_main\n"
+        "tasks = queue.Queue()\n"
+        "tasks.put(None)\n"
+        "reader, writer = multiprocessing.Pipe(duplex=False)\n"
+        "_worker_main(0, tasks, writer, 0)\n"
+        "assert reader.recv() == (0, 'ready', 0)"
+    )
+    loaded = _loaded_after(code, ["repro.core.compressor", "repro.encoders.huffman",
+                                  "asyncio", "repro.server.app"])
+    assert loaded == {"repro.core.compressor": True, "repro.encoders.huffman": True,
+                      "asyncio": False, "repro.server.app": False}
 
 
 def test_server_package_exports_resolve_lazily():
@@ -136,7 +195,7 @@ def test_worker_pool_handshake_and_compress_task():
 
     field = np.sin(np.arange(16 * 16 * 16, dtype=np.float32) / 40).reshape(16, 16, 16)
     request = api.build_request(eb=1e-3)
-    payload = {"request": request.to_dict(), "data": field.tobytes(),
+    payload = {"query": {"eb": 1e-3}, "data": field.tobytes(),
                "dtype": field.dtype.name, "shape": field.shape}
 
     async def compress():
@@ -151,6 +210,101 @@ def test_worker_pool_handshake_and_compress_task():
         pool.close()
     assert result["payload"] == api.compress(field, request).to_bytes()
     assert len([p for p in stats["pids"] if p]) == 2 and os.getpid() not in stats["pids"]
+
+
+_SERVE_PROBE = """
+import http.client, json, os, sys, threading, time
+
+from repro import cli
+
+
+def report():
+    print(json.dumps({m: m in sys.modules for m in ("numpy", "repro.api")}), flush=True)
+
+
+def healthy(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.request("GET", "/healthz")
+        return conn.getresponse().status == 200
+    except OSError:
+        return False
+    finally:
+        conn.close()
+
+
+def probe(port):
+    deadline = time.monotonic() + 60
+    while not healthy(port):
+        if time.monotonic() > deadline:
+            os._exit(1)  # never healthy: end the process so the test sees EOF
+        time.sleep(0.02)
+    report()
+    sys.stdin.readline()  # the test's compress round trip is done
+    report()
+
+
+if __name__ == "__main__":
+    port = int(sys.argv[2])
+    threading.Thread(target=probe, args=(port,), daemon=True).start()
+    sys.exit(cli.main(["serve", sys.argv[1], "--port", str(port), "--workers-procs", "2"]))
+"""
+
+
+def test_pooled_serve_frontend_never_imports_numpy(tmp_path):
+    """``repro serve --workers-procs 2``: the frontend has no NumPy once
+    ``/healthz`` answers, nor after a compress, whose bytes are still the
+    library's."""
+    import http.client
+    import signal
+    import socket
+
+    import numpy as np
+
+    import repro.api as api
+
+    script = tmp_path / "serve_probe.py"  # a file: spawned workers re-import it
+    script.write_text(_SERVE_PROBE)
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(tmp_path / "root"), str(port)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, env=env,
+    )
+
+    def next_report() -> dict:
+        for line in proc.stdout:
+            if line.startswith("{"):
+                return json.loads(line)
+        raise AssertionError("the serve probe ended without a report")
+
+    try:
+        assert next_report() == {"numpy": False, "repro.api": False}
+        field = np.sin(np.arange(16**3, dtype=np.float32) / 40).reshape(16, 16, 16)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        conn.request("POST", "/compress?shape=16,16,16&eb=0.001", body=field.tobytes())
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert resp.read() == api.compress(field, api.build_request(eb=1e-3)).to_bytes()
+        conn.close()
+        proc.stdin.write("again\n")
+        proc.stdin.flush()
+        assert next_report() == {"numpy": False, "repro.api": False}
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+    assert proc.returncode == 0
 
 
 # ------------------------------------------------------ scipy is optional

@@ -162,13 +162,25 @@ class TestPredictors:
         )
         assert np.array_equal(out, res.recon)
 
-    @pytest.mark.parametrize("side", [32, 64])
-    def test_autotune_levels(self, benchmark, side):
-        """The fixed per-call cost of small fields: one sampled block, three
-        spline evaluations per level shared by all six candidates."""
-        field = load("jhtdb", shape=(side, side, side), seed=0)
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("jhtdb", (32, 32, 32)), ("jhtdb", (64, 64, 64)), ("cesm-atm", (96, 192))],
+        ids=["32^3", "64^3", "96x192"],
+    )
+    def test_autotune_levels(self, benchmark, name, shape):
+        """The fixed per-call cost of small fields: one sampled block (32^3,
+        33^3, 33x33) scored by its cached program, all levels and all six
+        candidates in one call."""
+        field = load(name, shape=shape, seed=0)
         chosen = benchmark(lambda: autotune_levels(field, 16))
         assert set(chosen) == {8, 4, 2, 1}
+
+    @pytest.mark.parametrize("shape", [(33, 33, 33), (33, 33)], ids=["33^3", "33^2"])
+    def test_scoring_program_build(self, benchmark, shape):
+        """What a new sample-block shape costs the first autotune call: the
+        closed-form build of its scoring program, cache bypassed."""
+        program = benchmark(lambda: interpolation._build_scoring_program(shape, 16))
+        assert program.levels == (8, 4, 2, 1)
 
     def test_lorenzo_roundtrip(self, benchmark, nyx_field):
         abs_eb = resolve_error_bound(nyx_field, 1e-3, "rel")
@@ -210,7 +222,7 @@ def _clear_geometry_caches():
 
     from repro.core.compressor import _level_kernels
 
-    interpolation._PLANS.clear()
+    interpolation._PROGRAMS.clear()
     interpolation._PLANE_LEVELS.clear()
     importlib.import_module("repro.predictor.reorder")._PERM_CACHE.clear()
     _level_kernels.cache_clear()

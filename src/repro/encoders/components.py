@@ -364,8 +364,21 @@ def _rre_bytes_encode(buf: bytes) -> bytes:
     return struct.pack("<QQ", arr.size, kept.size) + np.packbits(keep).tobytes() + kept.tobytes()
 
 
-def _rre_bytes_decode(buf: bytes) -> bytes:
+def _rre_bytes_span(buf: bytes) -> tuple[int, int, int]:
+    """``(n, nkept, size)`` of the byte-level RRE round at the start of
+    ``buf``, refusing one that declares more bytes than ``buf`` carries."""
     n, nkept = struct.unpack_from("<QQ", buf, 0)
+    size = 16 + ((n + 7) // 8 if n else 0) + nkept
+    if nkept > n or size > len(buf):
+        raise ValueError(
+            f"RRE round declares {n} bytes, {nkept} kept ({size} in all), "
+            f"but carries {len(buf)}"
+        )
+    return n, nkept, size
+
+
+def _rre_bytes_decode(buf: bytes) -> bytes:
+    n, nkept, _ = _rre_bytes_span(buf)
     off = 16
     if n == 0:
         return b""
@@ -393,8 +406,7 @@ def _fill_runs(keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
 def _rre_bytes_measure(buf: bytes, depth: int) -> tuple[bytes, int]:
     """Extract the byte span of a depth-``depth`` nested RRE payload."""
     # Walk the outermost header to find the end of this round's payload.
-    n, nkept = struct.unpack_from("<QQ", buf, 0)
-    size = 16 + ((n + 7) // 8 if n else 0) + nkept
+    size = _rre_bytes_span(buf)[2]
     return buf[:size], size
 
 

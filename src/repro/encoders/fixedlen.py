@@ -71,6 +71,8 @@ class FixedLengthCodec:
 
     def decode_ints(self, buf: bytes) -> np.ndarray:
         n, block = struct.unpack_from("<QI", buf, 0)
+        if block == 0:
+            raise ValueError("fixed-length stream declares a block of 0 values")
         off = struct.calcsize("<QI")
         nblocks = (n + block - 1) // block
         bmap_len = (nblocks + 7) // 8

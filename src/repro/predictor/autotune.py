@@ -8,10 +8,13 @@ side ``2 * anchor_stride + 1`` (clipped to the field), at least one and at
 most ``max_blocks``.  At the default 0.2 % that is a single 33³ block until
 ``N`` passes ~18M points: all of a 32³ field, 13.7 % of a 64³ one and 0.2 %
 only from ~262³ up.  The GPU version balances candidates across thread
-blocks (6 blocks for the expensive level-1 test); here a level is scored by
-:meth:`~repro.predictor.interpolation.InterpolationPredictor.level_errors`,
-which evaluates each spline family once and derives all six candidates from
-it, so the balancing concern disappears but the selection logic is identical.
+blocks (6 blocks for the expensive level-1 test) and scores them in one
+launch.  Here the analogue of that launch is a
+:class:`~repro.predictor.interpolation.ScoringProgram`: precompiled once per
+sample-block shape, it scores every level and all six candidates of a block
+in about a hundred whole-array NumPy operations plus one sum per pass (each
+spline family evaluated once, its six candidates derived from it), so the
+balancing concern disappears but the selection logic is identical.
 
 Scoring predicts from *original* values rather than reconstructed ones (the
 QoZ approximation) so candidates can be evaluated independently of each
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interpolation import InterpolationPredictor, LevelConfig, level_strides
+from .interpolation import SCORE_FAMILIES, SCORE_SCHEMES, LevelConfig, scoring_program
 
 __all__ = ["autotune_levels", "sample_blocks", "CANDIDATES"]
 
@@ -80,19 +83,30 @@ def autotune_levels(
 
     Returns a mapping stride -> :class:`LevelConfig` (the coarsest level uses
     the largest stride).  Ties resolve to the earlier candidate, which orders
-    md before 1d and cubic before linear as the paper's defaults do.
+    md before 1d and cubic before linear as the paper's defaults do.  All
+    sampled blocks share one shape, so one :func:`scoring_program` scores
+    every level and candidate of each block in a single call.
+
+    A linear ramp is predicted exactly by the cubic spline, so every level
+    keeps the first candidate:
+
+    >>> ramp = np.add.outer(np.arange(40.0), np.arange(40.0))
+    >>> sorted((s, cfg.encode()) for s, cfg in autotune_levels(ramp, 16).items())
+    [(1, 'md:cubic'), (2, 'md:cubic'), (4, 'md:cubic'), (8, 'md:cubic')]
     """
-    predictor = InterpolationPredictor(anchor_stride)
     blocks = sample_blocks(data, block_side=2 * anchor_stride + 1, target_fraction=target_fraction, seed=seed)
+    program = scoring_program(blocks[0].shape, anchor_stride)
+    cells = [(SCORE_FAMILIES.index(c.spline), SCORE_SCHEMES.index(c.scheme)) for c in candidates]
+    errs = [[0.0] * len(candidates) for _ in program.levels]
+    for blk in blocks:
+        for level_errs, totals in zip(errs, program.errors(blk)):
+            for i, (family, scheme) in enumerate(cells):
+                level_errs[i] += totals[family][scheme]
     chosen: dict[int, LevelConfig] = {}
-    for s in level_strides(anchor_stride):
-        errs = [0.0] * len(candidates)
-        for blk in blocks:
-            for i, err in enumerate(predictor.level_errors(blk, s, candidates)):
-                errs[i] += err
+    for s, level_errs in zip(program.levels, errs):
         best_cfg = candidates[0]
         best_err = np.inf
-        for cfg, err in zip(candidates, errs):
+        for cfg, err in zip(candidates, level_errs):
             if err < best_err:
                 best_err = err
                 best_cfg = cfg

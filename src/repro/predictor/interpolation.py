@@ -67,12 +67,19 @@ outliers, reconstructions and auto-tune scores are bit-identical to it;
 ``tests/predictor/test_interp_passes.py`` pins that against a copy of the
 sub-block path kept in ``tests/`` as an oracle.
 
-Scoring (:meth:`InterpolationPredictor.level_errors`) predicts from raw
-values on the field layout (:class:`LevelPlan`), so the prediction along an
-axis at a target depends on neither the pass nor the scheme: each spline
-family's per-axis predictions over the stride-``s`` lattice are computed
-once per level, and every md or 1d pass of every candidate reads
-basic-slice views of them.  Six candidates cost three spline evaluations.
+Scoring predicts from raw values, so the prediction along an axis at a
+target depends on neither the pass nor the scheme.  A
+:class:`ScoringProgram`, built once per ``(sample-block shape,
+anchor_stride)`` from closed-form index arithmetic and cached
+(:func:`scoring_program`), holds every level's lattice points and pass
+targets as flat index arrays.  One call gathers the neighbors of all
+lattice points, evaluates the three spline families as one slice per
+boundary class of a ``(3, L)`` prediction array, averages the winners of
+the multi-axis passes, and gathers every pass's errors into one C-order
+segment: all levels and six candidates in about a hundred array operations
+plus one sum per pass, with the per-point arithmetic and each pass's
+summation tree of the sub-block formulation, so scores and choices are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -83,14 +90,19 @@ from math import prod
 
 import numpy as np
 
-from ..core.cache import CountedTableCache
+from ..core.cache import ByteBudgetLRU, CountedTableCache
 from ..quantizer.linear import ByteQuantizer
 from .splines import (
+    KIND_COPY,
     KIND_FULL,
     KIND_LIN,
     KIND_OFFSETS,
     KIND_ORDER,
+    KIND_QUAD_L,
+    KIND_QUAD_R,
     SPLINES,
+    _QUAD_LEFT,
+    _QUAD_RIGHT,
     axis_kind_segments,
     predict_kind_into,
 )
@@ -100,10 +112,10 @@ __all__ = [
     "PredictorResult",
     "InterpolationPredictor",
     "ScratchPool",
-    "LevelPlan",
     "PlaneLevel",
-    "level_plan",
+    "ScoringProgram",
     "plane_level",
+    "scoring_program",
     "level_plan_stats",
     "level_strides",
     "level_passes",
@@ -182,46 +194,38 @@ def level_passes(shape: tuple[int, ...], stride: int, scheme: str):
 
 
 # ---------------------------------------------------------------------------
-# Cached level plans: the data-independent geometry of every pass.
+# The scoring program: every level's auto-tune scores in one gather program.
 # ---------------------------------------------------------------------------
 
+#: spline families, in the row order of a scoring program's predictions
+SCORE_FAMILIES = ("cubic", "natural_cubic", "linear")
+#: schemes, in the column order of a scoring program's totals
+SCORE_SCHEMES = ("md", "1d")
 
-def _axis_runs(slices: tuple[slice, ...], d: int, stride: int, spline: str, dim: int) -> tuple:
-    """Boundary-class runs of the targets along axis ``d`` of a region.
+#: boundary classes in the order a program lays its lattice points out: the
+#: cubic families' ``m3`` reads then cover QUAD_L and FULL, their ``p3``
+#: reads FULL and QUAD_R, and linear's ``(m1 + p1) * 0.5`` all but COPY
+_LAYOUT = (KIND_QUAD_L, KIND_FULL, KIND_QUAD_R, KIND_LIN, KIND_COPY)
 
-    ``slices`` address the region; along ``d`` they cover the targets
-    ``stride, 3*stride, ...``.  Returns ``((rel, kind, neighbors), ...)``:
-    the run's slices inside the region, its class, and one basic-slice
-    tuple per neighbor the class reads (:data:`KIND_OFFSETS` order).
-    """
-    s = stride
-    runs = []
-    for i0, i1, kind in axis_kind_segments(dim, s, spline):
-        rel = [slice(None)] * len(slices)
-        rel[d] = slice(i0, i1)
-        first, last = s + 2 * s * i0, s + 2 * s * (i1 - 1)
-        neighbors = []
-        for off in KIND_OFFSETS[kind]:
-            nsl = list(slices)
-            nsl[d] = slice(first + off * s, last + off * s + 1, 2 * s)
-            neighbors.append(tuple(nsl))
-        runs.append((tuple(rel), kind, tuple(neighbors)))
-    return tuple(runs)
+#: the cubic families' interior weights, one row per family (m3, m1, p1, p3)
+_CUBIC_WEIGHTS = np.array([SPLINES["cubic"], SPLINES["natural_cubic"]])
 
-
-class _Pass:
-    """One scoring pass: its target block; per interpolated axis, the view of
-    the level's lattice predictions it reads; and, for two or more axes, the
-    :func:`_boundary_winners` of the block."""
-
-    __slots__ = ("axes", "slices", "shape", "views", "winners")
-
-    def __init__(self, axes, slices, shape, views, winners):
-        self.axes = axes
-        self.slices = slices
-        self.shape = shape
-        self.views = views
-        self.winners = winners
+#: per neighbor (m3, m1, p1, p3), the cubic families' class formulas it
+#: enters, with its weight in each family's row
+_CUBIC_TERMS = (
+    ((KIND_QUAD_L, (_QUAD_LEFT[0],) * 2), (KIND_FULL, _CUBIC_WEIGHTS[:, 0])),
+    (
+        (KIND_QUAD_L, (_QUAD_LEFT[1],) * 2),
+        (KIND_FULL, _CUBIC_WEIGHTS[:, 1]),
+        (KIND_QUAD_R, (_QUAD_RIGHT[0],) * 2),
+    ),
+    (
+        (KIND_QUAD_L, (_QUAD_LEFT[2],) * 2),
+        (KIND_FULL, _CUBIC_WEIGHTS[:, 2]),
+        (KIND_QUAD_R, (_QUAD_RIGHT[1],) * 2),
+    ),
+    ((KIND_FULL, _CUBIC_WEIGHTS[:, 3]), (KIND_QUAD_R, (_QUAD_RIGHT[2],) * 2)),
+)
 
 
 def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -229,6 +233,21 @@ def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
     for d in range(len(shape) - 2, -1, -1):
         out[d] = out[d + 1] * shape[d + 1]
     return tuple(out)
+
+
+def _outer_sum(vectors, dtype) -> np.ndarray:
+    """C-order ravel of the open-mesh sum ``v0[:, None] + v1[None, :] + ...``."""
+    out = np.zeros(1, dtype=dtype)
+    for v in vectors:
+        out = (out[:, None] + v).reshape(-1)
+    return out
+
+
+def _compact(positions: np.ndarray) -> np.ndarray:
+    """Non-negative ``positions`` in the narrowest of uint16, int32, int64."""
+    top = int(positions.max()) if positions.size else 0
+    dtype = np.uint16 if top < 1 << 16 else np.int32 if top < 1 << 31 else np.int64
+    return positions.astype(dtype)
 
 
 def _boundary_winners(runs: tuple, axes: tuple[int, ...], shape: tuple[int, ...]):
@@ -277,72 +296,356 @@ def _boundary_winners(runs: tuple, axes: tuple[int, ...], shape: tuple[int, ...]
     return base[:, None] + offsets, tuple(steps), count[:, None]
 
 
-class LevelPlan:
-    """The scoring passes of one (shape, stride, scheme, spline) level.
+def _winner_groups(pos: list, orders: list, counts: list, axes: tuple):
+    """Highest-order-wins operands of one multi-axis pass for one family.
 
-    ``lattice`` holds, per dimension ``d``, ``(shape, runs)`` of the 1-D
-    predictions along ``d`` at every stride-``s`` lattice point whose
-    ``d`` coordinate is a target — the arrays every pass of the scorer views.
+    ``pos[i]`` holds the lattice position of axis ``axes[i]``'s prediction
+    at every target (C order) and ``orders[i]`` that axis's order per
+    target index along it.  Returns the first winner's position at every
+    target and, per winner count ``k >= 2``, ``(sel, ops)``: the ``m``
+    targets with ``k`` winners and the ``(k, m)`` positions of their
+    winners, in axis order.
+    """
+    nd = len(counts)
+    shaped = [o.reshape([-1 if j == d else 1 for j in range(nd)]) for o, d in zip(orders, axes)]
+    top = shaped[0]
+    for o in shaped[1:]:
+        top = np.maximum(top, o)
+    win = np.stack([np.broadcast_to(o == top, counts).reshape(-1) for o in shaped])
+    k = win.sum(axis=0)
+    winners = np.stack(pos).T[win.T]  # every target's winners, in axis order
+    starts = np.cumsum(k) - k
+    ops = {}
+    for count in range(2, len(axes) + 1):
+        sel = np.flatnonzero(k == count)
+        if sel.size:
+            ops[count] = (sel, winners[starts[sel] + np.arange(count)[:, None]])
+    return winners[starts], ops
+
+
+def _carve(buf: np.ndarray, *shapes) -> list:
+    """Consecutive views of ``buf`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        n = prod(shape)
+        views.append(buf[start : start + n].reshape(shape))
+        start += n
+    return views
+
+
+class ScoringProgram:
+    """Auto-tune scores of every level and candidate of one sample-block shape.
+
+    Scoring predicts from raw values, so the prediction along an axis at a
+    lattice point depends on neither the pass nor the scheme.  The program
+    holds, as flat index arrays, everything a call gathers:
+
+    * ``neighbors``: the ``m3, m1, p1, p3`` data positions of every lattice
+      point of every level and axis, laid out by boundary class
+      (:data:`_LAYOUT`, class ends in ``bounds``), so each class's formula
+      is one slice of a ``(3, columns)`` prediction array whose rows are
+      :data:`SCORE_FAMILIES`;
+    * ``groups``: per family group (the cubic families, then linear) and
+      winner count ``k >= 2``, the ``(k, m)`` prediction columns of the
+      targets of multi-axis passes where ``k`` axes win; their averages
+      fill the columns after the predictions;
+    * ``targets``: the data position of every target of every pass, the
+      single-axis passes first; ``single`` holds their prediction columns
+      and ``multi`` those of the multi-axis passes, per family group.
+
+    ``segments`` lists ``(level, scheme, multi, start, stop)`` in pass
+    order, ``start`` and ``stop`` counted within the single-axis or the
+    multi-axis targets: each pass's targets are one contiguous C-order run,
+    so its errors sum through the reduction tree of a pass-block buffer.
+    Index arrays are stored narrow (:func:`_compact`) and widened per call
+    into one buffer; a call's float64 temporaries share one workspace.
+    Immutable, hence shared freely between threads; see
+    :func:`scoring_program`.
     """
 
-    __slots__ = ("shape", "stride", "scheme", "spline", "passes", "lattice")
+    __slots__ = (
+        "shape", "levels", "bounds", "neighbors", "groups", "targets", "single", "multi",
+        "segments", "columns", "spread", "chunks", "work", "width", "nbytes",
+    )
 
-    def __init__(self, shape, stride, scheme, spline, passes, lattice):
+    def __init__(self, shape, levels, bounds, neighbors, groups, targets, single, multi, segments):
         self.shape = shape
-        self.stride = stride
-        self.scheme = scheme
-        self.spline = spline
-        self.passes = passes
-        self.lattice = lattice
+        self.levels = levels
+        self.bounds = bounds
+        self.neighbors = neighbors
+        self.groups = groups
+        self.targets = targets
+        self.single = single
+        self.multi = multi
+        self.segments = segments
+        q_l, full, q_r, lin, size = bounds
+        widths = [sum(ops.shape[1] for _, ops in group) for group in groups]
+        self.columns = size + max(widths, default=0)
+        # Error chunks: runs of consecutive passes of one part (single-axis,
+        # then multi-axis), each at most a quarter of a neighbor and a
+        # temporary, or one pass.  With their target values they fit the
+        # float64 workspace the neighbor phase needs, as do the winner sums.
+        self.spread = max(q_l, full - q_l, q_r - full)
+        cap = (size + self.spread) // 4
+        chunks = []
+        for part in (0, 1):
+            for i, (_, _, multi_axis, lo, hi) in enumerate(segments):
+                if multi_axis != part:
+                    continue
+                last = chunks[-1] if chunks else None
+                if last and last[0] == part and hi - last[1] <= cap:
+                    last[2:] = hi, last[3] + (i,)
+                else:
+                    chunks.append([part, lo, hi, (i,)])
+        self.chunks = tuple(map(tuple, chunks))  # (part, start, stop, passes)
+        widest = max((ops.shape[1] for group in groups for _, ops in group), default=0)
+        longest = max((hi - lo for _, lo, hi, _ in self.chunks), default=0)
+        self.work = max(size + self.spread, 4 * widest, 4 * longest)
+        arrays = [*neighbors, targets, single, *multi, *(ops for g in groups for _, ops in g)]
+        self.width = max(a.shape[-1] for a in arrays)
+        self.nbytes = sum(a.nbytes for a in arrays)
+
+    def errors(self, X: np.ndarray) -> list:
+        """``totals[level][family][scheme]``: the summed absolute prediction
+        errors of every level (coarse to fine) and candidate on ``X``."""
+        xf = np.asarray(X, dtype=np.float64).reshape(-1)
+        wide = np.empty(self.width, dtype=np.intp)
+
+        def index(positions):
+            idx = wide[: positions.shape[-1]]
+            np.copyto(idx, positions)
+            return idx
+
+        def gather(src, positions, out):
+            # mode="clip" writes ``out`` unbuffered; every position is in range
+            return np.take(src, index(positions), axis=-1, out=out, mode="clip")
+
+        q_l, full, q_r, lin, size = self.bounds
+        pred = np.empty((3, self.columns))
+        work = np.empty(self.work)
+        nb, tmp = _carve(work, (size,), (self.spread,))
+        # One neighbor at a time into ``nb``: every term it contributes to
+        # the cubic families' class sums, left-associated (the first term
+        # of a class starts its sum), and linear's (m1 + p1) * 0.5.
+        spans = {KIND_QUAD_L: (0, q_l), KIND_FULL: (q_l, full), KIND_QUAD_R: (full, q_r)}
+        begun = set()
+        for k, (positions, start) in enumerate(zip(self.neighbors, (0, 0, 0, q_l))):
+            vals = gather(xf, positions, nb[: positions.size])
+            if k == 1:  # m1: linear's first operand, and COPY in every family
+                np.copyto(pred[2, :lin], vals[:lin])
+                np.copyto(pred[:, lin:size], vals[lin:])
+            elif k == 2:  # p1
+                np.add(pred[2, :lin], vals, out=pred[2, :lin])
+                np.multiply(pred[2, :lin], 0.5, out=pred[2, :lin])
+            for kind, weights in _CUBIC_TERMS[k]:
+                lo, hi = spans[kind]
+                for row, w in zip(pred[:2, lo:hi], weights):
+                    if kind in begun:
+                        np.multiply(vals[lo - start : hi - start], w, out=tmp[: hi - lo])
+                        np.add(row, tmp[: hi - lo], out=row)
+                    else:
+                        np.multiply(vals[lo - start : hi - start], w, out=row)
+                begun.add(kind)
+        np.copyto(pred[:2, q_r:lin], pred[2, q_r:lin])  # their LIN class is linear's
+        # winner averages of the multi-axis passes, after the predictions;
+        # whole rows are the sources, as np.take copies a non-contiguous one
+        for rows, group in zip((slice(0, 2), slice(2, 3)), self.groups):
+            src, start = pred[rows], size
+            for k, ops in group:
+                m = ops.shape[1]
+                acc, term = _carve(work, (len(src), m), (len(src), m))
+                gather(src, ops[0], acc)
+                for j in range(1, k):
+                    np.add(acc, gather(src, ops[j], term), out=acc)
+                np.divide(acc, float(k), out=pred[rows, start : start + m])
+                start += m
+        # absolute errors, chunk by chunk; each pass is one contiguous
+        # C-order segment
+        single, (cubic, linear) = self.single, self.multi
+        sums = [None] * len(self.segments)
+        for part, lo, hi, members in self.chunks:
+            err, x = _carve(work, (3, hi - lo), (hi - lo,))
+            first = part * single.size  # multi-axis targets follow the single-axis ones
+            gather(xf, self.targets[first + lo : first + hi], x)
+            if part:
+                columns = ((cubic[lo:hi], (0, 1)), (linear[lo:hi], (2,)))
+            else:
+                columns = ((single[lo:hi], (0, 1, 2)),)
+            for cols, rows in columns:
+                idx = index(cols)
+                for r in rows:
+                    np.take(pred[r], idx, out=err[r], mode="clip")
+            np.subtract(x, err, out=err)
+            np.abs(err, out=err)
+            for i in members:
+                start, stop = self.segments[i][3:]
+                sums[i] = err[:, start - lo : stop - lo].sum(axis=1).tolist()
+        totals = [[[0.0, 0.0] for _ in SCORE_FAMILIES] for _ in self.levels]
+        for (level, scheme, *_), pass_sums in zip(self.segments, sums):
+            for family, total in zip(totals[level], pass_sums):
+                family[scheme] += total
+        return totals
 
 
-def _build_level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> LevelPlan:
-    s = int(stride)
-    lattice = []
-    for d, dim in enumerate(shape):
-        slices = [slice(0, n, s) for n in shape]
-        slices[d] = slice(s, dim, 2 * s)
-        lshape = tuple(len(range(sl.start, n, sl.step)) for sl, n in zip(slices, shape))
-        lattice.append((lshape, _axis_runs(tuple(slices), d, s, spline, dim)))
-    passes = []
-    for descr, axes in _pass_descriptors(shape, s, scheme):
-        counts = tuple(len(range(start, dim, step)) for (start, step), dim in zip(descr, shape))
-        if 0 in counts:
-            continue  # matches the empty-vector skip of level_passes users
-        slices = tuple(slice(start, dim, step) for (start, step), dim in zip(descr, shape))
-        runs = tuple(_axis_runs(slices, d, s, spline, shape[d]) for d in axes)
-        winners = _boundary_winners(runs, axes, counts) if len(axes) > 1 else None
-        # Lattice index e of a (start, step) progression is start/s + e*step/s.
-        lattice_slices = [slice(start // s, None, step // s) for start, step in descr]
-        views = tuple(
-            tuple(slice(None) if j == d else sl for j, sl in enumerate(lattice_slices))
-            for d in axes
-        )
-        passes.append(_Pass(tuple(axes), slices, counts, views, winners))
-    return LevelPlan(tuple(shape), s, scheme, spline, tuple(passes), tuple(lattice))
+def _build_scoring_program(shape: tuple[int, ...], anchor_stride: int) -> ScoringProgram:
+    nd = len(shape)
+    row = _row_strides(shape)
+    levels = level_strides(anchor_stride)
+    # int32 arithmetic while building: every column is below 4x the points
+    itype = np.int32 if 4 * prod(shape) < 1 << 31 else np.int64
+
+    def arange(*args):
+        return np.arange(*args, dtype=itype)
+
+    # Lattice points: per (level, axis), the data positions of the targets
+    # along the axis with every other coordinate a multiple of the stride,
+    # axis first, so each boundary-class run is one contiguous block.
+    blocks = {kind: [] for kind in _LAYOUT}
+    lattice = {}
+    for li, s in enumerate(levels):
+        n = [len(range(0, dim, s)) for dim in shape]
+        for d in range(nd):
+            segs = axis_kind_segments(shape[d], s, "cubic")
+            if not segs:
+                continue
+            others = [j for j in range(nd) if j != d]
+            inner = _outer_sum((arange(n[j]) * (s * row[j]) for j in others), itype)
+            along = (s + 2 * s * arange(segs[-1][1])) * row[d]
+            for i0, i1, kind in segs:
+                block = (along[i0:i1, None] + inner).reshape(-1)
+                blocks[kind].append(((li, d, i0), block, s * row[d]))
+            strides = dict(zip(others, _row_strides([n[j] for j in others])))
+            lattice[li, d] = (segs, inner.size, strides)
+    first, bounds = {}, []
+    size = 0
+    for kind in _LAYOUT:
+        for key, base, _ in blocks[kind]:
+            first[key] = size
+            size += base.size
+        bounds.append(size)
+    q_l, full, q_r, lin, _ = bounds
+    entries = [entry for kind in _LAYOUT for entry in blocks[kind]]
+    base = np.concatenate([b for _, b, _ in entries] or [np.zeros(0, itype)])
+    steps = np.array([s for _, _, s in entries], dtype=itype)
+    step = np.repeat(steps, [b.size for _, b, _ in entries])
+    del blocks, entries
+    neighbors = (
+        _compact(base[:full] - 3 * step[:full]),
+        _compact(base - step),
+        _compact(base[:lin] + step[:lin]),
+        _compact(base[q_l:q_r] + 3 * step[q_l:q_r]),
+    )
+    del base, step
+    # Per (level, axis): the prediction column and both family groups'
+    # orders of every target index along the axis.
+    tables = {}
+    for (li, d), (segs, rest, strides) in lattice.items():
+        at = np.empty(segs[-1][1], dtype=itype)
+        for i0, i1, _ in segs:
+            at[i0:i1] = first[li, d, i0] + arange(i1 - i0) * rest
+        orders = []
+        for spline in ("cubic", "linear"):
+            order = np.empty(at.size, dtype=np.int8)
+            for i0, i1, kind in axis_kind_segments(shape[d], levels[li], spline):
+                order[i0:i1] = KIND_ORDER[kind]
+            orders.append(order)
+        tables[li, d] = (at, orders, strides)
+
+    # Every pass, in order: its targets' data positions and prediction
+    # columns, compacted as they come.  Multi-axis columns stay wide until
+    # the winner averages' columns (after all ``size`` predictions) are known.
+    single, multi, segments, fixups = [], [], [], []
+    offset = [0, 0]  # targets so far, single-axis and multi-axis
+    ops = ({}, {})  # per family group: winner count -> [(k, m) columns, ...]
+    sizes = ({}, {})  # per family group: winner count -> columns so far
+    for li, s in enumerate(levels):
+        for sc, scheme in enumerate(SCORE_SCHEMES):
+            for descr, axes in _pass_descriptors(shape, s, scheme):
+                coords = [arange(start, dim, step) for (start, step), dim in zip(descr, shape)]
+                counts = [c.size for c in coords]
+                if 0 in counts:
+                    continue
+                tpos = _outer_sum((c * r for c, r in zip(coords, row)), itype)
+                pos = []
+                for d in axes:
+                    at, _, strides = tables[li, d]
+                    pos.append(_outer_sum(
+                        (at if j == d else c // s * strides[j] for j, c in enumerate(coords)), itype
+                    ))
+                part = int(len(axes) > 1)
+                segments.append((li, sc, part, offset[part], offset[part] + tpos.size))
+                offset[part] += tpos.size
+                if not part:
+                    single.append((_compact(tpos), _compact(pos[0])))
+                    continue
+                cols = []
+                for family in (0, 1):
+                    orders = [tables[li, d][1][family] for d in axes]
+                    col, groups = _winner_groups(pos, orders, counts, axes)
+                    for count, (sel, columns) in groups.items():
+                        done = sizes[family].get(count, 0)
+                        fixups.append((col, sel, family, count, done))
+                        sizes[family][count] = done + sel.size
+                        ops[family].setdefault(count, []).append(_compact(columns))
+                    cols.append(col)
+                multi.append((_compact(tpos), *cols))
+    # winner averages follow the predictions, count by count
+    groups, starts = [], ({}, {})
+    for family in (0, 1):
+        start, group = size, []
+        for count in sorted(ops[family]):
+            starts[family][count] = start
+            group.append((count, np.concatenate(ops[family][count], axis=1)))
+            start += group[-1][1].shape[1]
+        groups.append(tuple(group))
+    for col, sel, family, count, done in fixups:
+        col[sel] = starts[family][count] + done + arange(sel.size)
+
+    def joined(parts, k):
+        if not parts:
+            return [np.zeros(0, np.uint16)] * k
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    t_single, c_single = joined(single, 2)
+    t_multi, *c_multi = joined(multi, 3)
+    return ScoringProgram(
+        tuple(shape),
+        tuple(levels),
+        tuple(bounds),
+        neighbors,
+        tuple(groups),
+        np.concatenate([t_single, t_multi]),
+        c_single,
+        tuple(_compact(c) for c in c_multi),
+        tuple(segments),
+    )
 
 
-_PLANS = CountedTableCache(capacity=128)
+#: byte bound of the program cache: a 33³ block's program holds ~1 MB
+SCORING_CACHE_BYTES = 16 << 20
+
+_PROGRAMS = ByteBudgetLRU(SCORING_CACHE_BYTES)
 
 
-def level_plan(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> LevelPlan:
-    """Memoized :class:`LevelPlan` for one level's pass geometry.
+def scoring_program(shape: tuple[int, ...], anchor_stride: int) -> ScoringProgram:
+    """Memoized :class:`ScoringProgram` of one ``(shape, anchor_stride)``.
 
-    Keyed by ``(shape, stride, scheme, spline)`` with a small LRU bound; safe
-    under the thread executors (tiled engine, server task thread).
+    Held in a byte-bounded LRU (:data:`SCORING_CACHE_BYTES`); a program
+    larger than the bound is built per call and not kept.
     """
-    key = (tuple(int(d) for d in shape), int(stride), scheme, spline)
-    plan = _PLANS.lookup(key)
-    if plan is not None:
-        return plan
-    return _PLANS.store(key, _build_level_plan(*key))
+    key = (tuple(int(d) for d in shape), int(anchor_stride))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _build_scoring_program(*key)
+        _PROGRAMS.put(key, program, program.nbytes)
+    return program
 
 
 def level_plan_stats() -> dict:
-    """Hit/miss counters of the level-plan and plane-geometry caches together
-    (surfaced in server ``/stats``)."""
-    a, b = _PLANS.stats(), _PLANE_LEVELS.stats()
-    return {key: a[key] + b[key] for key in a}
+    """Hit/miss counters of the scoring-program and plane-geometry caches
+    together (surfaced in server ``/stats``)."""
+    a, b = _PROGRAMS.stats(), _PLANE_LEVELS.stats()
+    return {key: a[key] + b[key] for key in b}
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +793,7 @@ _PLANE_LEVELS = CountedTableCache(capacity=128)
 
 
 def plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> PlaneLevel:
-    """Memoized :class:`PlaneLevel`, keyed like :func:`level_plan`."""
+    """Memoized :class:`PlaneLevel` of one (shape, stride, scheme, spline) level."""
     key = (tuple(int(d) for d in shape), int(stride), scheme, spline)
     geo = _PLANE_LEVELS.lookup(key)
     if geo is not None:
@@ -519,23 +822,6 @@ class ScratchPool:
             buf = np.empty(size, dtype=dtype)
             self._buffers[key] = buf
         return buf[:n].reshape(shape)
-
-
-def _predict_axis(
-    R: np.ndarray, runs: tuple, spline: str, out: np.ndarray, scratch: ScratchPool
-) -> np.ndarray:
-    """Evaluate one axis's class runs of ``R`` into the block buffer ``out``.
-
-    Each run is computed in a reused contiguous buffer and copied into
-    place: one strided write instead of one per arithmetic step.
-    """
-    for rel, kind, neighbors in runs:
-        view = out[rel]
-        run = scratch.get("pred_run", view.shape)
-        tmp = scratch.get("pred_tmp", view.shape)
-        predict_kind_into(R, kind, neighbors, spline, out=run, tmp=tmp)
-        np.copyto(view, run)
-    return out
 
 
 def _average_winners(preds: list, winners: tuple, out: np.ndarray) -> np.ndarray:
@@ -739,38 +1025,18 @@ class InterpolationPredictor:
         stride: int,
         configs: tuple[LevelConfig, ...],
     ) -> list[float]:
-        """:meth:`pass_error` of one level for each of ``configs``.
-
-        Scoring predicts from raw values, so the prediction along axis ``d``
-        at a target depends on neither the pass nor the scheme.  Each spline
-        family's per-axis predictions over the stride-``s`` lattice are
-        computed once, and every pass of every config reads basic-slice
-        views of them.
-        """
-        Xf = X.astype(np.float64, copy=False)
-        scratch = self._scratch
-        lattices: dict[str, list[np.ndarray]] = {}
-        totals = []
-        for config in configs:
-            plan = level_plan(X.shape, stride, config.scheme, config.spline)
-            lattice = lattices.get(config.spline)
-            if lattice is None:
-                lattice = lattices[config.spline] = [
-                    _predict_axis(Xf, runs, config.spline, np.empty(lshape), scratch)
-                    for lshape, runs in plan.lattice
-                ]
-            total = 0.0
-            for p in plan.passes:
-                preds = [lattice[d][view] for d, view in zip(p.axes, p.views)]
-                pred = preds[0]
-                if len(preds) > 1:
-                    pred = _average_winners(preds, p.winners, scratch.get("pred_sum", p.shape))
-                diff = scratch.get("pass_diff", p.shape)
-                np.subtract(Xf[p.slices], pred, out=diff)
-                np.abs(diff, out=diff)
-                total += float(diff.sum())
-            totals.append(total)
-        return totals
+        """:meth:`pass_error` of one level for each of ``configs``: a read of
+        the :func:`scoring_program` of ``X``'s shape, which scores every
+        level and candidate at once."""
+        program = scoring_program(X.shape, self.anchor_stride)
+        if stride not in program.levels:
+            raise ValueError(
+                f"stride {stride} is not a level of anchor stride {self.anchor_stride}"
+            )
+        totals = program.errors(X)[program.levels.index(stride)]
+        return [
+            totals[SCORE_FAMILIES.index(c.spline)][SCORE_SCHEMES.index(c.scheme)] for c in configs
+        ]
 
     def pass_error(
         self,
@@ -783,7 +1049,7 @@ class InterpolationPredictor:
         Auto-tuning (§5.1.3) scores candidate configurations by predicting a
         level's points *from the original data* — the cheap surrogate QoZ
         introduced — so no quantization state is needed.  Each pass's errors
-        are written to one pass-block buffer and summed, so the reduction
-        tree is that of the mask-based implementation.
+        are summed as one contiguous C-order block, so the reduction tree is
+        that of the mask-based implementation.
         """
         return self.level_errors(X, stride, (config,))[0]

@@ -590,10 +590,11 @@ class WorkerPool:
         inflight = [0] * self.workers
         for entry in self._pending.values():
             inflight[entry.worker] += 1
+        # Least in flight; ties go to the first in rotation order (min keeps
+        # the first of equal keys), so an idle pool takes turns.
         start = next(self._rr) % self.workers
-        order = [(inflight[(start + i) % self.workers], (start + i) % self.workers)
-                 for i in range(self.workers)]
-        return min(order)[1]
+        order = [(start + i) % self.workers for i in range(self.workers)]
+        return min(order, key=inflight.__getitem__)
 
     # --------------------------------------------------------------- dispatch
     def _dispatch_loop(self) -> None:

@@ -37,3 +37,31 @@ def test_corrupt_deflate_stream_is_refused(sealed_codes_blob, pipeline):
 
     with pytest.raises(ValueError, match="stream does not inflate"):
         api.decompress(sealed_codes_blob(pipeline, truncate))
+
+
+@pytest.mark.parametrize("pipeline", ["HF+RRE4-TCMS8-RZE1", "TCMS1-BIT1-RRE1"])
+def test_rre_round_longer_than_its_stream_is_refused(sealed_codes_blob, pipeline):
+    """Both default pipelines open the codes stream with an RRE bitmap whose
+    byte-level round declares its kept-byte count; a count past the end of
+    the stream is a typed error, not an OverflowError from NumPy."""
+
+    def huge_count(codes: bytearray) -> None:
+        codes[24:32] = (2**63 - 1).to_bytes(8, "little")
+
+    with pytest.raises(ValueError, match="RRE round declares"):
+        api.decompress(sealed_codes_blob(pipeline, huge_count))
+
+
+def test_fixed_length_block_of_zero_is_refused():
+    """A cuSZp2 residual stream declaring blocks of 0 values."""
+    import numpy as np
+
+    from repro.core.container import CompressedBlob
+
+    field = np.linspace(0.0, 1.0, 4096, dtype=np.float32).reshape(16, 16, 16)
+    blob = CompressedBlob.from_bytes(api.compress(field, codec="cuszp2", eb=1e-3).to_bytes())
+    residuals = bytearray(blob.segments["residuals"])
+    residuals[8:12] = bytes(4)  # u64 n, then the u32 block
+    blob.segments["residuals"] = bytes(residuals)
+    with pytest.raises(ValueError, match="block of 0"):
+        api.decompress(blob.to_bytes())

@@ -11,6 +11,7 @@ decompressed fields, per-candidate scores and auto-tune choices, that
 padding never raises a floating-point warning, and the call counts.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -19,15 +20,17 @@ from interp_oracle import SubBlockPredictor, autotune_choices
 
 import repro.predictor.interpolation as interpolation
 from repro import api
+from repro.core.cache import ByteBudgetLRU
 from repro.core.compressor import _decode_levels
 from repro.encoders.pipelines import CR_PIPELINE
 from repro.predictor.autotune import CANDIDATES, autotune_levels
 from repro.predictor.interpolation import (
     InterpolationPredictor,
     LevelConfig,
-    level_plan,
+    level_passes,
     level_strides,
     plane_level,
+    scoring_program,
 )
 from repro.quantizer.linear import ByteQuantizer
 
@@ -248,17 +251,60 @@ class TestScores:
             )
 
 
-class TestPlanFootprint:
-    def test_boundary_bookkeeping_is_boundary_sized(self):
-        plan = level_plan((128, 128, 128), 1, "md", "cubic")
-        for p in plan.passes:
-            if len(p.axes) == 1:
-                assert p.winners is None
-                continue
-            flat, steps, count = p.winners
-            assert flat.size < np.prod(p.shape) // 4
-            assert count.size == flat.shape[0]
-            assert len(steps) == len(p.axes) - 1
+class TestScoringProgram:
+    def test_index_bytes_of_a_33_cubed_block(self):
+        """The default sample block's program: about 60k lattice points and
+        72k pass targets, every index array narrow, under 1.25 MiB in all."""
+        program = scoring_program((33, 33, 33), 16)
+        assert program.nbytes < 1.25 * 2**20
+        assert program.targets.dtype == np.uint16
+        assert all(a.dtype == np.uint16 for a in program.neighbors)
+        # every target of every pass, md and 1d, on every level
+        assert program.targets.size == 2 * (33**3 - 3**3)
+
+    def test_threads_share_one_program(self):
+        """Two threads score different blocks of one shape at once through
+        the one cached program and both match the oracle."""
+        blocks = [make_field((17, 18, 19), "walk", np.float64, seed=k) for k in (5, 6)]
+        want = [
+            [[SubBlockPredictor(8).pass_error(x, s, cfg) for cfg in CANDIDATES] for s in (4, 2, 1)]
+            for x in blocks
+        ]
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def score(k):
+            pred = InterpolationPredictor(8)
+            barrier.wait()
+            got[k] = [
+                [pred.level_errors(blocks[k], s, CANDIDATES) for s in (4, 2, 1)] for _ in range(5)
+            ]
+
+        threads = [threading.Thread(target=score, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in (0, 1):
+            for scores in got[k]:
+                assert same_bytes(np.array(scores), np.array(want[k]))
+
+    def test_retained_bytes_stay_under_the_bound(self, monkeypatch):
+        """50 distinct small shapes through a 256 KiB cache: it evicts,
+        never holds more than its bound, and evicted shapes still score."""
+        cache = ByteBudgetLRU(256 << 10)
+        monkeypatch.setattr(interpolation, "_PROGRAMS", cache)
+        pred = InterpolationPredictor(8)
+        for n in range(50):
+            shape = (9 + n % 7, 10 + n // 7, 11)
+            scoring_program(shape, 8)
+            assert cache.stats()["used_bytes"] <= 256 << 10
+        assert cache.stats()["evictions"] > 0
+        x = make_field((9, 10, 11), "walk", np.float32, seed=7)
+        assert same_bytes(
+            np.array(pred.level_errors(x, 1, CANDIDATES)),
+            np.array([SubBlockPredictor(8).pass_error(x, 1, cfg) for cfg in CANDIDATES]),
+        )
 
 
 class TestCallCounts:
@@ -310,8 +356,9 @@ class TestCallCounts:
         levels = _decode_levels(result.blob.meta["levels"])
         passes, axes, rows = self._replay_geometry(x.shape, levels)
         assert passes == sum(
-            len(level_plan(x.shape, s, cfg.scheme, cfg.spline).passes)
+            all(v.size for v in vectors)
             for s, cfg in levels.items()
+            for vectors, _ in level_passes(x.shape, s, cfg.scheme)
         )
         assert calls["quantize"] == passes <= 28
         assert calls["replay_predict"] == axes + rows <= 4 * axes

@@ -16,10 +16,10 @@ from repro.predictor.interpolation import (
     LevelConfig,
     ScratchPool,
     level_passes,
-    level_plan,
     level_plan_stats,
     level_strides,
     plane_level,
+    scoring_program,
 )
 from repro.predictor.splines import KIND_ORDER, axis_kind_segments, axis_predict
 
@@ -144,13 +144,19 @@ class TestAxisSegments:
 
 
 class TestPlanCache:
-    def test_plan_is_shared_across_calls(self):
+    def test_program_hits_and_misses_are_counted(self):
+        """A shape's first scoring builds its program (one miss); every later
+        one, through either entry point, reuses it (one hit each)."""
+        x = np.cumsum(np.ones((21, 22, 23)), axis=1)
         before = level_plan_stats()
-        p1 = level_plan((20, 20, 20), 4, "md", "cubic")
-        p2 = level_plan((20, 20, 20), 4, "md", "cubic")
+        p1 = scoring_program(x.shape, 16)
+        mid = level_plan_stats()
+        p2 = scoring_program(x.shape, 16)
+        InterpolationPredictor(16).pass_error(x, 8, LevelConfig())
         after = level_plan_stats()
         assert p1 is p2
-        assert after["hits"] > before["hits"]
+        assert (mid["misses"], mid["hits"]) == (before["misses"] + 1, before["hits"])
+        assert (after["misses"], after["hits"]) == (mid["misses"], mid["hits"] + 2)
 
     def test_plane_geometry_lookups_are_counted(self):
         """The replay's geometry cache reports through the same counters."""
@@ -162,16 +168,17 @@ class TestPlanCache:
         assert after["hits"] > before["hits"]
         assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
 
-    def test_plan_keys_are_distinct(self):
-        assert level_plan((20, 20), 4, "md", "cubic") is not level_plan(
-            (20, 20), 4, "md", "linear"
-        )
+    def test_program_keys_are_distinct(self):
+        assert scoring_program((20, 20), 8) is not scoring_program((20, 20), 16)
+        assert scoring_program((20, 20), 8) is not scoring_program((20, 21), 8)
 
     def test_empty_passes_skipped(self):
-        # stride >= dim along every axis: no pass has targets on axis 0
-        plan = level_plan((3, 40), 4, "md", "cubic")
-        for p in plan.passes:
-            assert 0 not in p.axes  # axis 0 has no odd multiples of 4 below 3
+        # axis 0 has no odd multiple of 4 below 3: at stride 4 only the
+        # passes along axis 1 have targets (md {1} and 1d along 1)
+        program = scoring_program((3, 40), 8)
+        passes = [(level, scheme) for level, scheme, *_ in program.segments]
+        assert [p for p in passes if p[0] == 0] == [(0, 0), (0, 1)]
+        assert program.levels == (4, 2, 1)
 
 
 class TestScratchPool:

@@ -305,6 +305,24 @@ def test_no_task_is_lost_when_workers_are_sigkilled(field16):
         pool.close()
 
 
+def test_idle_pool_takes_turns(field16):
+    """Keyless tasks on an idle pool tie on zero in flight; the tie goes
+    round the workers instead of always to worker 0."""
+    blob = api.compress(field16, api.build_request(eb=1e-3)).to_bytes()
+    pool = WorkerPool(2)
+    pool.start()
+    try:
+
+        async def one_at_a_time():
+            for _ in range(4):
+                await asyncio.wait_for(pool.submit("decompress", {"data": blob}), timeout=60)
+
+        asyncio.run(one_at_a_time())
+        assert pool.stats()["per_worker_dispatched"] == [2, 2]
+    finally:
+        pool.close()
+
+
 def _exited(pid: int) -> bool:
     """True once ``pid`` is gone or a zombie: the process that adopts an
     orphan (PID 1 in a container) may never reap it."""

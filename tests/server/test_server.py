@@ -365,6 +365,22 @@ class TestMalformedRequests:
 
         serve(scenario)
 
+    def test_decompress_rejects_overlong_rre_round(self, serve, http, sealed_codes_blob):
+        """CRC-valid CR body whose bitmap's RRE round declares 2^63 kept
+        bytes: a typed 400, not a 500 from an OverflowError in the worker."""
+
+        def huge_count(codes: bytearray) -> None:
+            codes[24:32] = (2**63 - 1).to_bytes(8, "little")
+
+        body = sealed_codes_blob("HF+RRE4-TCMS8-RZE1", huge_count)
+
+        async def scenario(server):
+            resp = await http(server, "POST", "/decompress", body)
+            assert resp.status == 400
+            assert "RRE round" in resp.json()["error"]
+
+        serve(scenario)
+
     def test_unknown_route_404(self, serve, http):
         async def scenario(server):
             assert (await http(server, "GET", "/nope")).status == 404

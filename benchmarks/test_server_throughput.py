@@ -71,7 +71,7 @@ def test_served_mixed_workload_throughput(tmp_path, capsys):
     field = np.fromfunction(
         lambda i, j, k: np.sin(i / 17) * np.cos(j / 13) + k / 64, SHAPE
     ).astype(np.float32)
-    with ArchiveStore(str(tmp_path / "corpus.rpza"), mode="w", backend="file") as archive:
+    with ArchiveStore(str(tmp_path / "corpus.rpza"), mode="w") as archive:
         archive.add_blob("plain", api.compress(field, api.build_request(eb=EB)).blob)
         archive.add_blob("tiled", api.compress(field, api.build_request(eb=EB, tiles=TILES)).blob)
 

@@ -49,7 +49,7 @@ import importlib
 
 #: single version source: the CLI (``repro --version``), the HTTP service
 #: (``GET /healthz``) and packaging all report this string.
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 #: every subpackage (and the ``client``/``faults`` modules) imports on first
 #: attribute access, like the exported names below.

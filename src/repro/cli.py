@@ -220,7 +220,7 @@ def _cmd_batch(args) -> int:
     except ManifestError as exc:
         return _fail(str(exc))
     try:
-        with ArchiveStore(args.output, mode="a", backend=args.backend) as archive:
+        with ArchiveStore(args.output, mode="a") as archive:
             runner = BatchRunner(
                 spec,
                 archive,
@@ -328,10 +328,9 @@ def _cmd_archive_ls(args) -> int:
     try:
         with _open_archive(args.archive) as arch:
             entries = arch.entries()
-            backend = arch.backend
     except (ArchiveError, OSError) as exc:
         return _fail(str(exc))
-    print(f"{args.archive}: {len(entries)} entries ({backend} backend)")
+    print(f"{args.archive}: {len(entries)} entries")
     for e in entries:
         shape = "x".join(str(d) for d in e.shape)
         steps = f" x{e.timesteps}t" if e.timesteps > 1 else ""
@@ -808,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/API.md (JobSpec / BatchRunner) and docs/COOKBOOK.md (recipe: resume a batch)",
     )
     pba.add_argument("manifest", help="TOML/JSON job manifest (see repro.service.manifest)")
-    pba.add_argument("-o", "--output", required=True, help="archive path (.rpza file or dir)")
+    pba.add_argument("-o", "--output", required=True, help="archive path (.rpza file)")
     pba.add_argument("--report", default=None, help="write the JSON job report here")
     pba.add_argument(
         "--executor",
@@ -823,12 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help="recompress fields even when the archive already holds them",
-    )
-    pba.add_argument(
-        "--backend",
-        choices=("file", "dir"),
-        default=None,
-        help="archive backend (default: dir if OUTPUT is an existing directory)",
     )
     pba.set_defaults(func=_cmd_batch)
 
@@ -856,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--archive",
         default=None,
-        help="cell archive backing resume (.rpza file or dir; default EVAL_<name>.rpza)",
+        help="cell archive backing resume (.rpza file; default EVAL_<name>.rpza)",
     )
     pe.add_argument(
         "--no-resume",

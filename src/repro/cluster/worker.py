@@ -143,7 +143,7 @@ class ClusterWorker:
         heartbeat.start()
         failures = 0
         try:
-            with ArchiveStore(self.shard_path, mode="a", backend="file") as shard:
+            with ArchiveStore(self.shard_path, mode="a") as shard:
                 while True:
                     try:
                         grant = self._call(

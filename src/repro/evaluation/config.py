@@ -57,7 +57,6 @@ repro.evaluation.config.ConfigError: matrix.datasets[0] = 'mars': unknown datase
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from math import isfinite
@@ -70,11 +69,7 @@ from ..api import (
     check_executor,
     registry,
 )
-
-try:  # Python >= 3.11; on 3.10 TOML configs degrade to a clean error
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised only on py3.10
-    _toml = None
+from ..service.manifest import load_document
 
 __all__ = [
     "KINDS",
@@ -409,37 +404,5 @@ def parse_config(doc: dict, name: str = "eval") -> EvalConfig:
 def load_config(path: str) -> EvalConfig:
     """Read + parse a TOML/JSON experiment config (format by suffix; the
     config's ``name`` defaults to the file's stem)."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    suffix = os.path.splitext(path)[1].lower()
-    if suffix == ".json":
-        doc = _loads_json(raw, path)
-    elif suffix == ".toml":
-        doc = _loads_toml(raw, path)
-    else:  # no/unknown suffix: try JSON first (a strict subset), then TOML
-        try:
-            doc = _loads_json(raw, path)
-        except ConfigError:
-            doc = _loads_toml(raw, path)
+    doc = load_document(path, ConfigError, "config")
     return parse_config(doc, name=os.path.splitext(os.path.basename(path))[0])
-
-
-def _loads_json(raw: bytes, path: str) -> dict:
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid JSON config: {exc}") from None
-
-
-def _loads_toml(raw: bytes, path: str) -> dict:
-    if _toml is None:
-        raise ConfigError(
-            f"{path}: TOML configs need Python >= 3.11 (tomllib); use a JSON config here"
-        )
-    try:
-        return _toml.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, _toml.TOMLDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid TOML config: {exc}") from None

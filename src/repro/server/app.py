@@ -506,13 +506,11 @@ class ReproServer:
         raise HttpError(404, f"archive {name!r} not found under the archive root")
 
     def _handle_archive_list(self) -> tuple[int, dict, bytes]:
-        names = []
-        for entry in sorted(os.listdir(self.archive_root)):
-            full = os.path.join(self.archive_root, entry)
-            if entry.endswith(".rpza") and os.path.isfile(full):
-                names.append(entry)
-            elif os.path.isdir(full) and os.path.exists(os.path.join(full, "index.json")):
-                names.append(entry)
+        names = [
+            entry
+            for entry in sorted(os.listdir(self.archive_root))
+            if entry.endswith(".rpza") and os.path.isfile(os.path.join(self.archive_root, entry))
+        ]
         return json_response({"archives": names})
 
     async def _handle_archive_entries(self, name: str) -> tuple[int, dict, bytes]:

@@ -107,7 +107,7 @@ class JobManager:
         state.status = "running"
         t0 = time.perf_counter()
         try:
-            with ArchiveStore(state.archive_path, mode="a", backend="file") as archive:
+            with ArchiveStore(state.archive_path, mode="a") as archive:
                 runner = BatchRunner(state.spec, archive, executor="serial", workers=1)
                 report = runner.run()
             state.report = report.to_json()

@@ -2,39 +2,35 @@
 
 An archive holds the output of a batch job — one :class:`~repro.core.
 container.CompressedBlob` frame (or one snapshot stream) per field — and an
-index mapping field names to locations plus decode metadata.  Two backends
-share the same API and index schema:
+index mapping field names to locations plus decode metadata, all in a single
+``.rpza`` file::
 
-``file``
-    A single ``.rpza`` file::
+    magic  b"RPZARCH2"
+    footer slot 0 (fixed offset 8, 40 bytes):
+        seq u64, index_offset u64, index_len u64, index_crc32 u32,
+        slot_crc32 u32 (over the preceding 28 bytes), b"RPZAIDX2"
+    footer slot 1 (fixed offset 48, same layout)
+    frames and index JSON blocks, appended in the order they are added
 
-        magic  b"RPZARCH2"
-        footer slot 0 (fixed offset 8, 40 bytes):
-            seq u64, index_offset u64, index_len u64, index_crc32 u32,
-            slot_crc32 u32 (over the preceding 28 bytes), b"RPZAIDX2"
-        footer slot 1 (fixed offset 48, same layout)
-        frames and index JSON blocks, appended in the order they are added
+Every add appends the new frame *after* the current index JSON, writes a
+fresh index after the frame, and only then writes the **stale** footer slot
+with the next sequence number — the two fixed slots alternate, so the slot
+describing the last committed index is never touched during a commit.
+Opening picks the highest-sequence slot whose own CRC checks out: a crash
+(or torn write) at any byte of the in-flight slot damages only that slot,
+and the archive reopens with exactly the previously committed entries.  A
+slot whose CRC is valid but whose *index* fails its check means committed
+data rotted on disk — that is a :class:`ArchiveCorruption`, repairable via
+:meth:`ArchiveStore.repair` (``repro archive repair``), which salvages the
+newest intact index block, restores damaged entries from their replicas
+(``copies=N`` write option) and quarantines what cannot be saved.
+Retrieval seeks straight to the frame — no scan, O(entry) reads.  Every
+committed frame and replica lies between the header and the live index
+block, so an index entry pointing anywhere else is corruption.
 
-    Every add appends the new frame *after* the current index JSON, writes a
-    fresh index after the frame, and only then writes the **stale** footer
-    slot with the next sequence number — the two fixed slots alternate, so
-    the slot describing the last committed index is never touched during a
-    commit.  Opening picks the highest-sequence slot whose own CRC checks
-    out: a crash (or torn write) at any byte of the in-flight slot damages
-    only that slot, and the archive reopens with exactly the previously
-    committed entries.  A slot whose CRC is valid but whose *index* fails
-    its check means committed data rotted on disk — that is a
-    :class:`ArchiveCorruption`, repairable via :meth:`ArchiveStore.repair`
-    (``repro archive repair``), which salvages the newest intact index
-    block, restores damaged entries from their replicas (``copies=N`` write
-    option) and quarantines what cannot be saved.  Retrieval seeks straight
-    to the frame — no scan, O(entry) reads.
-
-``dir``
-    A directory with ``index.json`` plus one ``.rpz`` file per entry
-    (atomically replaced index), interoperable with the single-field CLI.
-    Replicas are sibling ``<file>.rpz.copyK`` files; quarantined entries
-    move into a ``quarantine/`` subdirectory.
+Directory archives (``index.json`` plus one ``.rpz`` per entry) were
+removed in 1.8; :meth:`ArchiveStore.read_bytes` returns any entry's stored
+``.rpz`` frame.
 
 Partial decompression: entries written as multi-tile frames (``tiles = [...]``
 in the manifest) decode one tile at a time through the existing per-tile
@@ -118,7 +114,7 @@ REPAIR_SCHEMA = "repro.archive-repair/1"
 
 
 class ArchiveError(ValueError):
-    """Raised on malformed archives, unknown entries or backend misuse."""
+    """Raised on malformed archives, unknown entries or store misuse."""
 
 
 class ArchiveNotFound(ArchiveError):
@@ -157,9 +153,9 @@ def _parse_slot(raw: bytes):
 class ArchiveEntry:
     """Index row: where one field lives and how to decode/size it.
 
-    ``replicas`` lists extra full copies of the payload (``copies=N`` write
-    option): byte offsets in the file backend, sibling filenames in the dir
-    backend.  Repair promotes a valid replica when the primary rots.
+    ``offset`` is the payload's byte offset in the archive; ``replicas``
+    lists the offsets of extra full copies (``copies=N`` write option).
+    Repair promotes a valid replica when the primary rots.
     """
 
     name: str
@@ -170,8 +166,7 @@ class ArchiveEntry:
     eb_abs: float
     nbytes: int
     timesteps: int = 1
-    offset: int | None = None  # file backend
-    filename: str | None = None  # dir backend
+    offset: int = 0
     meta: dict = field(default_factory=dict)
     replicas: list = field(default_factory=list)
 
@@ -197,11 +192,8 @@ class ArchiveEntry:
             "nbytes": self.nbytes,
             "timesteps": self.timesteps,
             "meta": self.meta,
+            "offset": self.offset,
         }
-        if self.offset is not None:
-            doc["offset"] = self.offset
-        if self.filename is not None:
-            doc["filename"] = self.filename
         if self.replicas:
             doc["replicas"] = list(self.replicas)
         return doc
@@ -209,30 +201,58 @@ class ArchiveEntry:
     @classmethod
     def from_json(cls, doc: dict) -> "ArchiveEntry":
         try:
-            return cls(
+            e = cls(
                 name=doc["name"],
                 kind=doc["kind"],
                 codec=doc["codec"],
-                shape=tuple(int(d) for d in doc["shape"]),
+                shape=tuple(doc["shape"]),
                 dtype=doc["dtype"],
                 eb_abs=float(doc["eb_abs"]),
-                nbytes=int(doc["nbytes"]),
+                nbytes=doc["nbytes"],
                 timesteps=int(doc.get("timesteps", 1)),
-                offset=doc.get("offset"),
-                filename=doc.get("filename"),
+                offset=doc["offset"],
                 meta=dict(doc.get("meta", {})),
                 replicas=list(doc.get("replicas", [])),
             )
+            # Offsets and sizes drive seeks and reads: a hostile index must
+            # fail here, typed, not as a bad seek or a huge allocation later.
+            if not (
+                all(isinstance(v, str) for v in (e.name, e.kind, e.codec, e.dtype))
+                and _is_int(e.offset)
+                and _is_int(e.nbytes)
+                and e.nbytes >= 0
+                and all(_is_int(r) for r in e.replicas)
+                and all(_is_int(d) and d > 0 for d in e.shape)
+            ):
+                raise ValueError(
+                    f"{e.name!r}: names must be strings; offset {e.offset!r}, nbytes "
+                    f"{e.nbytes!r} (>= 0), replicas {e.replicas!r} and shape "
+                    f"{e.shape!r} (> 0) integers"
+                )
+            np.dtype(e.dtype)
         except (KeyError, TypeError, ValueError) as exc:
             raise ArchiveError(f"corrupt archive index entry: {exc!r}") from None
+        return e
 
 
-def _safe_filename(name: str, taken: set[str], suffix: str = ".rpz") -> str:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _safe_filename(name: str, taken: set[str], suffix: str) -> str:
     base = re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("._") or "entry"
     candidate, n = f"{base}{suffix}", 1
     while candidate in taken:
         candidate, n = f"{base}~{n}{suffix}", n + 1
     return candidate
+
+
+def _entries_of(doc) -> dict[str, ArchiveEntry]:
+    """The entries of a decoded index JSON document, by name."""
+    rows = doc.get("entries", []) if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ArchiveError("archive index holds no entry list")
+    return {e.name: e for e in map(ArchiveEntry.from_json, rows)}
 
 
 def _encode_index_doc(entries: dict[str, ArchiveEntry]) -> bytes:
@@ -244,19 +264,28 @@ def _encode_index_doc(entries: dict[str, ArchiveEntry]) -> bytes:
     return json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
 
 
+def _refuse_directory(path: str) -> None:
+    if os.path.isdir(path):
+        raise ArchiveError(
+            f"{path} is a directory: directory archives were removed in 1.8 "
+            "(archives are single .rpza files); its .rpz frames still decode "
+            "one by one with `repro decompress`"
+        )
+
+
 class ArchiveStore:
-    """Named random-access store of compressed frames (file or dir backend).
+    """Named random-access store of compressed frames in one ``.rpza`` file.
 
     Open modes: ``"r"`` (read-only, must exist), ``"a"`` (append, created if
     missing), ``"w"`` (create/overwrite).  Use as a context manager or call
-    :meth:`close`; the file backend keeps one OS handle open.
+    :meth:`close`; the store keeps one OS handle open.
 
     Examples
     --------
     >>> import numpy as np, os, tempfile, repro
     >>> field = np.linspace(0, 1, 4096, dtype=np.float32).reshape(16, 16, 16)
     >>> path = os.path.join(tempfile.mkdtemp(), "demo.rpza")
-    >>> with ArchiveStore(path, mode="w", backend="file") as archive:
+    >>> with ArchiveStore(path, mode="w") as archive:
     ...     entry = archive.add_blob("rho", repro.compress(field, eb=1e-3))
     >>> with ArchiveStore(path) as archive:          # mode="r" is the default
     ...     names = archive.names()
@@ -268,34 +297,23 @@ class ArchiveStore:
     True
     """
 
-    def __init__(self, path: str, mode: str = "r", backend: str | None = None):
+    def __init__(self, path: str, mode: str = "r"):
         if mode not in ("r", "a", "w"):
             raise ValueError(f"mode must be 'r', 'a' or 'w', got {mode!r}")
-        if backend not in (None, "file", "dir"):
-            raise ValueError(f"backend must be 'file' or 'dir', got {backend!r}")
-        if backend is None:
-            backend = "dir" if os.path.isdir(path) or path.endswith(os.sep) else "file"
+        _refuse_directory(path)
         self.path = os.path.normpath(path)
         self.mode = mode
-        self.backend = backend
         self._entries: dict[str, ArchiveEntry] = {}
         self._fh: io.BufferedRandom | None = None
-        # File backend: where the live index JSON currently sits; the next
-        # frame is appended directly after it (see _add).  ``_seq`` is the
-        # sequence number of the committed footer slot.
+        # Where the live index JSON currently sits; the next frame is
+        # appended directly after it (see _add).  ``_seq`` is the sequence
+        # number of the committed footer slot.
         self._index_off = _DATA_START
         self._index_len = 0
         self._seq = 0
-        if backend == "file":
-            self._open_file()
-        else:
-            self._open_dir()
+        self._open_file()
 
     # --------------------------------------------------------------- lifecycle
-    @classmethod
-    def open(cls, path: str, mode: str = "r", backend: str | None = None) -> "ArchiveStore":
-        return cls(path, mode=mode, backend=backend)
-
     def __enter__(self) -> "ArchiveStore":
         return self
 
@@ -307,7 +325,7 @@ class ArchiveStore:
             self._fh.close()
             self._fh = None
 
-    # ------------------------------------------------------------ file backend
+    # ---------------------------------------------------------------- on disk
     def _open_file(self) -> None:
         exists = os.path.exists(self.path)
         if self.mode == "r":
@@ -398,31 +416,6 @@ class ArchiveStore:
         self._index_len = len(raw)
         self._seq = seq
 
-    # ------------------------------------------------------------- dir backend
-    @property
-    def _index_path(self) -> str:
-        return os.path.join(self.path, "index.json")
-
-    def _open_dir(self) -> None:
-        exists = os.path.isdir(self.path)
-        if self.mode == "r":
-            if not exists or not os.path.exists(self._index_path):
-                raise ArchiveError(f"archive {self.path} does not exist (no index.json)")
-            with open(self._index_path, "rb") as fh:
-                self._entries = self._decode_index(fh.read())
-        elif self.mode == "a" and exists and os.path.exists(self._index_path):
-            with open(self._index_path, "rb") as fh:
-                self._entries = self._decode_index(fh.read())
-        else:
-            os.makedirs(self.path, exist_ok=True)
-            self._flush_dir_index()
-
-    def _flush_dir_index(self) -> None:
-        tmp = self._index_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            _fault_write("archive.index-write", fh, self._encode_index())
-        os.replace(tmp, self._index_path)
-
     # ------------------------------------------------------------ index codecs
     def _encode_index(self) -> bytes:
         return _encode_index_doc(self._entries)
@@ -436,8 +429,7 @@ class ArchiveStore:
             raise ArchiveError(f"{self.path}: not a repro archive index")
         if doc.get("version") != _INDEX_VERSION:
             raise ArchiveError(f"{self.path}: unsupported archive index version")
-        entries = [ArchiveEntry.from_json(e) for e in doc.get("entries", [])]
-        return {e.name: e for e in entries}
+        return _entries_of(doc)
 
     # ------------------------------------------------------------------ reads
     def __contains__(self, name: str) -> bool:
@@ -460,45 +452,41 @@ class ArchiveStore:
                 f"no entry {name!r} in archive {self.path} (have {sorted(self._entries)})"
             ) from None
 
-    def _payload_at(self, e: ArchiveEntry, where) -> bytes:
-        """Read one stored payload copy: a byte offset (file backend) or a
-        filename (dir backend)."""
-        if self.backend == "file":
-            assert self._fh is not None and isinstance(where, int)
-            self._fh.seek(where)
-            return self._fh.read(e.nbytes)
-        try:
-            with open(os.path.join(self.path, where), "rb") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ArchiveCorruption(f"entry {e.name!r}: cannot read payload: {exc}") from None
+    def _payload_at(self, e: ArchiveEntry, off: int) -> bytes:
+        """Read one stored payload copy (the primary or a replica) at ``off``."""
+        # Committed frames all lie between the header and the live index
+        # block; checking that first keeps a hostile index from steering a
+        # seek or sizing a read.
+        if not _DATA_START <= off <= self._index_off - e.nbytes:
+            raise ArchiveCorruption(
+                f"entry {e.name!r}: payload at byte {off} (+{e.nbytes}) lies outside "
+                f"the frame region {_DATA_START}..{self._index_off} — index corrupt"
+            )
+        assert self._fh is not None
+        self._fh.seek(off)
+        return self._fh.read(e.nbytes)
 
     def read_bytes(self, name: str) -> bytes:
-        """Raw stored bytes of one entry (a frame, or a snapshot stream)."""
+        """Raw stored bytes of one entry: its ``.rpz`` frame (the bytes
+        :func:`repro.decompress` and ``repro decompress`` read), or its
+        snapshot stream."""
         e = self.entry(name)
-        where = e.offset if self.backend == "file" else e.filename
-        raw = self._payload_at(e, where)
         # Chaos hook ("archive.read"): short reads / bit rot injected here.
-        raw = _fault_mangle("archive.read", raw)
+        raw = _fault_mangle("archive.read", self._payload_at(e, e.offset))
         if len(raw) != e.nbytes:
-            at = f"at byte {e.offset}" if e.offset is not None else f"in file {e.filename!r}"
             raise ArchiveCorruption(
-                f"entry {name!r}: payload {at} is {len(raw)} bytes, index says "
-                f"{e.nbytes} — archive truncated or index stale"
+                f"entry {name!r}: payload at byte {e.offset} is {len(raw)} bytes, "
+                f"index says {e.nbytes} — archive truncated or index stale"
             )
         return raw
 
     def _blob_cache_key(self, e: ArchiveEntry):
-        if self.backend == "file":
-            source = self.path
-        else:
-            source = os.path.join(self.path, e.filename or "")
         try:
-            st = os.stat(source)
+            st = os.stat(self.path)
         except OSError:
             return None  # unstattable source: skip caching, read as before
         return (
-            os.path.abspath(source),
+            os.path.abspath(self.path),
             e.name,
             e.offset,
             e.nbytes,
@@ -518,8 +506,9 @@ class ArchiveStore:
         try:
             blob = CompressedBlob.from_bytes(self.read_bytes(name))
         except ContainerError as exc:
-            at = f"archive byte {e.offset}" if e.offset is not None else f"file {e.filename!r}"
-            raise ArchiveCorruption(f"entry {name!r} (frame at {at}): {exc}") from None
+            raise ArchiveCorruption(
+                f"entry {name!r} (frame at archive byte {e.offset}): {exc}"
+            ) from None
         if key is not None:
             _blob_cache.put(key, blob, nbytes=blob.nbytes)
         return blob
@@ -634,15 +623,19 @@ class ArchiveStore:
         replace=False,
         copies=1,
     ):
-        # Replacing re-points the index at a freshly appended frame; in the
-        # file backend the old frame's bytes become unreachable (space is
-        # reclaimed by rewriting the archive, not in place).
+        # Replacing re-points the index at a freshly appended frame; the old
+        # frame's bytes become unreachable (space is reclaimed by rewriting
+        # the archive, not in place).
         self._check_writable()
         if copies < 1:
             raise ArchiveError(f"entry {name!r}: copies must be >= 1, got {copies}")
         if name in self._entries and not replace:
             raise ArchiveError(f"entry {name!r} already exists in archive {self.path}")
-        old = self._entries.get(name)
+        # Append after the live index; the old index block stays valid until
+        # _write_file_index commits the next footer slot, so a crash in this
+        # window cannot lose already-archived entries.
+        assert self._fh is not None
+        frame_off = self._index_off + self._index_len
         entry = ArchiveEntry(
             name=name,
             kind=kind,
@@ -652,40 +645,20 @@ class ArchiveStore:
             eb_abs=eb_abs,
             nbytes=len(payload),
             timesteps=timesteps,
+            offset=frame_off,
             meta=dict(meta or {}),
         )
-        if self.backend == "file":
-            # Append after the live index; the old index block stays valid
-            # until _write_file_index commits the next footer slot, so a
-            # crash in this window cannot lose already-archived entries.
-            assert self._fh is not None
-            frame_off = self._index_off + self._index_len
-            entry.offset = frame_off
-            self._fh.seek(frame_off)
+        ArchiveEntry.from_json(entry.to_json())  # never write an index a reader rejects
+        self._fh.seek(frame_off)
+        _fault_write("archive.frame-write", self._fh, payload)
+        pos = frame_off + len(payload)
+        for _ in range(copies - 1):
+            entry.replicas.append(pos)
             _fault_write("archive.frame-write", self._fh, payload)
-            pos = frame_off + len(payload)
-            for _ in range(copies - 1):
-                entry.replicas.append(pos)
-                _fault_write("archive.frame-write", self._fh, payload)
-                pos += len(payload)
-            self._fh.flush()
-            self._entries[name] = entry
-            self._write_file_index(pos)
-        else:
-            if old is not None and old.filename:
-                entry.filename = old.filename  # overwrite in place
-            else:
-                taken = {e.filename for e in self._entries.values() if e.filename}
-                entry.filename = _safe_filename(name, taken)
-            with open(os.path.join(self.path, entry.filename), "wb") as fh:
-                _fault_write("archive.frame-write", fh, payload)
-            for k in range(1, copies):
-                replica = f"{entry.filename}.copy{k}"
-                with open(os.path.join(self.path, replica), "wb") as fh:
-                    _fault_write("archive.frame-write", fh, payload)
-                entry.replicas.append(replica)
-            self._entries[name] = entry
-            self._flush_dir_index()
+            pos += len(payload)
+        self._fh.flush()
+        self._entries[name] = entry
+        self._write_file_index(pos)
         return entry
 
     # ----------------------------------------------------------------- verify
@@ -742,16 +715,16 @@ class ArchiveStore:
                             )
             except (ArchiveError, ContainerError, ValueError) as exc:
                 problems.append(f"{e.name}: {exc}")
-            for k, where in enumerate(e.replicas, 1):
+            for k, off in enumerate(e.replicas, 1):
                 try:
-                    self._check_payload(e, self._payload_at(e, where))
+                    self._check_payload(e, self._payload_at(e, off))
                 except (ArchiveError, ContainerError, ValueError) as exc:
-                    problems.append(f"{e.name}: replica {k} ({where}): {exc}")
+                    problems.append(f"{e.name}: replica {k} ({off}): {exc}")
         return problems
 
     # ----------------------------------------------------------------- repair
     @classmethod
-    def repair(cls, path: str, backend: str | None = None, quarantine: str | None = None) -> dict:
+    def repair(cls, path: str, quarantine: str | None = None) -> dict:
         """Self-heal an archive in place; returns a ``repro.archive-repair/1``
         report dict.
 
@@ -761,27 +734,17 @@ class ArchiveStore:
         Every entry's payload is then structurally verified; a corrupt
         primary is restored from its first intact replica (``copies=N``
         entries), and entries with no surviving copy are moved to a
-        quarantine area (``<path>.quarantine/`` for the file backend,
-        ``<path>/quarantine/`` for the dir backend) together with a JSON
-        reason note, so damaged bytes stay inspectable but never readable
-        through the store.  CLI: ``repro archive repair``.
+        quarantine directory (``<path>.quarantine/`` by default) together
+        with a JSON reason note, so damaged bytes stay inspectable but never
+        readable through the store.  CLI: ``repro archive repair``.
         """
-        if backend not in (None, "file", "dir"):
-            raise ArchiveError(f"backend must be 'file' or 'dir', got {backend!r}")
-        if backend is None:
-            backend = "dir" if os.path.isdir(path) else "file"
-        if backend == "file" and not os.path.exists(path):
+        _refuse_directory(path)
+        if not os.path.exists(path):
             raise ArchiveError(f"archive {path} does not exist")
-        if backend == "dir" and not os.path.isdir(path):
-            raise ArchiveError(f"archive {path} does not exist")
-        if backend == "file":
-            report = _repair_file(path, quarantine)
-        else:
-            report = _repair_dir(path, quarantine)
+        report = _repair_file(path, quarantine)
         clear_blob_cache()  # repaired entries must not serve stale parses
         report["schema"] = REPAIR_SCHEMA
         report["path"] = path
-        report["backend"] = backend
         return report
 
 
@@ -870,12 +833,9 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
             and (zlib.crc32(raw) & 0xFFFFFFFF) == idx_crc
         ):
             try:
-                docs = json.loads(raw.decode("utf-8"))
-                entries = {
-                    e.name: e for e in (ArchiveEntry.from_json(d) for d in docs.get("entries", []))
-                }
+                entries = _entries_of(json.loads(raw.decode("utf-8")))
                 break
-            except (UnicodeDecodeError, json.JSONDecodeError, ArchiveError, AttributeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, ArchiveError):
                 problems.append(f"index at byte {off} (seq {s}) does not parse")
         else:
             problems.append(f"index at byte {off} (seq {s}) is out of bounds or fails its CRC")
@@ -884,9 +844,7 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
         index_recovered = True
         for p, doc in reversed(_salvage_indexes(data)):
             try:
-                entries = {
-                    e.name: e for e in (ArchiveEntry.from_json(d) for d in doc.get("entries", []))
-                }
+                entries = _entries_of(doc)
                 problems.append(f"index rebuilt from salvaged block at byte {p}")
                 break
             except ArchiveError:
@@ -902,7 +860,7 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
     kept: dict[str, ArchiveEntry] = {}
 
     def copy_problem(e: ArchiveEntry, off) -> str | None:
-        if not isinstance(off, int) or off < _DATA_START or off + e.nbytes > len(data):
+        if off < _DATA_START or off + e.nbytes > len(data):
             return f"offset {off!r} out of bounds"
         return _structurally_valid(e.kind, data[off : off + e.nbytes], e.nbytes)
 
@@ -926,8 +884,7 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
             kept[e.name] = e
             restored.append(e.name)
         else:
-            lo = e.offset if isinstance(e.offset, int) else 0
-            payload = data[max(0, lo) : max(0, lo) + e.nbytes]
+            payload = data[e.offset : e.offset + e.nbytes]
             _quarantine_note(
                 qdir,
                 e.name,
@@ -955,121 +912,6 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
         fh.seek(_SLOT_OFFS[nseq % 2])
         fh.write(_pack_slot(nseq, off, len(raw), crc))
         fh.flush()
-    return {
-        "scanned": len(entries),
-        "ok": sorted(ok),
-        "restored": sorted(restored),
-        "quarantined": sorted(quarantined),
-        "index_recovered": index_recovered,
-        "quarantine_dir": qdir if quarantined else None,
-        "problems": problems,
-    }
-
-
-def _repair_dir(path: str, quarantine: str | None) -> dict:
-    qdir = quarantine or os.path.join(path, "quarantine")
-    idx_path = os.path.join(path, "index.json")
-    problems: list[str] = []
-    index_recovered = False
-    entries: dict[str, ArchiveEntry] = {}
-    try:
-        with open(idx_path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-        if not isinstance(doc, dict) or doc.get("format") != "repro.archive-index":
-            raise ValueError("not a repro archive index")
-        entries = {e.name: e for e in (ArchiveEntry.from_json(d) for d in doc.get("entries", []))}
-    except (OSError, ValueError, ArchiveError) as exc:
-        # Rebuild best-effort from the .rpz files themselves (entry names
-        # come back as filename stems; eb/meta of stream entries are gone).
-        index_recovered = True
-        problems.append(f"index.json unusable ({exc}); rebuilt from directory scan")
-        for fn in sorted(os.listdir(path)):
-            if not fn.endswith(".rpz"):
-                continue
-            full = os.path.join(path, fn)
-            try:
-                with open(full, "rb") as fh:
-                    raw = fh.read()
-                blob = CompressedBlob.from_bytes(raw)
-            except (OSError, ContainerError) as exc2:
-                problems.append(f"{fn}: unreadable during rebuild ({exc2})")
-                continue
-            name = fn[: -len(".rpz")]
-            entries[name] = ArchiveEntry(
-                name=name,
-                kind="field",
-                codec=codec_name(blob.codec),
-                shape=blob.shape,
-                dtype=np.dtype(blob.dtype).name,
-                eb_abs=float(blob.error_bound),
-                nbytes=len(raw),
-                filename=fn,
-            )
-    ok: list[str] = []
-    restored: list[str] = []
-    quarantined: list[str] = []
-    kept: dict[str, ArchiveEntry] = {}
-
-    def copy_problem(e: ArchiveEntry, fn) -> str | None:
-        if not fn:
-            return "no filename"
-        try:
-            with open(os.path.join(path, fn), "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            return str(exc)
-        return _structurally_valid(e.kind, raw, e.nbytes)
-
-    for e in entries.values():
-        primary_problem = copy_problem(e, e.filename)
-        live = [r for r in e.replicas if copy_problem(e, r) is None]
-        dead = [r for r in e.replicas if r not in live]
-        if dead:
-            problems.append(f"{e.name}: dropped {len(dead)} corrupt replica(s): {dead}")
-        if primary_problem is None:
-            e.replicas = live
-            kept[e.name] = e
-            ok.append(e.name)
-        elif live:
-            # Promote the replica file over the damaged primary in place.
-            src = os.path.join(path, live[0])
-            with open(src, "rb") as fh:
-                payload = fh.read()
-            with open(os.path.join(path, e.filename), "wb") as fh:
-                fh.write(payload)
-            problems.append(
-                f"{e.name}: primary file {e.filename!r} corrupt ({primary_problem}); "
-                f"restored from replica {live[0]!r}"
-            )
-            e.replicas = live[1:]
-            kept[e.name] = e
-            restored.append(e.name)
-        else:
-            os.makedirs(qdir, exist_ok=True)
-            payload = b""
-            src = os.path.join(path, e.filename) if e.filename else None
-            if src and os.path.exists(src):
-                with open(src, "rb") as fh:
-                    payload = fh.read()
-                os.remove(src)
-            _quarantine_note(
-                qdir,
-                e.name,
-                payload,
-                {
-                    "entry": e.name,
-                    "reason": primary_problem,
-                    "filename": e.filename,
-                    "nbytes": e.nbytes,
-                    "source": path,
-                },
-            )
-            problems.append(f"{e.name}: quarantined ({primary_problem})")
-            quarantined.append(e.name)
-    tmp = idx_path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_encode_index_doc(kept))
-    os.replace(tmp, idx_path)
     return {
         "scanned": len(entries),
         "ok": sorted(ok),

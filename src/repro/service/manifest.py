@@ -72,6 +72,7 @@ __all__ = [
     "JobSpec",
     "ManifestError",
     "jobspec_to_doc",
+    "load_document",
     "load_manifest",
     "parse_manifest",
     "resolve_field_path",
@@ -346,23 +347,49 @@ def parse_manifest(doc: dict, base_dir: str = ".", default_name: str = "batch") 
     return spec
 
 
-def load_manifest(path: str) -> JobSpec:
-    """Read + parse a TOML/JSON manifest file (format chosen by suffix)."""
+def load_document(path: str, error_cls: type[ValueError], what: str) -> dict:
+    """Read a TOML or JSON document, the format chosen by suffix.
+
+    Shared by :func:`load_manifest` and the eval orchestrator's
+    ``load_config``: every failure raises ``error_cls`` with a message that
+    names ``path`` and ``what`` (``"manifest"`` or ``"config"``).
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
+        raise error_cls(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+    def loads_json() -> dict:
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error_cls(f"{path}: invalid JSON {what}: {exc}") from None
+
+    def loads_toml() -> dict:
+        if _toml is None:
+            raise error_cls(
+                f"{path}: TOML {what}s need Python >= 3.11 (tomllib); use a JSON {what} here"
+            )
+        try:
+            return _toml.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, _toml.TOMLDecodeError) as exc:
+            raise error_cls(f"{path}: invalid TOML {what}: {exc}") from None
+
     suffix = os.path.splitext(path)[1].lower()
     if suffix == ".json":
-        doc = _loads_json(raw, path)
-    elif suffix == ".toml":
-        doc = _loads_toml(raw, path)
-    else:  # no/unknown suffix: try JSON first (a strict subset), then TOML
-        try:
-            doc = _loads_json(raw, path)
-        except ManifestError:
-            doc = _loads_toml(raw, path)
+        return loads_json()
+    if suffix == ".toml":
+        return loads_toml()
+    try:  # no/unknown suffix: try JSON first (a strict subset), then TOML
+        return loads_json()
+    except error_cls:
+        return loads_toml()
+
+
+def load_manifest(path: str) -> JobSpec:
+    """Read + parse a TOML/JSON manifest file (format chosen by suffix)."""
+    doc = load_document(path, ManifestError, "manifest")
     base_dir = os.path.dirname(os.path.abspath(path))
     default_name = os.path.splitext(os.path.basename(path))[0]
     return parse_manifest(doc, base_dir=base_dir, default_name=default_name)
@@ -425,20 +452,3 @@ def jobspec_to_doc(spec: JobSpec) -> dict:
         fields.append(doc)
     return {"job": job, "fields": fields}
 
-
-def _loads_json(raw: bytes, path: str) -> dict:
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path}: invalid JSON manifest: {exc}") from None
-
-
-def _loads_toml(raw: bytes, path: str) -> dict:
-    if _toml is None:
-        raise ManifestError(
-            f"{path}: TOML manifests need Python >= 3.11 (tomllib); use a JSON manifest here"
-        )
-    try:
-        return _toml.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, _toml.TOMLDecodeError) as exc:
-        raise ManifestError(f"{path}: invalid TOML manifest: {exc}") from None

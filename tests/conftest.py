@@ -109,3 +109,32 @@ def hostile_ans_blob():
         codes[528:536] = (2**40).to_bytes(8, "little")
 
     return _sealed_codes_blob("nvCOMP::ANS", far_offset)
+
+
+def _reseal_archive_entry(path: str, patch: dict, index: int = 0) -> None:
+    import json
+    import zlib
+
+    from repro.service import ArchiveStore
+    from repro.service.archive import _SLOT_OFFS, _pack_slot
+
+    with ArchiveStore(path) as arch:
+        idx_off, seq = arch._index_off, arch._seq
+    with open(path, "r+b") as fh:
+        fh.seek(idx_off)
+        doc = json.loads(fh.read())  # the live index is the file's last block
+        doc["entries"][index].update(patch)
+        raw = json.dumps(doc).encode("utf-8")
+        fh.seek(idx_off)
+        fh.write(raw)
+        fh.truncate()
+        fh.seek(_SLOT_OFFS[(seq + 1) % 2])
+        fh.write(_pack_slot(seq + 1, idx_off, len(raw), zlib.crc32(raw)))
+
+
+@pytest.fixture(scope="session")
+def reseal_archive_entry():
+    """``reseal(path, patch, index=0)``: overwrite fields of one ``.rpza``
+    index entry with ``patch`` and re-seal the index CRC and footer slot, so
+    only the archive's own checks see the hostile values."""
+    return _reseal_archive_entry

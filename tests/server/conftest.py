@@ -117,7 +117,7 @@ def field16():
 def seeded_archive(tmp_path, field16):
     """An archive with one plain entry and one 8-tile entry, pre-written."""
     path = tmp_path / "corpus.rpza"
-    with ArchiveStore(str(path), mode="w", backend="file") as archive:
+    with ArchiveStore(str(path), mode="w") as archive:
         for name, tiles in (("plain", None), ("tiled", (8, 8, 8))):
             request = api.build_request(eb=1e-3, tiles=tiles)
             archive.add_blob(name, api.compress(field16, request).blob)

@@ -408,6 +408,23 @@ class TestMalformedRequests:
 
         serve(scenario)
 
+    @pytest.mark.parametrize(
+        "patch, status", [({"offset": -5}, 503), ({"dtype": "bogus"}, 400)], ids=["offset", "dtype"]
+    )
+    def test_field_read_from_hostile_index_is_typed(
+        self, serve, http, seeded_archive, reseal_archive_entry, patch, status
+    ):
+        """A CRC-valid index whose entry holds a negative offset or an
+        unknown dtype: a typed 503 (corruption) or 400, never a 500."""
+        reseal_archive_entry(str(seeded_archive), patch)
+
+        async def scenario(server):
+            resp = await http(server, "GET", "/archives/corpus/fields/plain")
+            assert resp.status == status
+            assert "error" in resp.json()
+
+        serve(scenario)
+
     def test_traversal_names_rejected(self, serve, http, seeded_archive):
         async def scenario(server):
             resp = await http(server, "GET", "/archives/..%2Fcorpus/fields/plain")

@@ -1,6 +1,7 @@
-"""ArchiveStore backends: index round-trips, random access, verify, corruption."""
+"""ArchiveStore: index round-trips, random access, verify, corruption."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import repro.api as api
 from repro import CuszHi
 from repro.core.streaming import StreamWriter
 from repro.datasets import load
-from repro.service import ArchiveError, ArchiveStore
+from repro.service import ArchiveCorruption, ArchiveError, ArchiveStore
+from repro.service.archive import clear_blob_cache
 
 
 @pytest.fixture(scope="module")
@@ -20,23 +22,21 @@ def fields():
     }
 
 
-@pytest.fixture(params=["file", "dir"])
-def store_path(request, tmp_path):
-    if request.param == "dir":
-        return str(tmp_path / "arch_dir"), "dir"
-    return str(tmp_path / "arch.rpza"), "file"
+@pytest.fixture()
+def store_path(tmp_path):
+    return str(tmp_path / "arch.rpza")
 
 
 class TestRoundTrip:
     def test_add_get_roundtrip(self, store_path, fields):
-        path, backend = store_path
+        path = store_path
         comp = CuszHi(mode="cr")
         blobs = {name: comp.compress(data, 1e-3) for name, data in fields.items()}
-        with ArchiveStore(path, mode="w", backend=backend) as arch:
+        with ArchiveStore(path, mode="w") as arch:
             for name, blob in blobs.items():
                 arch.add_blob(name, blob, meta={"origin": "test"})
             assert len(arch) == 2 and "nyx" in arch
-        with ArchiveStore(path, backend=backend) as arch:
+        with ArchiveStore(path) as arch:
             assert sorted(arch.names()) == ["miranda", "nyx"]
             for name, data in fields.items():
                 entry = arch.entry(name)
@@ -47,42 +47,42 @@ class TestRoundTrip:
                 assert np.abs(data.astype(np.float64) - recon).max() <= entry.eb_abs
 
     def test_append_mode_resumes_index(self, store_path, fields):
-        path, backend = store_path
-        with ArchiveStore(path, mode="a", backend=backend) as arch:
+        path = store_path
+        with ArchiveStore(path, mode="a") as arch:
             arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-3))
-        with ArchiveStore(path, mode="a", backend=backend) as arch:
+        with ArchiveStore(path, mode="a") as arch:
             assert "nyx" in arch
             arch.add_blob("miranda", CuszHi().compress(fields["miranda"], 1e-3))
-        with ArchiveStore(path, backend=backend) as arch:
+        with ArchiveStore(path) as arch:
             assert len(arch) == 2
             assert arch.verify(deep=True) == []
 
     def test_duplicate_rejected(self, store_path, fields):
-        path, backend = store_path
-        with ArchiveStore(path, mode="w", backend=backend) as arch:
+        path = store_path
+        with ArchiveStore(path, mode="w") as arch:
             arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-3))
             with pytest.raises(ArchiveError, match="already exists"):
                 arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-3))
 
     def test_replace_repoints_entry(self, store_path, fields):
-        path, backend = store_path
-        with ArchiveStore(path, mode="w", backend=backend) as arch:
+        path = store_path
+        with ArchiveStore(path, mode="w") as arch:
             arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-3))
             loose = arch.entry("nyx").eb_abs
             arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-4), replace=True)
             assert arch.entry("nyx").eb_abs < loose
             assert len(arch) == 1
-        with ArchiveStore(path, backend=backend) as arch:
+        with ArchiveStore(path) as arch:
             assert arch.verify(deep=True) == []
             recon = arch.get("nyx")
             data = fields["nyx"]
             assert np.abs(data.astype(np.float64) - recon).max() <= arch.entry("nyx").eb_abs
 
     def test_read_only_guard(self, store_path, fields):
-        path, backend = store_path
-        with ArchiveStore(path, mode="w", backend=backend) as arch:
+        path = store_path
+        with ArchiveStore(path, mode="w") as arch:
             arch.add_blob("nyx", CuszHi().compress(fields["nyx"], 1e-3))
-        with ArchiveStore(path, backend=backend) as arch:
+        with ArchiveStore(path) as arch:
             with pytest.raises(ArchiveError, match="read-only"):
                 arch.add_blob("x", CuszHi().compress(fields["nyx"], 1e-3))
 
@@ -182,13 +182,6 @@ class TestCorruption:
             problems = arch.verify()
             assert problems and "nyx" in problems[0]
 
-    def test_dir_backend_corrupt_index(self, tmp_path):
-        d = tmp_path / "arch"
-        d.mkdir()
-        (d / "index.json").write_text("{ not json")
-        with pytest.raises(ArchiveError, match="corrupt archive index"):
-            ArchiveStore(str(d))
-
     def test_corrupt_stream_entry_is_archive_error(self, tmp_path):
         from repro.core.streaming import StreamWriter
         from repro.datasets import load
@@ -214,3 +207,67 @@ class TestCorruption:
         # The crash-safe dual-slot commit protocol depends on this exact
         # width: seq/offset/len/index-CRC, the slot's own CRC, then magic.
         assert struct.calcsize("<QQQI") + struct.calcsize("<I") + len(b"RPZAIDX2") == 40
+
+    def test_directory_path_is_typed_error(self, tmp_path):
+        # Directory archives (index.json + one .rpz per entry) were removed
+        # in 1.8: a directory is refused up front, not as IsADirectoryError.
+        for mode in ("r", "a", "w"):
+            with pytest.raises(ArchiveError, match="directory archives were removed in 1.8"):
+                ArchiveStore(str(tmp_path), mode=mode)
+        with pytest.raises(ArchiveError, match="directory archives were removed in 1.8"):
+            ArchiveStore.repair(str(tmp_path))
+
+    def test_add_refuses_an_entry_a_reader_would_reject(self, tmp_path):
+        p = str(tmp_path / "a.rpza")
+        with ArchiveStore(p, mode="w") as arch:
+            with pytest.raises(ArchiveError, match="corrupt archive index entry"):
+                arch.add_stream("s", b"x", shape=(0, 4), dtype=np.float32, eb_abs=1.0, timesteps=1)
+        with ArchiveStore(p) as arch:
+            assert arch.names() == []
+
+
+#: index entry values a hostile (CRC-resealed) archive can carry
+_HOSTILE_ENTRIES = {
+    "offset-none": {"offset": None},
+    "offset-str": {"offset": "x"},
+    "offset-negative": {"offset": -5},
+    "offset-past-index": {"offset": 10**12},
+    "nbytes-huge": {"nbytes": 2**40},
+    "nbytes-negative": {"nbytes": -1},
+    "replicas-str": {"replicas": ["x"]},
+    "replicas-past-index": {"replicas": [10**12]},
+    "shape-zero": {"shape": [0, 16, 16]},
+    "dtype-bogus": {"dtype": "bogus"},
+}
+
+
+@pytest.mark.parametrize("patch", list(_HOSTILE_ENTRIES.values()), ids=list(_HOSTILE_ENTRIES))
+def test_hostile_index_entry_fails_typed_and_allocates_nothing(
+    tmp_path, fields, reseal_archive_entry, patch
+):
+    path = str(tmp_path / "hostile.rpza")
+    data = fields["nyx"][:16, :16, :16].copy()
+    with ArchiveStore(path, mode="w") as arch:
+        arch.add_blob("f", CuszHi().compress(data, 1e-3))
+        arch.get("f")  # warm the decode path before measuring its peak
+    reseal_archive_entry(path, patch)
+    clear_blob_cache()
+    tracemalloc.start()
+    try:
+        try:
+            arch = ArchiveStore(path)
+        except ArchiveError as exc:  # rejected while parsing the index
+            assert "corrupt archive index entry" in str(exc)
+        else:
+            with arch:
+                assert [e.compression_ratio for e in arch.entries()]
+                assert arch.verify() != []
+                if "replicas" in patch:  # the primary copy is still intact
+                    arch.get("f")
+                else:
+                    with pytest.raises(ArchiveCorruption, match="outside the frame region"):
+                        arch.get("f")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -241,14 +241,6 @@ class TestBatchArchive:
         assert main(["archive", "verify", str(arch)]) == 1
         assert "PROBLEM" in capsys.readouterr().err
 
-    def test_batch_dir_backend(self, manifest, tmp_path, capsys):
-        arch = tmp_path / "archdir"
-        rc = main(["batch", str(manifest), "-o", str(arch), "--backend", "dir"])
-        assert rc == 0
-        assert (arch / "index.json").exists()
-        assert main(["archive", "ls", str(arch)]) == 0
-        assert "dir backend" in capsys.readouterr().out
-
 
 def _iter_subparsers(parser, prefix=""):
     """Yield ``(command_path, subparser)`` for every registered subcommand,

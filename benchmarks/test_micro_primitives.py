@@ -120,6 +120,11 @@ class TestComponents:
         assert out == stream
 
 
+#: the small-fields shape classes of perfbench, one dataset each
+_REPLAY_FIELDS = [("nyx", (32, 32, 32)), ("nyx", (64, 64, 64)), ("cesm-atm", (96, 192))]
+_REPLAY_IDS = ["32^3", "64^3", "96x192"]
+
+
 class TestPredictors:
     def test_interpolation_compress(self, benchmark, nyx_field):
         pred = InterpolationPredictor(16)
@@ -137,20 +142,20 @@ class TestPredictors:
             )
         )
 
-    @pytest.mark.parametrize("side", [32, 64])
-    def test_interpolation_compress_small(self, benchmark, side):
-        """The replay at the sizes serving sees, where a level's parity
-        planes fit in cache; no reconstruction kept, as in ``CuszHi``."""
-        field = load("nyx", shape=(side, side, side), seed=0)
+    @pytest.mark.parametrize("name,shape", _REPLAY_FIELDS, ids=_REPLAY_IDS)
+    def test_interpolation_compress_small(self, benchmark, name, shape):
+        """The warm replay at the sizes serving sees; no reconstruction
+        kept, as in ``CuszHi``."""
+        field = load(name, shape=shape, seed=0)
         abs_eb = resolve_error_bound(field, 1e-3, "rel")
         levels = autotune_levels(field, 16)
         pred = InterpolationPredictor(16)
         res = benchmark(lambda: pred.compress(field, abs_eb, levels, keep_recon=False))
         assert res.recon is None
 
-    @pytest.mark.parametrize("side", [32, 64])
-    def test_interpolation_decompress_small(self, benchmark, side):
-        field = load("nyx", shape=(side, side, side), seed=0)
+    @pytest.mark.parametrize("name,shape", _REPLAY_FIELDS, ids=_REPLAY_IDS)
+    def test_interpolation_decompress_small(self, benchmark, name, shape):
+        field = load(name, shape=shape, seed=0)
         abs_eb = resolve_error_bound(field, 1e-3, "rel")
         pred = InterpolationPredictor(16)
         res = pred.compress(field, abs_eb, autotune_levels(field, 16))
@@ -223,7 +228,7 @@ def _clear_geometry_caches():
     from repro.core.compressor import _level_kernels
 
     interpolation._PROGRAMS.clear()
-    interpolation._PLANE_LEVELS.clear()
+    interpolation._REPLAYS.clear()
     importlib.import_module("repro.predictor.reorder")._PERM_CACHE.clear()
     _level_kernels.cache_clear()
 
@@ -231,13 +236,13 @@ def _clear_geometry_caches():
 class TestGeometry:
     @pytest.mark.parametrize("shape", [(1 << 20,), (64, 64, 64)], ids=["1M-1d", "64^3"])
     @pytest.mark.parametrize("cache", ["cold", "warm"])
-    def test_plane_levels(self, benchmark, shape, cache):
-        """All 24 parity-plane levels of one shape."""
+    def test_replay_programs(self, benchmark, shape, cache):
+        """All 24 replay programs of one shape."""
 
         def build():
             if cache == "cold":
                 _clear_geometry_caches()
-            return [interpolation.plane_level(shape, *level) for level in _LEVELS]
+            return [interpolation.replay_program(shape, *level) for level in _LEVELS]
 
         assert len(benchmark(build)) == len(_LEVELS)
 

@@ -12,6 +12,8 @@ fixed-width bit packing.  Two modes match the paper's §6.1.2 setup:
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from ..encoders.fixedlen import FixedLengthCodec
@@ -98,7 +100,7 @@ class CuszP2:
         trace = KernelTrace()
         block = int(blob.meta["block"])
         codec = FixedLengthCodec(block=block)
-        residuals = codec.decode_ints(blob.segments["residuals"])
+        residuals = codec.decode_ints(blob.segments["residuals"], count=prod(blob.shape))
         trace.launch(
             "fixedlen-unpack",
             bytes_read=len(blob.segments["residuals"]),

@@ -154,7 +154,9 @@ class CompressedBlob:
         arr = np.ascontiguousarray(arr)
         self.meta[f"__seg_dtype_{name}"] = arr.dtype.str
         self.meta[f"__seg_shape_{name}"] = ",".join(str(d) for d in arr.shape)
-        self.segments[name] = memoryview(arr).toreadonly().cast("B")
+        # Flat first: a memoryview of an empty multi-dimensional array
+        # cannot be cast.
+        self.segments[name] = memoryview(arr.reshape(-1)).toreadonly().cast("B")
 
     def get_array(self, name: str) -> np.ndarray:
         dt = np.dtype(self.meta[f"__seg_dtype_{name}"])

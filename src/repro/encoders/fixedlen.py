@@ -69,11 +69,23 @@ class FixedLengthCodec:
         bitmap = np.packbits(nonzero.astype(np.uint8)).tobytes() if nblocks else b""
         return head + bitmap + widths[nonzero].tobytes() + bits_to_bytes(bits)
 
-    def decode_ints(self, buf: bytes) -> np.ndarray:
+    def decode_ints(self, buf: bytes, count: int | None = None) -> np.ndarray:
+        """Decode a stream of :meth:`encode_ints`; with ``count``, the stream
+        must declare exactly that many values.
+
+        Every size the header declares is checked against ``count`` and the
+        bytes that back it before anything is allocated: only the ``n``
+        outputs and the nonzero blocks (at least one payload bit per value)
+        are, so a hostile header fails with ``ValueError``.
+        """
+        off = struct.calcsize("<QI")
+        if len(buf) < off:
+            raise ValueError(f"fixed-length stream of {len(buf)} bytes has no {off}-byte header")
         n, block = struct.unpack_from("<QI", buf, 0)
         if block == 0:
             raise ValueError("fixed-length stream declares a block of 0 values")
-        off = struct.calcsize("<QI")
+        if count is not None and n != count:
+            raise ValueError(f"fixed-length stream declares {n} values, expected {count}")
         nblocks = (n + block - 1) // block
         bmap_len = (nblocks + 7) // 8
         nonzero = np.unpackbits(
@@ -83,12 +95,18 @@ class FixedLengthCodec:
         n_nz = int(nonzero.sum())
         nz_widths = np.frombuffer(buf, dtype=np.uint8, count=n_nz, offset=off).astype(np.int64)
         off += n_nz
+        if n_nz and not 1 <= int(nz_widths.min()) <= int(nz_widths.max()) <= 64:
+            raise ValueError("fixed-length stream declares a nonzero block of width 0 or over 64")
         total_bits = int((nz_widths * block).sum())
+        if total_bits > 8 * (len(buf) - off):
+            raise ValueError(
+                f"fixed-length stream declares {total_bits} payload bits but carries "
+                f"{len(buf) - off} bytes"
+            )
         bits = bytes_to_bits(buf[off:], total_bits).astype(np.uint64)
         starts = np.zeros(n_nz, dtype=np.int64)
         if n_nz > 1:
             np.cumsum(nz_widths[:-1] * block, out=starts[1:])
-        grid = np.zeros((nblocks, block), dtype=np.uint64)
         nz_grid = np.zeros((n_nz, block), dtype=np.uint64)
         for w in np.unique(nz_widths) if n_nz else []:
             sel = nz_widths == w
@@ -98,8 +116,11 @@ class FixedLengthCodec:
                 pos = st[:, None] + np.arange(block, dtype=np.int64)[None, :] * int(w) + b
                 acc = (acc << np.uint64(1)) | bits[pos]
             nz_grid[sel] = acc
-        grid[nonzero] = nz_grid
-        u = grid.reshape(-1)[:n]
+        u = np.zeros(n, dtype=np.uint64)
+        if n_nz:
+            at = np.flatnonzero(nonzero)[:, None] * block + np.arange(block)
+            inside = at < n  # the last block's padding
+            u[at[inside]] = nz_grid[inside]
         # Un-zigzag.
         v = (u >> np.uint64(1)).astype(np.int64) ^ -(u & np.uint64(1)).astype(np.int64)
         return v.astype(np.int32)

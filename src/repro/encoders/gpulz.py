@@ -64,15 +64,29 @@ class GpuLzCodec:
         return bytes(out)
 
     def decode(self, buf: bytes) -> bytes:
-        n, block_words = struct.unpack_from("<QI", buf, 0)
+        """Invert :meth:`encode`.  Every size the stream declares is checked
+        against the bytes that back it before it is allocated, so a hostile
+        header or block fails with ``ValueError``."""
         off = struct.calcsize("<QI")
+        if len(buf) < off:
+            raise ValueError(f"GPULZ stream of {len(buf)} bytes has no {off}-byte header")
+        n, block_words = struct.unpack_from("<QI", buf, 0)
         wdt = np.uint64 if self.word == 8 else np.uint32
         nwords = n // self.word
+        # Each word costs at least a 2-byte reference.
+        if nwords > (len(buf) - off) // 2:
+            raise ValueError(
+                f"GPULZ stream declares {n} bytes but carries {len(buf) - off} after its header"
+            )
         words = np.zeros(nwords, dtype=wdt)
         pos = 0
         while pos < nwords:
+            if off + 4 > len(buf):
+                raise ValueError(f"GPULZ block header at byte {off} runs past the stream")
             (m,) = struct.unpack_from("<I", buf, off)
             off += 4
+            if not 0 < m <= nwords - pos:
+                raise ValueError(f"GPULZ block of {m} words at word {pos} of {nwords}")
             flag_len = (m + 7) // 8
             is_match = np.unpackbits(
                 np.frombuffer(buf, dtype=np.uint8, count=flag_len, offset=off), count=m
@@ -84,6 +98,8 @@ class GpuLzCodec:
             n_lit = m - n_match
             lits = np.frombuffer(buf, dtype=wdt, count=n_lit, offset=off)
             off += self.word * n_lit
+            if n_match and int(refs.max()) >= m:
+                raise ValueError(f"GPULZ reference past its block of {m} words")
             blk = np.zeros(m, dtype=wdt)
             blk[~is_match] = lits
             # A reference targets the first occurrence of its value, which is
@@ -92,4 +108,6 @@ class GpuLzCodec:
             words[pos : pos + m] = blk
             pos += m
         tail = buf[off:]
+        if len(tail) != n - nwords * self.word:
+            raise ValueError(f"GPULZ stream ends with {len(tail)} bytes, not a {n % self.word}-byte tail")
         return words.tobytes() + tail

@@ -50,7 +50,8 @@ def sample_blocks(
     """Uniformly sample sub-blocks covering ~``target_fraction`` of ``data``.
 
     At least one block is drawn, so a field of fewer than
-    ``block_side**d / target_fraction`` points is sampled by one block.
+    ``block_side**d / target_fraction`` points is sampled by one block (an
+    empty field by one empty block).
 
     Blocks have side ``block_side`` per dimension (clipped by the array), the
     same footprint a thread block owns, so level populations in the sample
@@ -60,7 +61,9 @@ def sample_blocks(
     block_shape = tuple(min(block_side, d) for d in shape)
     block_elems = int(np.prod(block_shape))
     total = data.size
-    n_blocks = max(1, min(max_blocks, int(np.ceil(target_fraction * total / block_elems))))
+    n_blocks = 1
+    if block_elems:
+        n_blocks = max(1, min(max_blocks, int(np.ceil(target_fraction * total / block_elems))))
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(n_blocks):

@@ -17,49 +17,58 @@ and the error bound is guaranteed by construction.  Out-of-range codes (and
 any value whose reconstruction would breach the bound after casting back to
 the storage dtype) are emitted as outliers: code byte 0 plus the exact value.
 
-GPU mapping: in CUDA each 17^3 block is one thread block; here every pass is
-a handful of whole-plane vector operations.  Interpolation is performed
-globally (no halo truncation at block borders); DESIGN.md §3 records this as
-the one deliberate deviation from the CUDA kernel.
+GPU mapping: in CUDA each 17^3 block is one thread block; here every round
+of a level is a handful of whole-plane vector operations.  Interpolation is
+performed globally (no halo truncation at block borders); DESIGN.md §3
+records this as the one deliberate deviation from the CUDA kernel.
 
 Execution model (the single-thread hot path)
 --------------------------------------------
 Compress and decompress replay every level on contiguous *parity planes*.
 At stride ``s`` the stride-``s`` lattice splits into ``2**nd`` planes by
-the parity of each coordinate; plane ``k`` holds the points with parity
-bits ``b_j = (k >> j) & 1`` (axis 0 the least significant bit).  Each
-plane is padded to ``ceil(n / 2)`` per axis and the planes lie back to
-back in one float64 buffer; plane 0, the even points, is exactly the
-previous level's lattice.  With this order a 1d pass along ``d`` predicts
-the contiguous planes ``[2**d, 2**(d+1))`` from the planes ``[0, 2**d)``,
-a constant ``2**d`` planes lower, and an md pass over the axes ``S``
-predicts the single plane ``sum(2**j for j in S)``.  The geometry depends
-only on ``(shape, stride, scheme, spline)`` and is memoized
-(:func:`plane_level`).  Predicting a pass:
+the parity of each coordinate; the plane of mask ``k`` holds the points
+with parity bits ``b_j = (k >> j) & 1``.  Each plane is padded to
+``ceil(n / 2)`` per axis and the planes lie back to back in one float64
+level buffer; plane 0, the even points, is exactly the previous level's
+lattice.  A 1d pass along ``d`` predicts the planes of masks ``[2**d,
+2**(d+1))`` from those of ``[0, 2**d)``, and an md pass over the axes
+``S`` the plane of mask ``sum(2**j for j in S)`` from, per axis, the
+plane one bit lower.
 
-1. per interpolated axis, one *flat run* evaluates the interior spline over
-   the whole target range as one left-associated weighted sum of
-   contiguous 1-D slices of the buffer, each shifted by ``sh`` rows of the
-   axis (``sh`` in -1..2); the <= 3 boundary rows (quadratic, linear,
-   copy) are then recomputed from basic slices of the source planes,
-   overwriting what the flat run left there;
-2. with two or more axes, highest-order-wins averaging: wherever the axes'
-   1-D orders agree every axis wins, so the plain mean ``((p0 + p1) + ...)
-   / k`` is exact; the boundary rows where they disagree are gathered and
-   redone (first winner copied, later winners added, sum divided by the
-   winner count);
-3. ``compress`` quantizes the pass's planes with one
-   :meth:`~repro.quantizer.linear.ByteQuantizer.quantize_into` call that
-   writes the reconstruction straight into them; ``decompress`` adds the
-   prediction to the planes' dequantized codes and drops in the level's
-   outliers.
+*Rounds.*  A round is every pass that reads only earlier rounds: in md the
+passes with the same number of axes (3-D: 3 + 3 + 1), in 1d each pass.
+md lays its planes out by popcount, so a round's target planes are
+contiguous and compress quantizes them with one
+:meth:`~repro.quantizer.linear.ByteQuantizer.quantize_into` call that
+writes the reconstruction straight into the level buffer; decompress adds
+a round's predictions to its dequantized codes and drops in its outliers.
 
-Padding entries only ever hold finite garbage (the buffers start zeroed
-and only valid entries receive data or codes) and are never read into a
-valid point.
-After a level the planes interleave into the next level's plane 0; at
-stride 1 decompress interleaves straight into the output array, casting
-to its dtype, and compress does so only when the caller keeps ``recon``.
+*Programs.*  Each ``(shape, stride, scheme, spline)`` level compiles once
+into a :class:`ReplayProgram` (:func:`replay_program`, a byte-bounded LRU).
+A level whose planes are small predicts a round with one *gather program*:
+every target's winner terms gathered from the level buffer, weighted,
+summed and averaged as a handful of whole-round operations.  A larger level
+predicts each pass's axes as a *flat run*, the interior spline over the
+whole target range as one left-associated weighted sum of contiguous 1-D
+slices of the level buffer, shifted by rows (skipped on an axis with no
+interior target), then recomputes the <= 3 boundary rows from basic slices
+of the source planes and, with two or more axes, takes the plane-wide mean
+and redoes the points where the axes' orders disagree (highest order
+wins).
+
+*Workspace.*  Every operand of those operations is a view of one
+per-thread workspace, bound once per program and thread, so a warm call
+runs a list of NumPy calls with no slicing or allocation beyond its
+outputs.  The workspace is reused across calls, grown to the largest level
+seen and capped at :data:`WORKSPACE_BYTES`; a call that needs more runs on
+buffers of its own.  Entries that are read before this call writes them
+(padding, the tail past the last plane, the planes of passes skipped along
+a size-1 axis, what a flat run reads of a later round's planes) are zeroed
+first, so they only ever hold finite garbage, and no padding entry is read
+into a valid point.  After a level the planes interleave into the next
+level's plane 0; at stride 1 decompress interleaves straight into the
+output array, casting to its dtype, and compress does so only when the
+caller keeps ``recon``.
 
 The arithmetic per point is the expression tree of the earlier sub-block
 formulation (one sub-block per product of the axes' runs), so codes,
@@ -84,13 +93,16 @@ bit-identical to it.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import combinations
 from math import prod
 
 import numpy as np
 
-from ..core.cache import ByteBudgetLRU, CountedTableCache
+from ..core.cache import ByteBudgetLRU
 from ..quantizer.linear import ByteQuantizer
 from .splines import (
     KIND_COPY,
@@ -104,17 +116,16 @@ from .splines import (
     _QUAD_LEFT,
     _QUAD_RIGHT,
     axis_kind_segments,
-    predict_kind_into,
+    kind_ops,
 )
 
 __all__ = [
     "LevelConfig",
     "PredictorResult",
     "InterpolationPredictor",
-    "ScratchPool",
-    "PlaneLevel",
+    "ReplayProgram",
     "ScoringProgram",
-    "plane_level",
+    "replay_program",
     "scoring_program",
     "level_plan_stats",
     "level_strides",
@@ -642,132 +653,288 @@ def scoring_program(shape: tuple[int, ...], anchor_stride: int) -> ScoringProgra
 
 
 def level_plan_stats() -> dict:
-    """Hit/miss counters of the scoring-program and plane-geometry caches
+    """Hit/miss counters of the scoring-program and replay-program caches
     together (surfaced in server ``/stats``)."""
-    a, b = _PROGRAMS.stats(), _PLANE_LEVELS.stats()
-    return {key: a[key] + b[key] for key in b}
+    a, b = _PROGRAMS.stats(), _REPLAYS.stats()
+    return {key: a[key] + b[key] for key in ("hits", "misses", "entries")}
 
 
 # ---------------------------------------------------------------------------
-# Parity planes: the replay layout of compress and decompress.
+# Replay programs: the compiled levels of compress and decompress.
 # ---------------------------------------------------------------------------
 
 
-class _PlanePass:
-    """One replay pass: it predicts the contiguous target planes
-    ``[k0, k1)``.  Per interpolated axis, ``runs`` holds the flat run
-    ``(lo, kind, neighbors)``, whose neighbors are 1-D slices of the level
-    buffer, and the boundary rows ``((rel, kind, neighbors), ...)``, whose
-    neighbors are basic slices of the plane view; ``winners`` is the
-    :func:`_boundary_winners` of a pass with two or more axes."""
-
-    __slots__ = ("k0", "k1", "runs", "winners")
-
-    def __init__(self, k0, k1, runs, winners):
-        self.k0 = k0
-        self.k1 = k1
-        self.runs = runs
-        self.winners = winners
+def _plane_order(nd: int, scheme: str) -> tuple[int, ...]:
+    """Parity masks in buffer order: by popcount for md, so that the planes
+    one round predicts lie back to back, and in mask order for 1d."""
+    masks = range(1 << nd)
+    if scheme == "md":
+        return tuple(sorted(masks, key=lambda k: (bin(k).count("1"), k)))
+    return tuple(masks)
 
 
-class PlaneLevel:
-    """Parity-plane geometry of one (shape, stride, scheme, spline) level.
+def _slabs(extent: tuple, half: tuple) -> list:
+    """Basic slices of a plane's padding: per axis whose valid extent falls
+    short of ``half``, the slab past it."""
+    return [
+        tuple(slice(e.stop, None) if j == d else slice(None) for j in range(len(half)))
+        for d, (e, h) in enumerate(zip(extent, half))
+        if e.stop < h
+    ]
 
-    The stride-``s`` lattice (shape ``n``) splits into ``2**nd`` planes by
-    coordinate parity, plane ``k`` holding the points whose parity bits are
-    ``b_j = (k >> j) & 1``.  Every plane is padded to ``half = ceil(n/2)``
-    and the planes lie back to back in one float64 buffer of ``size``
-    elements (a zero tail keeps the flat runs' reads in bounds).  Plane 0
-    is the previous level's lattice, unpadded.  Per plane, ``planes`` holds
-    its valid ``extent`` and the basic slices of its points in the data
-    (``data``) and in the stride-``s`` lattice (``lattice``).
+
+def _merge(ranges: list) -> tuple:
+    """The union of half-open ``(start, stop)`` ranges, sorted."""
+    out = []
+    for a, b in sorted(ranges):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return tuple(out)
+
+
+def _align(n: int) -> int:
+    return -(-n // 64) * 64
+
+
+#: workspace regions: the two level buffers (consecutive levels alternate),
+#: a round's predictions, values and codes, and one area that serves the
+#: prediction temporaries and then the quantizer's, which are never live at
+#: once
+_REGIONS = (
+    (("level0",),),
+    (("level1",),),
+    (("pred",),),
+    (("values",),),
+    (("codes",),),
+    (("tmp", "aux", "wins", "terms"), ("q", "qtmp", "cast", "cast64", "outlier", "flag")),
+)
+
+
+def _offsets(caps: dict) -> tuple[dict, int]:
+    """Every region's byte offset in a workspace of ``caps``, and its size."""
+    offsets, start = {}, 0
+    for group in _REGIONS:
+        end = start
+        for phase in group:
+            at = start
+            for name in phase:
+                offsets[name] = at
+                at += _align(caps.get(name, 0))
+            end = max(end, at)
+        start = end
+    return offsets, start
+
+
+#: a level whose planes hold at most this many points replays each round as
+#: one gather program; larger levels as whole-plane runs.  Warm, gathering
+#: wins up to 4096 points per plane and loses at 32768, but its index and
+#: weight arrays take about 190 bytes per 3-D target: at 4096 a level's
+#: program holds 3.8 MB, and end to end peak RSS rose 18% and compress time
+#: 20% (benchmarks/history/REPLAY_gather_threshold.json)
+GATHER_PLANE = 512
+
+
+@lru_cache(maxsize=None)
+def _gather_tables(spline: str):
+    """Per class: the row shift of each neighbor term (``-9`` where the
+    class has fewer terms), their weights (1 where missing), and the factor
+    applied to their sum (linear's ``(m1 + p1) * 0.5``)."""
+    shifts = np.full((len(KIND_ORDER), 4), -9, dtype=np.intp)
+    weights = np.ones((len(KIND_ORDER), 4))
+    forms = {
+        KIND_FULL: SPLINES[spline], KIND_QUAD_L: _QUAD_LEFT, KIND_QUAD_R: _QUAD_RIGHT,
+        KIND_LIN: (1.0, 1.0), KIND_COPY: (1.0,),
+    }
+    for kind, form in forms.items():
+        offsets = KIND_OFFSETS[kind]
+        shifts[kind, : len(offsets)] = [(off + 1) // 2 for off in offsets]
+        weights[kind, : len(form)] = form
+    scales = np.where(np.arange(len(KIND_ORDER)) == KIND_LIN, 0.5, 1.0)
+    return shifts, weights, scales
+
+
+class ReplayProgram:
+    """One ``(shape, stride, scheme, spline)`` level, compiled for replay.
+
+    The stride-``s`` lattice (shape ``n``) splits into ``2**nd`` parity
+    planes, each padded to ``half = ceil(n / 2)``, back to back in one
+    float64 level buffer of ``size`` elements: a tail of two axis-0 rows
+    keeps the flat runs' reads in bounds, and the last element holds the
+    ``-0.0`` that gather programs read for a missing term.  ``order[p]`` is
+    the parity mask of the plane at position ``p``; plane 0, the previous
+    level's lattice, comes first, and ``unused`` lists the positions of the
+    planes no round writes (a pass along a size-1 axis has no targets).
+    Per position, ``planes`` holds the valid extent, the basic slices of its
+    points in the data and in the stride-``s`` lattice, and the slabs of its
+    padding.
+
+    ``rounds`` lists ``(start, stop, zero, passes, gather)``: the round
+    predicts the planes ``[start, stop)``, which compress quantizes in one
+    call, after zeroing the level-buffer ``zero`` ranges its flat runs read
+    before any round writes them.  A level of at most :data:`GATHER_PLANE`
+    points per plane predicts a round with one gather program, ``gather =
+    (idx, w, f, c)`` (see :func:`_gather_round`).  Otherwise each pass is
+    ``(start, stop, axes, winners)``; per interpolated axis, ``(flat, rows,
+    pad)`` holds the flat run ``(lo, kind, reads)`` over 1-D ranges of the
+    level buffer (``None`` without an interior run), the boundary rows
+    ``(rel, kind, neighbors)`` on the plane view, and the padding slab the
+    rows leave unset when there is no flat run; ``winners`` is the
+    :func:`_boundary_winners` of a multi-axis pass.  ``needs`` gives the
+    bytes of every workspace region the program uses but the two that hold
+    values of the field's dtype, which take ``largest`` of them.  Immutable,
+    hence shared freely between threads; see :func:`replay_program`.
     """
 
-    __slots__ = ("stride", "half", "size", "planes", "passes")
+    __slots__ = (
+        "stride", "spline", "slot", "half", "plane_size", "size", "order", "position",
+        "round_of", "unused", "planes", "rounds", "largest", "needs", "nbytes", "__weakref__",
+    )
 
-    def __init__(self, stride, half, size, planes, passes):
+    def __init__(self, stride, spline, half, order, planes, rounds, size):
         self.stride = stride
+        self.spline = spline
+        self.slot = stride.bit_length() % 2  # consecutive levels alternate
         self.half = half
+        self.plane_size = prod(half)
         self.size = size
+        self.order = order
+        self.position = tuple(order.index(k) for k in range(len(order)))
+        round_of = [-1] * len(order)
+        for r, (start, stop, *_) in enumerate(rounds):
+            for p in range(start, stop):
+                round_of[order[p]] = r
+        self.round_of = tuple(round_of)
+        self.unused = tuple(p for p in range(1, len(order)) if round_of[order[p]] < 0)
         self.planes = planes
-        self.passes = passes
-
-    def buffer(self) -> tuple[np.ndarray, np.ndarray]:
-        """A zeroed level buffer and its ``(2**nd, *half)`` plane view."""
-        shape = (len(self.planes),) + self.half
-        buf = np.zeros(self.size)
-        return buf, buf[: prod(shape)].reshape(shape)
-
-    def outliers(self, coords: tuple[np.ndarray, ...], values: np.ndarray):
-        """The outliers predicted at this level, in buffer order.
-
-        ``coords`` are the data coordinates of every outlier and ``values``
-        their exact values.  Returns their buffer positions, their values as
-        float64, and per plane ``k`` the index ``bounds[k]`` of its first one.
-        """
-        if not values.size:
-            return np.zeros(0, np.int64), np.zeros(0), np.zeros(len(self.planes) + 1, np.intp)
-        s = self.stride
-        here = np.ones(values.size, dtype=bool)
-        coarser = np.ones(values.size, dtype=bool)
-        for c in coords:
-            here &= c % s == 0
-            coarser &= c % (2 * s) == 0
-        here &= ~coarser
-        plane_size = prod(self.half)
-        pos = np.zeros(int(here.sum()), dtype=np.int64)
-        for j, (c, row) in enumerate(zip(coords, _row_strides(self.half))):
-            c = c[here] // s
-            pos += ((c & 1) << j) * plane_size + (c >> 1) * row
-        order = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[order], np.arange(len(self.planes) + 1) * plane_size)
-        return pos[order], values[here][order].astype(np.float64), bounds
+        self.rounds = rounds
+        ps = self.plane_size
+        self.largest = largest = max((stop - start for start, stop, *_ in rounds), default=0) * ps
+        passes = [q for _, _, _, qs, gather in rounds if gather is None for q in qs]
+        widest = max((q[1] - q[0] for q in passes), default=0) * ps
+        axes = max((len(q[2]) for q in passes), default=1)
+        wins = max((len(q[2]) * q[3][0].size for q in passes if q[3]), default=0)
+        arrays = [a for q in passes if q[3] for a in _arrays(q[3])]
+        arrays += [a for *_, gather in rounds if gather is not None for a in gather]
+        self.needs = {
+            f"level{self.slot}": 8 * size,
+            "pred": 8 * largest, "aux": 8 * (axes - 1) * widest, "tmp": 8 * widest,
+            "wins": 8 * wins, "q": 8 * largest, "qtmp": 8 * largest, "cast64": 8 * largest,
+            "outlier": largest, "flag": largest, "codes": largest,
+            "terms": max((g[0].nbytes for *_, g in rounds if g is not None), default=0),
+        }
+        self.nbytes = 4096 + sum(a.nbytes for a in arrays)
 
 
-def _build_plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> PlaneLevel:
+def _arrays(winners):
+    flat, steps, count = winners
+    return [flat, count, *(m for step in steps for m in step)]
+
+
+def _gather_round(start, stop, members, planes, half, kinds, spline, sentinel):
+    """The gather program of one round: every target's prediction as one
+    expression over level-buffer entries.
+
+    Per target ``t`` of the round's planes and winner slot ``j`` (the
+    axes reaching the highest order, in axis order), ``idx[:, j, t]`` holds
+    the level-buffer positions of the winner's neighbor terms and
+    ``w[:, j, t]`` their weights; ``f[j, t]`` scales their sum and
+    ``c[t]`` counts the winners.  The prediction is ``((((w0*a0 + w1*a1) +
+    w2*a2) + w3*a3) * f)`` per winner, the winners summed left to right and
+    divided by ``c``.  Missing terms and winners read the ``-0.0`` at
+    ``sentinel`` with weight 1, and ``x + -0.0``, ``x * 1.0`` and ``x / 1.0``
+    are ``x`` for every float, so each target gets the very expression tree
+    of its class formulas and of highest-order-wins averaging; padding
+    targets get ``-0.0``.
+    """
+    ps = prod(half)
+    row = _row_strides(half)
+    size = (stop - start) * ps
+    width = max(len(axes) for _, _, axes, _ in members)
+    shifts, weights, scales = _gather_tables(spline)
+    orders = np.array(KIND_ORDER)
+    idx = np.full((4, width, size), sentinel, dtype=np.intp)
+    w = np.ones((4, width, size))
+    f = np.ones((width, size))
+    c = np.ones(size)
+    for first, m, axes, sources in members:
+        for mu in range(m):
+            extent = [e.stop for e in planes[first + mu][0]]
+            coords = np.indices(extent).reshape(len(extent), -1)
+            flat = np.asarray(np.dot(row, coords), dtype=np.intp)
+            col = (first + mu - start) * ps + flat
+            kind = np.stack([kinds[d][coords[d]] for d in axes])
+            order = orders[kind]
+            win = order == order.max(axis=0)
+            slot = np.cumsum(win, axis=0) - 1
+            c[col] = win.sum(axis=0)
+            for a, (d, src) in enumerate(zip(axes, sources)):
+                sel = np.flatnonzero(win[a])
+                k, j, at = kind[a, sel], slot[a, sel], col[sel]
+                sh = shifts[k]
+                nb = ((src + mu) * ps + flat[sel])[:, None] + sh * row[d]
+                idx[:, j, at] = np.where(sh == -9, sentinel, nb).T
+                w[:, j, at] = weights[k].T
+                f[j, at] = scales[k]
+    used = int((idx != sentinel).any(axis=(1, 2)).sum())  # slots are filled in order
+    return idx[:used].copy(), w[:used].copy(), f, c
+
+
+def _build_replay_program(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> ReplayProgram:
     s = int(stride)
     nd = len(shape)
     n = tuple(len(range(0, dim, s)) for dim in shape)
     half = tuple((c + 1) // 2 for c in n)
     row = _row_strides(half)
-    plane_size = prod(half)
-    nplanes = 1 << nd
+    ps = prod(half)
+    order = _plane_order(nd, scheme)
+    position = {k: p for p, k in enumerate(order)}
     planes = []
-    for k in range(nplanes):
+    for k in order:
         bits = [(k >> j) & 1 for j in range(nd)]
         extent = tuple(slice(0, (c - b + 1) // 2) for c, b in zip(n, bits))
         data = tuple(slice(b * s, dim, 2 * s) for b, dim in zip(bits, shape))
         lattice = tuple(slice(b, c, 2) for b, c in zip(bits, n))
-        planes.append((extent, data, lattice))
+        planes.append((extent, data, lattice, _slabs(extent, half)))
+    # The flat runs read up to two rows of axis 0 past the last plane; the
+    # gather programs' -0.0 comes last.
+    size = len(order) * ps + 2 * max(row, default=0) + 1
+    gather = ps <= GATHER_PLANE
     interior = KIND_LIN if spline == "linear" else KIND_FULL
     # Plane index i along d is the lattice target 2i+1; its neighbor at
     # offset ``off`` strides lies in the source plane at i + (off+1)//2.
     shifts = [(off + 1) // 2 for off in KIND_OFFSETS[interior]]
+    segments = [axis_kind_segments(dim, s, spline) for dim in shape]
     passes = []
     for _, axes in _pass_descriptors(shape, s, scheme):
         if 0 in n or any(n[d] < 2 for d in axes):
             continue  # an empty field, or no targets along an interpolated axis
-        # Axis 0 is the least significant parity bit: a 1d pass along d
-        # covers the planes [2**d, 2**(d+1)), an md pass over the axes S
-        # the single plane sum(2**j for j in S).
-        k0 = 1 << axes[0] if scheme == "1d" else sum(1 << j for j in axes)
-        k1 = 2 * k0 if scheme == "1d" else k0 + 1
-        m = k1 - k0
-        runs, order_runs = [], []
-        for d in axes:
-            src = k0 - (1 << d)
-            lo = -min(shifts) * row[d]
-            first, stop = src * plane_size + lo, (src + m) * plane_size
-            flat = (lo, interior, tuple(
-                (slice(first + sh * row[d], stop + sh * row[d]),) for sh in shifts
-            ))
+        # A 1d pass along d covers the planes [2**d, 2**(d+1)) of mask
+        # order, an md pass over the axes S the plane of mask sum(2**j).
+        k = sum(1 << j for j in axes)
+        start = position[k]
+        m = k if scheme == "1d" else 1
+        sources = [position[k - (1 << d)] if scheme == "md" else 0 for d in axes]
+        if gather:
+            passes.append(((start, m, axes, sources), len(axes), ()))
+            continue
+        runs, order_runs, reads = [], [], []
+        for d, src in zip(axes, sources):
+            segs = segments[d]
+            flat = None
+            if any(kind == interior for _, _, kind in segs):
+                lo = -min(shifts) * row[d]
+                first, stop = src * ps + lo, (src + m) * ps
+                flat = (lo, interior, tuple((first + sh * row[d], stop + sh * row[d]) for sh in shifts))
+                reads.append((first + min(shifts) * row[d], stop + max(shifts) * row[d]))
             rows, orders = [], []
-            for i0, i1, kind in axis_kind_segments(shape[d], s, spline):
+            for i0, i1, kind in segs:
                 rel = (slice(None),) + tuple(
                     slice(i0, i1) if j == d else slice(None) for j in range(nd)
                 )
                 orders.append((rel, kind, None))
-                if kind == interior:
+                if flat and kind == interior:
                     continue
                 nbs = []
                 for off in KIND_OFFSETS[kind]:
@@ -776,133 +943,331 @@ def _build_plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline:
                         slice(i0 + sh, i1 + sh) if j == d else slice(None) for j in range(nd)
                     ))
                 rows.append((rel, kind, tuple(nbs)))
-            runs.append((flat, tuple(rows)))
+            pad = None
+            if flat is None and segs[-1][1] < half[d]:
+                pad = (slice(None),) + tuple(
+                    slice(segs[-1][1], None) if j == d else slice(None) for j in range(nd)
+                )
+            runs.append((flat, tuple(rows), pad))
             order_runs.append(tuple(orders))
         winners = None
         if len(axes) > 1:
-            winners = _boundary_winners(
-                tuple(order_runs), tuple(d + 1 for d in axes), (1,) + half
-            )
-        passes.append(_PlanePass(k0, k1, tuple(runs), winners))
-    # The flat runs read up to two rows of axis 0 past the last plane.
-    size = nplanes * plane_size + 2 * max(row, default=0)
-    return PlaneLevel(s, half, size, tuple(planes), tuple(passes))
+            winners = _boundary_winners(tuple(order_runs), tuple(d + 1 for d in axes), (1,) + half)
+        passes.append(((start, start + m, tuple(runs), winners), len(axes), tuple(reads)))
+    # Rounds: every pass that reads only earlier rounds.  In md those are
+    # the passes with one number of axes, whose planes are adjacent; a
+    # skipped pass splits them.  In 1d every pass is its own round.
+    rounds = []
+    for p, count, reads in passes:
+        lo, hi = (p[0], p[0] + p[1]) if gather else p[:2]
+        last = rounds[-1] if rounds else None
+        if last and scheme == "md" and last[0] == count and last[2] == lo:
+            last[2] = hi
+            last[4].append(p)
+            last[3].extend(reads)
+        else:
+            rounds.append([count, lo, hi, list(reads), [p]])
+    kinds = None
+    if gather:
+        kinds = []
+        for segs in segments:
+            kind = np.zeros(segs[-1][1] if segs else 0, dtype=np.intp)
+            for i0, i1, k in segs:
+                kind[i0:i1] = k
+            kinds.append(kind)
+    compiled = []
+    for _, start, stop, reads, members in rounds:
+        if gather:
+            program = _gather_round(start, stop, members, planes, half, kinds, spline, size - 1)
+            members = [(first, first + m, None, None) for first, m, _, _ in members]
+            compiled.append((start, stop, (), tuple(members), program))
+            continue
+        # What this round's flat runs read of planes no round wrote yet
+        unwritten = [(max(a, start * ps), b) for a, b in reads if b > start * ps]
+        compiled.append((start, stop, _merge(unwritten), tuple(members), None))
+    return ReplayProgram(s, spline, half, order, tuple(planes), tuple(compiled), size)
 
 
-_PLANE_LEVELS = CountedTableCache(capacity=128)
+#: byte bound of the replay-program cache: a program holds its winner
+#: indices, a few kB below 64³
+REPLAY_CACHE_BYTES = 16 << 20
+
+_REPLAYS = ByteBudgetLRU(REPLAY_CACHE_BYTES)
 
 
-def plane_level(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> PlaneLevel:
-    """Memoized :class:`PlaneLevel` of one (shape, stride, scheme, spline) level."""
+def replay_program(shape: tuple[int, ...], stride: int, scheme: str, spline: str) -> ReplayProgram:
+    """Memoized :class:`ReplayProgram` of one (shape, stride, scheme, spline)
+    level, held in a byte-bounded LRU (:data:`REPLAY_CACHE_BYTES`)."""
     key = (tuple(int(d) for d in shape), int(stride), scheme, spline)
-    geo = _PLANE_LEVELS.lookup(key)
-    if geo is not None:
-        return geo
-    return _PLANE_LEVELS.store(key, _build_plane_level(*key))
+    program = _REPLAYS.get(key)
+    if program is None:
+        program = _build_replay_program(*key)
+        _REPLAYS.put(key, program, program.nbytes)
+    return program
 
 
-class ScratchPool:
-    """Reusable flat buffers handed out as shaped views.
+class _Bound:
+    """A program's operations over one workspace: every operand a view."""
 
-    One pool serves every pass of a compress/decompress call: buffers are
-    keyed by name, grown to the largest shape requested, and re-sliced per
-    pass — so the hot loop performs no large allocations after the first
-    (finest-level) pass.  Not thread-safe; use one pool per thread.
+    __slots__ = (
+        "planes", "plane0", "tail", "unused", "rest", "dequant", "pads", "rounds", "interleave",
+    )
+
+
+class _Scratch(dict):
+    """The quantizer's scratch operands of one round, keyed by name."""
+
+    def get(self, key, shape=None, dtype=None):
+        return self[key]
+
+
+#: byte cap of one thread's retained workspace; a call that needs more runs
+#: on buffers of its own, released when it returns
+WORKSPACE_BYTES = 32 << 20
+
+#: bound programs a workspace keeps
+_BINDINGS = 64
+
+
+class _Workspace:
+    """One thread's replay buffers, reused across calls.
+
+    Every region is grown to the largest need seen while the total stays
+    within :data:`WORKSPACE_BYTES`; growing drops the bindings, whose views
+    point into the old buffer.  Bindings are keyed weakly by program, so a
+    program that leaves the :func:`replay_program` cache takes its bindings
+    (and the program arrays their operations hold) with it.  Not
+    thread-safe: one per thread.
     """
 
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+    def __init__(self, caps: dict):
+        self.caps = caps
+        self.offsets, size = _offsets(caps)
+        self.buf = np.empty(size, dtype=np.uint8)
+        self.bound = weakref.WeakKeyDictionary()  # program -> {dtype: _Bound}
 
-    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        n = prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.dtype != dtype or buf.size < n:
-            dtype = np.dtype(dtype)
-            size = n if buf is None or buf.dtype != dtype else max(n, buf.size)
-            buf = np.empty(size, dtype=dtype)
-            self._buffers[key] = buf
-        return buf[:n].reshape(shape)
+    @property
+    def nbytes(self) -> int:
+        return self.buf.nbytes
+
+    def view(self, name, dtype, count, first=0):
+        dtype = np.dtype(dtype)
+        start = self.offsets[name] + first * dtype.itemsize
+        return self.buf[start : start + count * dtype.itemsize].view(dtype)
+
+    def bind(self, program: ReplayProgram, dtype) -> _Bound:
+        dtype = np.dtype(dtype)
+        by_dtype = self.bound.pop(program, None) or {}
+        bound = by_dtype.get(dtype)
+        if bound is None:
+            bound = by_dtype[dtype] = _bind(program, self, dtype)
+            if len(self.bound) >= _BINDINGS:
+                del self.bound[next(iter(self.bound))]
+        self.bound[program] = by_dtype
+        return bound
 
 
-def _average_winners(preds: list, winners: tuple, out: np.ndarray) -> np.ndarray:
-    """Highest-order-wins average of per-axis predictions into ``out``.
+_LOCAL = threading.local()
+
+
+def _workspace(programs, dtype) -> _Workspace:
+    """The calling thread's workspace, grown to fit ``programs`` on a field
+    of ``dtype``, or a workspace of the call's own when that would pass the
+    cap."""
+    need = {}
+    for program in programs:
+        values = program.largest * np.dtype(dtype).itemsize
+        for name, n in (*program.needs.items(), ("values", values), ("cast", values)):
+            need[name] = max(need.get(name, 0), n)
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is not None and all(ws.caps.get(name, 0) >= n for name, n in need.items()):
+        return ws
+    caps = dict(ws.caps) if ws is not None else {}
+    for name, n in need.items():
+        caps[name] = max(caps.get(name, 0), n)
+    if _offsets(caps)[1] > WORKSPACE_BYTES:
+        if _offsets(need)[1] > WORKSPACE_BYTES:
+            return _Workspace(need)  # not retained
+        caps = need  # start over rather than pass the cap
+    _LOCAL.workspace = grown = _Workspace(caps)
+    return grown
+
+
+def _bind(program: ReplayProgram, ws: _Workspace, dtype: np.dtype) -> _Bound:
+    half, ps = program.half, program.plane_size
+    spline = program.spline
+    nplanes = len(program.order)
+    level = ws.view(f"level{program.slot}", np.float64, program.size)
+    planes = level[: nplanes * ps].reshape((nplanes,) + half)
+    b = _Bound()
+    b.planes = planes
+    b.plane0 = planes[(0, Ellipsis)]
+    b.tail = level[nplanes * ps :]  # read by flat runs, and the -0.0 last
+    b.unused = [planes[p] for p in program.unused]  # read by flat runs, never written
+    b.rest = planes[1:]
+    b.dequant = [(p, planes[(p, *ext)]) for p, (ext, *_) in enumerate(program.planes) if p]
+    b.pads = [planes[p][slab] for p, (*_, slabs) in enumerate(program.planes) if p for slab in slabs]
+    b.interleave = [(lat, planes[(p, *ext, Ellipsis)]) for p, (ext, _, lat, _) in enumerate(program.planes)]
+    b.rounds = []
+    for start, stop, zero, passes, gather in program.rounds:
+        shape = (stop - start,) + half
+        count = prod(shape)
+        pred = ws.view("pred", np.float64, count).reshape(shape)
+        ops = [] if gather is None else _gather_ops(gather, level, pred, ws)
+        for first, last, runs, winners in passes if gather is None else ():
+            pshape = (last - first,) + half
+            size = prod(pshape)
+            preds = []
+            for i, (flat, rows, pad) in enumerate(runs):
+                if i:
+                    out = ws.view("aux", np.float64, size, (i - 1) * size).reshape(pshape)
+                else:
+                    out = pred[first - start : last - start]
+                if flat is not None:
+                    lo, kind, reads = flat
+                    o = out.reshape(-1)[lo:]
+                    ops += kind_ops(kind, spline, [level[a:z] for a, z in reads], o,
+                                    ws.view("tmp", np.float64, o.size))
+                for rel, kind, nbs in rows:
+                    o = out[rel]
+                    tmp = ws.view("tmp", np.float64, o.size).reshape(o.shape)
+                    ops += kind_ops(kind, spline, [planes[sl] for sl in nbs], o, tmp)
+                if pad is not None:
+                    ops.append((out[pad].fill, (0.0,)))
+                preds.append(out)
+            if winners is not None:
+                ops += _winner_ops(preds, winners, ws)
+        values = ws.view("values", dtype, count).reshape(shape)
+        codes = ws.view("codes", np.uint8, count).reshape(shape)
+        scratch = _Scratch(
+            quant_q=ws.view("q", np.float64, count).reshape(shape),
+            quant_tmp=ws.view("qtmp", np.float64, count).reshape(shape),
+            quant_cast=ws.view("cast", dtype, count).reshape(shape),
+            quant_cast64=ws.view("cast64", np.float64, count).reshape(shape),
+            quant_outlier=ws.view("outlier", np.bool_, count).reshape(shape),
+            quant_flag=ws.view("flag", np.bool_, count).reshape(shape),
+        )
+        io = [
+            (p, values[p - start][program.planes[p][0]], codes[p - start][program.planes[p][0]])
+            for p in range(start, stop)
+        ]
+        pads = [values[p - start][slab] for p in range(start, stop) for slab in program.planes[p][3]]
+        zeros = [level[a:z] for a, z in zero]
+        b.rounds.append((ops, pred, planes[start:stop], zeros, values, codes, scratch, io, pads))
+    return b
+
+
+def _gather_ops(gather: tuple, level: np.ndarray, pred: np.ndarray, ws: _Workspace) -> list:
+    """The operations of a :func:`_gather_round` program, into ``pred``."""
+    idx, w, f, c = gather
+    terms = ws.view("terms", np.float64, idx.size).reshape(idx.shape)
+    ops = [(np.take, (level, idx, None, terms, "clip")), (np.multiply, (terms, w, terms))]
+    acc = terms[0]
+    ops += [(np.add, (acc, t, acc)) for t in terms[1:]]
+    if (f != 1.0).any():
+        ops.append((np.multiply, (acc, f, acc)))
+    ops += [(np.add, (acc[0], a, acc[0])) for a in acc[1:]]
+    ops.append((np.divide, (acc[0], c, pred.reshape(-1))))
+    return ops
+
+
+def _winner_ops(preds: list, winners: tuple, ws: _Workspace) -> list:
+    """Highest-order-wins averaging of per-axis predictions into ``preds[0]``.
 
     ``preds`` holds one prediction per interpolated axis, in axis order, and
-    ``winners`` is the pass's :func:`_boundary_winners`.  Every axis wins
-    wherever the orders agree, so the block-wide mean ``((p0 + p1) + ...)
-    / k`` is the answer there.  The boundary points are then gathered and
-    redone: the first winner's prediction copied (a zero accumulator would
-    turn ``-0.0`` into ``+0.0``), later winners added left to right, and the
-    sum divided by the winner count.  Losing axes never reach those points,
-    so their non-finite values cannot leak.
+    ``winners`` is the pass's :func:`_boundary_winners`.  The boundary points
+    are gathered first; every axis wins wherever the orders agree, so the
+    plane-wide mean ``((p0 + p1) + ...) / k`` is the answer there.  The
+    gathered points are then redone: the first winner's prediction copied (a
+    zero accumulator would turn ``-0.0`` into ``+0.0``), later winners added
+    left to right, the sum divided by the winner count, and scattered back.
+    Losing axes never reach those points, so their non-finite values cannot
+    leak.
     """
     flat, steps, count = winners
-    vals = [pred.reshape(-1)[flat] for pred in preds]
-    np.add(preds[0], preds[1], out=out)
-    for pred in preds[2:]:
-        np.add(out, pred, out=out)
-    np.divide(out, float(len(preds)), out=out)
+    vals = [ws.view("wins", np.float64, flat.size, i * flat.size).reshape(flat.shape)
+            for i in range(len(preds))]
+    out = preds[0]
+    ops = [(np.take, (p.reshape(-1), flat, None, v, "clip")) for p, v in zip(preds, vals)]
+    ops.append((np.add, (out, preds[1], out)))
+    ops += [(np.add, (out, p, out)) for p in preds[2:]]
+    ops.append((np.divide, (out, float(len(preds)), out)))
     acc = vals[0]
     for val, (first, later) in zip(vals[1:], steps):
-        np.copyto(acc, val, where=first)
-        np.add(acc, val, out=acc, where=later)
-    np.divide(acc, count, out=acc)
-    out.reshape(-1)[flat] = acc
-    return out
+        ops.append((np.copyto, (acc, val, "same_kind", first)))
+        ops.append((partial(np.add, where=later), (acc, val, acc)))
+    ops.append((np.divide, (acc, count, acc)))
+    ops.append((np.put, (out.reshape(-1), flat, acc)))
+    return ops
 
 
-def _interleave(g: PlaneLevel, planes: np.ndarray, out: np.ndarray) -> None:
+def _run(ops) -> None:
+    for f, args in ops:
+        f(*args)
+
+
+def _interleave(bound: _Bound, out: np.ndarray) -> None:
     """Scatter a finished level's planes into its lattice ``out`` (the next
     level's plane 0, or the field itself at stride 1), casting to its dtype."""
-    for k, (extent, _, lattice) in enumerate(g.planes):
-        out[lattice] = planes[k][extent]
+    for lattice, src in bound.interleave:
+        out[lattice] = src
 
 
-def _predict_planes(
-    buf: np.ndarray, planes: np.ndarray, p: _PlanePass, spline: str, scratch: ScratchPool
-) -> np.ndarray:
-    """Highest-order-wins prediction of one pass's target planes into scratch.
-
-    Per axis, one flat run evaluates the interior formula over the whole
-    target range from shifted 1-D slices of ``buf``; it leaves garbage on
-    the boundary rows, which are then recomputed from basic slices of
-    ``planes``.  Padding entries get finite garbage and are never read
-    back into a valid point.
-    """
-    shape = (p.k1 - p.k0,) + planes.shape[1:]
-    preds = []
-    for i, ((lo, kind, nbs), rows) in enumerate(p.runs):
-        pred = scratch.get(f"pred_{i}", shape)
-        out = pred.reshape(-1)[lo:]
-        predict_kind_into(buf, kind, nbs, spline, out=out, tmp=scratch.get("pred_tmp", out.shape))
-        for rel, kind, nbs in rows:
-            view = pred[rel]
-            run = scratch.get("pred_run", view.shape)
-            tmp = scratch.get("pred_tmp", view.shape)
-            predict_kind_into(planes, kind, nbs, spline, out=run, tmp=tmp)
-            np.copyto(view, run)
-        preds.append(pred)
-    if len(preds) == 1:
-        return preds[0]
-    return _average_winners(preds, p.winners, preds[0])
+def _outlier_slots(programs, shape, out_pos, values, anchor_stride):
+    """Where every outlier goes, in one pass over them: their level-buffer
+    positions and float64 values ordered by (level, round), and per
+    ``level * rounds + round`` the index of the first one."""
+    nd = len(shape)
+    width = max(len(p.rounds) for p in programs)
+    groups = len(programs) * width
+    coords = [out_pos // r % d for r, d in zip(_row_strides(shape), shape)]
+    merged = np.zeros(out_pos.size, dtype=np.int64)
+    for c in coords:
+        merged |= c
+    low = merged & -merged  # the stride of the level that predicts the point
+    keep = np.flatnonzero((low > 0) & (low < anchor_stride))  # anchors are never outliers
+    low = low[keep]
+    shift = np.frexp(low.astype(np.float64))[1] - 1  # log2, exact on powers of two
+    level = (anchor_stride.bit_length() - 2) - shift  # coarse to fine
+    mask = np.zeros(keep.size, dtype=np.int64)
+    halves = []
+    for j, c in enumerate(coords):
+        q = c[keep] >> shift
+        mask |= (q & 1) << j
+        halves.append(q >> 1)
+    table = np.array([p.position for p in programs], dtype=np.int64)
+    rounds = np.array([p.round_of for p in programs], dtype=np.int64)
+    sizes = np.array([p.plane_size for p in programs], dtype=np.int64)
+    rows = np.array([_row_strides(p.half) for p in programs], dtype=np.int64).reshape(len(programs), nd)
+    pos = table[level, mask] * sizes[level]
+    for j, h in enumerate(halves):
+        pos += h * rows[level, j]
+    group = level * width + rounds[level, mask]
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(groups + 1)).tolist()
+    return pos[order], values[keep][order].astype(np.float64), bounds, width
 
 
 class InterpolationPredictor:
-    """Anchor-grid + hierarchical spline predictor with byte quantization."""
+    """Anchor-grid + hierarchical spline predictor with byte quantization.
+
+    Holds only the anchor stride: the compiled levels are shared through
+    :func:`replay_program` and the buffers are per thread, so one instance
+    serves any number of calls and threads.
+    """
 
     def __init__(self, anchor_stride: int = 16):
         self.anchor_stride = anchor_stride
-        self._scratch = ScratchPool()
 
     def _anchor_slices(self, shape: tuple[int, ...]) -> tuple[slice, ...]:
         return tuple(slice(0, dim, self.anchor_stride) for dim in shape)
 
-    def _levels(self, shape: tuple[int, ...], configs) -> list[tuple[str, PlaneLevel]]:
-        """``(spline, geometry)`` of every level, coarse to fine."""
+    def _programs(self, shape: tuple[int, ...], configs) -> list[ReplayProgram]:
+        """The :class:`ReplayProgram` of every level, coarse to fine."""
         out = []
         for s in level_strides(self.anchor_stride):
             cfg = configs.get(s, LevelConfig())
-            out.append((cfg.spline, plane_level(shape, s, cfg.scheme, cfg.spline)))
+            out.append(replay_program(shape, s, cfg.scheme, cfg.spline))
         return out
 
     # ------------------------------------------------------------ compress
@@ -934,35 +1299,32 @@ class InterpolationPredictor:
         anchors = data[self._anchor_slices(shape)].copy()
 
         quantizer = ByteQuantizer(eb)
-        scratch = self._scratch
-        levels = self._levels(shape, configs)
-        buf, planes = levels[0][1].buffer()
-        planes[0] = anchors  # exact float64 embedding of the raw anchors
+        programs = self._programs(shape, configs)
+        ws = _workspace(programs, dtype)
+        bound = [ws.bind(p, dtype) for p in programs]
+        bound[0].plane0[...] = anchors  # exact float64 embedding of the raw anchors
         recon = None
-        for i, (spline, g) in enumerate(levels):
-            for p in g.passes:
-                targets = g.planes[p.k0 : p.k1]
-                shape_p = (len(targets),) + g.half
-                # Zeroed first: padding entries of the data planes must be
-                # finite garbage.
-                values = scratch.get("plane_values", shape_p)
-                values.fill(0.0)
-                for (extent, dslices, _), plane in zip(targets, values):
-                    plane[extent] = data[dslices]
-                cplanes = scratch.get("plane_codes", shape_p, np.uint8)
-                pred = _predict_planes(buf, planes, p, spline, scratch)
-                quantizer.quantize_into(
-                    values, pred, dtype, scratch, cplanes, out=planes[p.k0 : p.k1]
-                )
-                for (extent, dslices, _), plane in zip(targets, cplanes):
-                    codes[dslices] = plane[extent]
-            if i + 1 < len(levels):
-                buf, nxt = levels[i + 1][1].buffer()
-                _interleave(g, planes, nxt[0, ...])
-                planes = nxt
+        for i, (g, b) in enumerate(zip(programs, bound)):
+            b.tail.fill(0.0)
+            b.tail[-1] = -0.0
+            for v in b.unused:
+                v.fill(0.0)
+            for ops, pred, target, zeros, values, cplanes, scratch, io, pads in b.rounds:
+                for v in zeros:  # what the flat runs read before it is written
+                    v.fill(0.0)
+                _run(ops)
+                for v in pads:  # padding must hold finite garbage
+                    v.fill(0.0)
+                for p, v, _ in io:
+                    np.copyto(v, data[g.planes[p][1]])
+                quantizer.quantize_into(values, pred, dtype, scratch, cplanes, out=target)
+                for p, _, c in io:
+                    codes[g.planes[p][1]] = c
+            if i + 1 < len(programs):
+                _interleave(b, bound[i + 1].plane0)
             elif keep_recon:
                 recon = np.empty(shape, dtype=dtype)
-                _interleave(g, planes, recon)
+                _interleave(b, recon)
 
         out_pos = np.flatnonzero(codes.reshape(-1) == 0)
         # Anchor positions can never be outliers (byte 128), so out_pos are
@@ -987,35 +1349,45 @@ class InterpolationPredictor:
         level_configs: dict[int, LevelConfig],
         dtype: np.dtype,
     ) -> np.ndarray:
-        """Replay the prediction passes and rebuild the field exactly."""
+        """Replay the prediction rounds and rebuild the field exactly."""
         shape = tuple(shape)
         out_pos = np.flatnonzero(codes.reshape(-1) == 0)
-        coords = tuple(out_pos // row % dim for row, dim in zip(_row_strides(shape), shape))
         outlier_values = np.asarray(outlier_values)
+        if outlier_values.size != out_pos.size:
+            raise ValueError(
+                f"the outliers segment holds {outlier_values.size} values but the codes "
+                f"mark {out_pos.size} outliers"
+            )
         twoeb = 2.0 * eb
-        scratch = self._scratch
-        levels = self._levels(shape, level_configs)
-        buf, planes = levels[0][1].buffer()
-        planes[0] = anchors
-        for i, (spline, g) in enumerate(levels):
+        programs = self._programs(shape, level_configs)
+        slots = None
+        if out_pos.size:
+            slots = _outlier_slots(programs, shape, out_pos, outlier_values, self.anchor_stride)
+        ws = _workspace(programs, dtype)
+        bound = [ws.bind(p, dtype) for p in programs]
+        bound[0].plane0[...] = anchors
+        for i, (g, b) in enumerate(zip(programs, bound)):
+            b.tail.fill(0.0)
+            b.tail[-1] = -0.0
             # Every target plane starts as its dequantized codes; padding
-            # stays zero, so it only ever holds finite garbage.
-            for (extent, dslices, _), plane in zip(g.planes[1:], planes[1:]):
-                np.subtract(codes[dslices], 128.0, out=plane[extent])  # exact for every byte
-            np.multiply(planes[1:], twoeb, out=planes[1:])
-            pos, exact, bounds = g.outliers(coords, outlier_values)
-            for p in g.passes:
-                target = planes[p.k0 : p.k1]
-                np.add(_predict_planes(buf, planes, p, spline, scratch), target, out=target)
-                lo, hi = bounds[p.k0], bounds[p.k1]
-                if lo < hi:
-                    buf[pos[lo:hi]] = exact[lo:hi]
-            if i + 1 < len(levels):
-                buf, nxt = levels[i + 1][1].buffer()
-                _interleave(g, planes, nxt[0, ...])
-                planes = nxt
+            # is zeroed, so it only ever holds finite garbage.
+            for p, v in b.dequant:
+                np.subtract(codes[g.planes[p][1]], 128.0, out=v)  # exact for every byte
+            for v in b.pads:
+                v.fill(0.0)
+            np.multiply(b.rest, twoeb, out=b.rest)
+            for r, (ops, pred, target, *_) in enumerate(b.rounds):
+                _run(ops)
+                np.add(pred, target, out=target)
+                if slots is not None:
+                    pos, exact, bounds, width = slots
+                    lo, hi = bounds[i * width + r], bounds[i * width + r + 1]
+                    if lo < hi:
+                        np.put(b.planes, pos[lo:hi], exact[lo:hi])
+            if i + 1 < len(programs):
+                _interleave(b, bound[i + 1].plane0)
         out = np.empty(shape, dtype=dtype)
-        _interleave(g, planes, out)  # the stride-1 lattice is the field
+        _interleave(b, out)  # the stride-1 lattice is the field
         return out
 
     # ------------------------------------------------------------- dry run

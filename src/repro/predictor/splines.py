@@ -39,7 +39,7 @@ __all__ = [
     "KIND_ORDER",
     "KIND_OFFSETS",
     "axis_kind_segments",
-    "predict_kind_into",
+    "kind_ops",
 ]
 
 #: interior 4-point weights per spline family (applied to m3, m1, p1, p3)
@@ -128,7 +128,7 @@ def axis_predict(
 
 
 # --------------------------------------------------------------------------
-# Segment-wise kernels for the fused prediction path.
+# Segment-wise kernels for the compiled replay.
 #
 # axis_predict computes *every* boundary form over the whole block and selects
 # per point with nested np.where — four full-size evaluations to keep one.
@@ -136,10 +136,10 @@ def axis_predict(
 # interpolation axis, and the target vector t = s, 3s, 5s, ... decomposes into
 # a handful of *contiguous runs* of constant class (interior targets are the
 # 4-point spline, one or two targets per edge fall back to quadratic/linear/
-# copy forms).  The fused path in repro.predictor.interpolation therefore
-# evaluates each axis of a pass run by run, exactly one formula per run, on
-# strided views, into preallocated scratch — bit-identical results at a
-# quarter of the arithmetic and none of the gather copies.
+# copy forms).  The replay programs of repro.predictor.interpolation therefore
+# evaluate each axis of a pass run by run, exactly one formula per run
+# (:func:`kind_ops`), into preallocated workspace — bit-identical results at
+# a quarter of the arithmetic and none of the gather copies.
 # --------------------------------------------------------------------------
 
 #: boundary classes of one target run, ordered by interpolation order
@@ -198,44 +198,31 @@ def _target_kind(has_m3: bool, has_p1: bool, has_p3: bool, spline: str) -> int:
     return KIND_QUAD_R if has_p3 else KIND_LIN
 
 
-def _weighted_sum(terms, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Left-associated ``w0*a0 + w1*a1 + ...`` into ``out`` (bit-exact with
-    the expression form used by :func:`axis_predict`)."""
-    w0, a0 = terms[0]
-    np.multiply(a0, w0, out=out)
-    for w, a in terms[1:]:
-        np.multiply(a, w, out=tmp)
-        np.add(out, tmp, out=out)
+def kind_ops(kind: int, spline: str, views: list, out: np.ndarray, tmp: np.ndarray) -> list:
+    """The ufunc calls of one class's formula, as ``(func, args)`` pairs.
 
-
-def predict_kind_into(
-    R: np.ndarray,
-    kind: int,
-    nb_slices: tuple,
-    spline: str,
-    out: np.ndarray,
-    tmp: np.ndarray,
-) -> None:
-    """One-class prediction of a run of targets into preallocated ``out``.
-
-    ``nb_slices`` holds one basic-slice tuple per neighbor of the class (in
-    :data:`KIND_OFFSETS` order); the reads are strided views of ``R`` — no
-    gather copies.  ``R`` must be float64 (binary operands stay array-array,
-    so no value-based scalar promotion can change the compute dtype).
+    ``views`` holds one neighbor operand per offset of the class (in
+    :data:`KIND_OFFSETS` order).  The weighted sums are left-associated
+    ``w0*a0 + w1*a1 + ...`` with every term's product in ``tmp``, which is
+    bit-exact with the expression form of :func:`axis_predict`.  The operands
+    must be float64 arrays (binary operands stay array-array, so no
+    value-based scalar promotion can change the compute dtype).
     """
-    views = [R[sl] for sl in nb_slices]
-    if kind == KIND_FULL:
-        w = SPLINES[spline]
-        _weighted_sum(list(zip(w, views)), out, tmp)
-    elif kind == KIND_QUAD_L:
-        _weighted_sum(list(zip(_QUAD_LEFT, views)), out, tmp)
-    elif kind == KIND_QUAD_R:
-        _weighted_sum(list(zip(_QUAD_RIGHT, views)), out, tmp)
-    elif kind == KIND_LIN:
+    if kind == KIND_LIN:
         m1, p1 = views
-        np.add(m1, p1, out=out)
-        np.multiply(out, 0.5, out=out)
-    elif kind == KIND_COPY:
-        np.copyto(out, views[0])
-    else:  # pragma: no cover - plan builder only emits known kinds
+        return [(np.add, (m1, p1, out)), (np.multiply, (out, 0.5, out))]
+    if kind == KIND_COPY:
+        return [(np.copyto, (out, views[0]))]
+    if kind == KIND_FULL:
+        weights = SPLINES[spline]
+    elif kind == KIND_QUAD_L:
+        weights = _QUAD_LEFT
+    elif kind == KIND_QUAD_R:
+        weights = _QUAD_RIGHT
+    else:  # pragma: no cover - plan builders only emit known kinds
         raise ValueError(f"unknown prediction kind {kind!r}")
+    (w0, a0), *rest = zip(weights, views)
+    ops = [(np.multiply, (a0, w0, out))]
+    for w, a in rest:
+        ops += [(np.multiply, (a, w, tmp)), (np.add, (out, tmp, out))]
+    return ops

@@ -139,7 +139,8 @@ class ByteQuantizer:
         ``out`` when given and into a ``scratch`` buffer otherwise — no
         per-call temporaries beyond the pool.
         ``scratch`` is any object with ``get(key, shape, dtype)`` returning
-        reusable arrays (see ``repro.predictor.interpolation.ScratchPool``).
+        reusable arrays (the interpolation replay hands over views of its
+        per-thread workspace).
 
         ``values`` may be the storage-dtype (e.g. float32) strided view of
         the source: every binary op pairs it with a float64 array, so the

@@ -252,3 +252,14 @@ def test_interp_kernels_match_the_per_call_schedule(shape, scheme, itemsize):
         trace = KernelTrace()
         CuszHi._interp_kernels(trace, shape, itemsize, level_cfgs, 16)
         assert _rows(trace) == _interp_kernels_oracle(shape, itemsize, level_cfgs, 16)
+
+
+@pytest.mark.parametrize("mode", ["cr", "tp"])
+@pytest.mark.parametrize("shape", [(0, 16), (16, 0, 4)], ids=str)
+def test_empty_field_round_trips_in_abs_mode(shape, mode):
+    """An empty field has no value range, so it needs an absolute bound;
+    with one it compresses and decompresses to an empty field."""
+    data = np.zeros(shape, np.float32)
+    result = api.compress(data, api.build_request(eb=1e-3, eb_mode="abs", mode=mode))
+    out = api.decompress(result.blob.to_bytes())
+    assert out.shape == shape and out.dtype == data.dtype

@@ -65,3 +65,96 @@ def test_fixed_length_block_of_zero_is_refused():
     blob.segments["residuals"] = bytes(residuals)
     with pytest.raises(ValueError, match="block of 0"):
         api.decompress(blob.to_bytes())
+
+
+def _bounded(body: bytes, match: str, declared: int) -> None:
+    """``api.decompress(body)`` fails with ``match`` and a tracemalloc peak
+    within a small multiple of the ``declared`` output bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            api.decompress(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * declared
+
+
+@pytest.mark.parametrize("pipeline", ["HF+GPULZ", "nvCOMP::LZ4"])
+def test_gpulz_count_past_its_payload_is_refused(sealed_codes_blob, pipeline):
+    """A codes stream whose GPULZ header (the u64 at byte 0) declares
+    2^31 - 1 bytes, which would be a 2.1 GB allocation (the LZ4 surrogate
+    is the same decoder at 4-byte words)."""
+
+    def huge(codes: bytearray) -> None:
+        codes[0:8] = (2**31 - 1).to_bytes(8, "little")
+
+    body = sealed_codes_blob(pipeline, huge)
+    _bounded(body, "GPULZ stream declares 2147483647 bytes", 16**3 * 4)
+
+
+def test_gpulz_short_block_is_a_value_error():
+    """A block header cut off by the end of the stream, not a struct.error."""
+    import struct
+
+    from repro.encoders.gpulz import GpuLzCodec
+
+    stream = struct.pack("<QIIB", 16, 4096, 1, 0) + bytes(8)  # one literal of two words
+    with pytest.raises(ValueError, match="runs past the stream"):
+        GpuLzCodec().decode(stream)
+
+
+def test_fixed_length_block_past_its_count_is_refused():
+    """A cuSZp2 residual stream whose u32 block is 2^31 - 1: its grid and
+    payload bits would ask for hundreds of GiB.  Its one block is flagged
+    nonzero, and the byte read as its width is not a valid one."""
+    import numpy as np
+
+    from repro.core.container import CompressedBlob
+
+    field = np.linspace(0.0, 1.0, 4096, dtype=np.float32).reshape(16, 16, 16)
+    blob = CompressedBlob.from_bytes(api.compress(field, codec="cuszp2", eb=1e-3).to_bytes())
+    residuals = bytearray(blob.segments["residuals"])
+    residuals[8:12] = (2**31 - 1).to_bytes(4, "little")
+    blob.segments["residuals"] = bytes(residuals)
+    _bounded(blob.to_bytes(), "fixed-length stream declares", field.nbytes)
+
+
+def test_fixed_length_payload_past_its_stream_is_refused():
+    """Nonzero blocks whose widths need more payload than the stream holds."""
+    import numpy as np
+
+    from repro.encoders.fixedlen import FixedLengthCodec
+
+    codec = FixedLengthCodec()
+    stream = codec.encode_ints(np.arange(1, 65, dtype=np.int32))
+    with pytest.raises(ValueError, match="payload bits but carries"):
+        codec.decode_ints(stream[: len(stream) - 4])
+    with pytest.raises(ValueError, match="declares 64 values, expected 65"):
+        codec.decode_ints(stream, count=65)
+    zero_width = bytearray(stream)
+    zero_width[13] = 0  # the first nonzero block's width, after the 1-byte bitmap
+    with pytest.raises(ValueError, match="width 0"):
+        codec.decode_ints(bytes(zero_width))
+
+
+def test_fixed_length_zero_block_longer_than_its_count_is_not_allocated():
+    """A zero block declaring 2^31 - 1 values decodes to its 10 values
+    without allocating the block (the block size can come from a blob's
+    own metadata, so it is not a bound)."""
+    import struct
+    import tracemalloc
+
+    from repro.encoders.fixedlen import FixedLengthCodec
+
+    stream = struct.pack("<QI", 10, 2**31 - 1) + b"\x00"  # one all-zero block
+    tracemalloc.start()
+    try:
+        out = FixedLengthCodec().decode_ints(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [0] * 10
+    assert peak < 1 << 20

@@ -1,6 +1,8 @@
 """Test-only oracles for the interpolation predictor.
 
-Earlier formulations of the same arithmetic, kept out of ``src/``:
+Earlier formulations of the same arithmetic, kept out of ``src/`` with
+their own copies of the helpers they need (``ScratchPool``,
+``predict_kind_into``):
 
 * :func:`predict_block` — the mask-based highest-order-wins prediction of
   one pass over an ``np.ix_`` open mesh (the original reference path).
@@ -20,12 +22,10 @@ from itertools import combinations, product
 import numpy as np
 
 from repro.predictor.autotune import CANDIDATES, sample_blocks
-from repro.predictor.interpolation import (
-    LevelConfig,
-    ScratchPool,
-    level_strides,
-)
+from repro.predictor.interpolation import LevelConfig, level_strides
 from repro.predictor.splines import (
+    _QUAD_LEFT,
+    _QUAD_RIGHT,
     KIND_COPY,
     KIND_FULL,
     KIND_LIN,
@@ -33,11 +33,55 @@ from repro.predictor.splines import (
     KIND_ORDER,
     KIND_QUAD_L,
     KIND_QUAD_R,
+    SPLINES,
     axis_kind_segments,
     axis_predict,
-    predict_kind_into,
 )
 from repro.quantizer.linear import ByteQuantizer
+
+
+class ScratchPool:
+    """Reusable flat buffers handed out as shaped views, keyed by name and
+    grown to the largest shape requested.  Not thread-safe."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        n = int(np.prod(shape))
+        buf = self._buffers.get(key)
+        if buf is None or buf.dtype != dtype or buf.size < n:
+            dtype = np.dtype(dtype)
+            size = n if buf is None or buf.dtype != dtype else max(n, buf.size)
+            buf = np.empty(size, dtype=dtype)
+            self._buffers[key] = buf
+        return buf[:n].reshape(shape)
+
+
+def _weighted_sum(terms, out, tmp):
+    """Left-associated ``w0*a0 + w1*a1 + ...`` into ``out``."""
+    w0, a0 = terms[0]
+    np.multiply(a0, w0, out=out)
+    for w, a in terms[1:]:
+        np.multiply(a, w, out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def predict_kind_into(R, kind, nb_slices, spline, out, tmp):
+    """One-class prediction of a run of targets from basic slices of ``R``."""
+    views = [R[sl] for sl in nb_slices]
+    if kind == KIND_FULL:
+        _weighted_sum(list(zip(SPLINES[spline], views)), out, tmp)
+    elif kind == KIND_QUAD_L:
+        _weighted_sum(list(zip(_QUAD_LEFT, views)), out, tmp)
+    elif kind == KIND_QUAD_R:
+        _weighted_sum(list(zip(_QUAD_RIGHT, views)), out, tmp)
+    elif kind == KIND_LIN:
+        m1, p1 = views
+        np.add(m1, p1, out=out)
+        np.multiply(out, 0.5, out=out)
+    else:
+        np.copyto(out, views[0])
 
 
 def predict_block(

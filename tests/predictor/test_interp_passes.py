@@ -29,7 +29,7 @@ from repro.predictor.interpolation import (
     LevelConfig,
     level_passes,
     level_strides,
-    plane_level,
+    replay_program,
     scoring_program,
 )
 from repro.quantizer.linear import ByteQuantizer
@@ -310,66 +310,60 @@ class TestScoringProgram:
 class TestCallCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of kernel calls: all of them, and those of the replay."""
-        calls = {"predict": 0, "quantize": 0, "replay_predict": 0}
-        predict = interpolation.predict_kind_into
+        """Counts of quantizer calls."""
+        calls = {"quantize": 0}
         quantize = ByteQuantizer.quantize_into
-        compress = InterpolationPredictor.compress
-
-        def counting_predict(*args, **kwargs):
-            calls["predict"] += 1
-            return predict(*args, **kwargs)
 
         def counting_quantize(self, *args, **kwargs):
             calls["quantize"] += 1
             return quantize(self, *args, **kwargs)
 
-        def counting_compress(self, *args, **kwargs):
-            before = calls["predict"]
-            result = compress(self, *args, **kwargs)
-            calls["replay_predict"] += calls["predict"] - before
-            return result
-
-        monkeypatch.setattr(interpolation, "predict_kind_into", counting_predict)
         monkeypatch.setattr(ByteQuantizer, "quantize_into", counting_quantize)
-        monkeypatch.setattr(InterpolationPredictor, "compress", counting_compress)
         return calls
 
     @staticmethod
-    def _replay_geometry(shape, levels):
-        """(passes, interpolated axes, boundary rows) of a replay."""
-        passes = axes = rows = 0
-        for s, cfg in levels.items():
-            for p in plane_level(shape, s, cfg.scheme, cfg.spline).passes:
-                passes += 1
-                axes += len(p.runs)
-                rows += sum(len(axis_rows) for _, axis_rows in p.runs)
-        return passes, axes, rows
+    def _rounds(shape, levels):
+        return [
+            [len(passes) for _, _, _, passes, _ in replay_program(shape, s, cfg.scheme, cfg.spline).rounds]
+            for s, cfg in levels.items()
+        ]
 
     def test_untiled_32cubed_cr_compress(self, calls):
-        """Per-pass whole-plane work: one quantize per pass; per axis, one
-        flat run plus at most three boundary rows."""
+        """One quantize per round: three per 3-D level, md or 1d."""
         x = make_field((32, 32, 32), "walk", np.float32)
         result = api.compress(x, codec="cusz-hi-cr", eb=1e-3)
         assert result.blob.meta["pipeline"] == CR_PIPELINE
 
         levels = _decode_levels(result.blob.meta["levels"])
-        passes, axes, rows = self._replay_geometry(x.shape, levels)
+        rounds = self._rounds(x.shape, levels)
+        passes = sum(map(sum, rounds))
         assert passes == sum(
             all(v.size for v in vectors)
             for s, cfg in levels.items()
             for vectors, _ in level_passes(x.shape, s, cfg.scheme)
         )
-        assert calls["quantize"] == passes <= 28
-        assert calls["replay_predict"] == axes + rows <= 4 * axes
-        assert calls["predict"] <= 400
+        assert calls["quantize"] == sum(map(len, rounds)) == 4 * 3
 
     def test_md_cubic_replay(self, calls):
-        """The md scheme on every level: 12 axis predictions per 3-D level."""
+        """The md scheme on every level: rounds of 3, 3 and 1 passes."""
         x = make_field((33, 33, 33), "walk", np.float32)
         levels = {s: LevelConfig("md", "cubic") for s in level_strides(16)}
         InterpolationPredictor(16).compress(x, 1e-3, levels)
-        passes, axes, rows = self._replay_geometry(x.shape, levels)
-        assert calls["quantize"] == passes == 4 * 7
-        assert axes == 4 * 12
-        assert calls["replay_predict"] == axes + rows <= 4 * axes
+        assert self._rounds(x.shape, levels) == [[3, 3, 1]] * 4
+        assert calls["quantize"] == 4 * 3
+
+    def test_small_levels_gather_and_large_ones_skip_empty_flat_runs(self):
+        """A level of at most GATHER_PLANE points per plane runs each round as
+        one gather program.  A larger level compiles a flat run only along
+        axes with interior targets: at stride 4 a 20-point axis has one
+        right and one left quadratic target and no interior one."""
+        coarse = replay_program((32, 32, 32), 8, "md", "cubic")
+        assert all(gather is not None for *_, gather in coarse.rounds)
+        assert [len(passes) for _, _, _, passes, _ in coarse.rounds] == [3, 3, 1]
+        wide = replay_program((2000, 20), 4, "md", "cubic")
+        assert wide.plane_size > interpolation.GATHER_PLANE
+        runs = [
+            [flat is not None for flat, _, _ in runs]
+            for _, _, _, passes, _ in wide.rounds for _, _, runs, _ in passes
+        ]
+        assert runs == [[True], [False], [True, False]]

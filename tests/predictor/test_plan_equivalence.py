@@ -9,16 +9,16 @@ mask-based formulation (the test-only oracle ``interp_oracle.predict_block``).
 
 import numpy as np
 import pytest
+from interp_oracle import ScratchPool
 from interp_oracle import predict_block as _predict_block
 
 from repro.predictor.interpolation import (
     InterpolationPredictor,
     LevelConfig,
-    ScratchPool,
     level_passes,
     level_plan_stats,
     level_strides,
-    plane_level,
+    replay_program,
     scoring_program,
 )
 from repro.predictor.splines import KIND_ORDER, axis_kind_segments, axis_predict
@@ -159,10 +159,11 @@ class TestPlanCache:
         assert (after["misses"], after["hits"]) == (mid["misses"], mid["hits"] + 2)
 
     def test_plane_geometry_lookups_are_counted(self):
-        """The replay's geometry cache reports through the same counters."""
+        """The replay programs' cache (the compiled parity-plane geometry)
+        reports through the same counters."""
         before = level_plan_stats()
-        g1 = plane_level((20, 20, 20), 4, "md", "cubic")
-        g2 = plane_level((20, 20, 20), 4, "md", "cubic")
+        g1 = replay_program((20, 20, 20), 4, "md", "cubic")
+        g2 = replay_program((20, 20, 20), 4, "md", "cubic")
         after = level_plan_stats()
         assert g1 is g2
         assert after["hits"] > before["hits"]

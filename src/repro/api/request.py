@@ -74,15 +74,63 @@ def check_executor(executor: str, what: str = "executor") -> str:
     return executor
 
 
-def _positive_dims(value: Any, what: str) -> tuple[int, ...]:
-    ok = (
+# Spec validators shared by requests, batch manifests and eval configs; the
+# manifest and config parsers re-raise their RequestError as their own type.
+
+
+def require(cond: Any, message: str) -> None:
+    """Raise ``RequestError(message)`` unless ``cond`` holds."""
+    if not cond:
+        raise RequestError(message)
+
+
+def check_dims(value: Any, what: str) -> tuple[int, ...]:
+    """A non-empty list of positive ints (shapes, tile extents)."""
+    require(
         isinstance(value, (list, tuple))
         and bool(value)
-        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in value)
+        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in value),
+        f"{what} must be a non-empty list of positive integers, got {value!r}",
     )
-    if not ok:
-        raise RequestError(f"{what} must be a non-empty list of positive integers, got {value!r}")
     return tuple(int(d) for d in value)
+
+
+def check_keys(
+    doc: Any, allowed: Any, what: str, not_mapping: str | None = None, unknown: str = "unknown keys"
+) -> None:
+    """``doc`` is a mapping whose keys all lie in ``allowed``."""
+    require(isinstance(doc, Mapping), not_mapping or f"{what} must be a mapping, got {doc!r}")
+    extra = set(doc) - set(allowed)
+    require(not extra, f"{what}: {unknown} {sorted(extra)}")
+
+
+def check_count(value: Any, message: str, minimum: int | None = 0) -> int:
+    """An int, not a bool, of at least ``minimum`` (workers, timesteps, seeds)."""
+    require(
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum),
+        message,
+    )
+    return value
+
+
+def check_flag(value: Any, what: str) -> bool:
+    """A real bool: ``"no"`` or ``0`` is not a flag."""
+    require(isinstance(value, bool), f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def check_name(value: Any, message: str) -> str:
+    """A string with something besides whitespace in it."""
+    require(isinstance(value, str) and value.strip(), message)
+    return value
+
+
+def check_unique(values: list, message: str) -> None:
+    """No value repeats; ``message`` is followed by the repeated ones."""
+    dupes = sorted({v for v in values if values.count(v) > 1})
+    require(not dupes, f"{message} {dupes}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +166,7 @@ class ErrorBoundSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ErrorBoundSpec":
-        _check_keys(doc, {"value", "mode"}, "error_bound")
+        check_keys(doc, {"value", "mode"}, "error_bound")
         return cls(value=doc.get("value", 1e-3), mode=doc.get("mode", "rel"))
 
 
@@ -135,20 +183,19 @@ class TilingSpec:
     workers: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tiles", _positive_dims(self.tiles, "tiles"))
+        object.__setattr__(self, "tiles", check_dims(self.tiles, "tiles"))
         if self.executor is not None:
             check_executor(self.executor, "tiling executor")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 0:
-            raise RequestError(
-                f"tiling workers must be an integer >= 0 (0 = auto), got {self.workers!r}"
-            )
+        check_count(
+            self.workers, f"tiling workers must be an integer >= 0 (0 = auto), got {self.workers!r}"
+        )
 
     def to_dict(self) -> dict:
         return {"tiles": list(self.tiles), "executor": self.executor, "workers": self.workers}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "TilingSpec":
-        _check_keys(doc, {"tiles", "executor", "workers"}, "tiling")
+        check_keys(doc, {"tiles", "executor", "workers"}, "tiling")
         if "tiles" not in doc:
             raise RequestError("tiling needs a 'tiles' list")
         return cls(
@@ -169,8 +216,7 @@ class PipelineSpec:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name.strip():
-            raise RequestError(f"pipeline name must be a non-empty string, got {self.name!r}")
+        check_name(self.name, f"pipeline name must be a non-empty string, got {self.name!r}")
         object.__setattr__(self, "name", self.name.strip())
 
     def to_dict(self) -> dict:
@@ -178,18 +224,10 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "PipelineSpec":
-        _check_keys(doc, {"name"}, "pipeline")
+        check_keys(doc, {"name"}, "pipeline")
         if "name" not in doc:
             raise RequestError("pipeline needs a 'name'")
         return cls(name=doc["name"])
-
-
-def _check_keys(doc: Mapping, allowed: set, what: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise RequestError(f"{what} must be a mapping, got {doc!r}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise RequestError(f"{what}: unknown keys {sorted(unknown)}")
 
 
 def _as_pairs(value: Any, what: str, value_types: tuple) -> tuple[tuple[str, Any], ...]:
@@ -199,16 +237,15 @@ def _as_pairs(value: Any, what: str, value_types: tuple) -> tuple[tuple[str, Any
     out = []
     try:
         for k, v in items:
-            if not isinstance(k, str) or not k:
-                raise RequestError(f"{what} keys must be non-empty strings, got {k!r}")
-            if isinstance(v, bool) and bool not in value_types:
-                raise RequestError(f"{what}[{k!r}] must be one of {value_types}, got {v!r}")
-            if not isinstance(v, value_types):
-                raise RequestError(f"{what}[{k!r}] must be one of {value_types}, got {v!r}")
+            require(isinstance(k, str) and k, f"{what} keys must be non-empty strings, got {k!r}")
+            require(
+                isinstance(v, value_types),
+                f"{what}[{k!r}] must be one of {value_types}, got {v!r}",
+            )
             out.append((k, v))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, RequestError):
-            raise
+    except RequestError:
+        raise
+    except (TypeError, ValueError):
         raise RequestError(
             f"{what} must be a mapping or iterable of pairs, got {value!r}"
         ) from None
@@ -242,8 +279,7 @@ class CompressionRequest:
     data: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.codec, str) or not self.codec.strip():
-            raise RequestError(f"codec must be a non-empty string, got {self.codec!r}")
+        check_name(self.codec, f"codec must be a non-empty string, got {self.codec!r}")
         object.__setattr__(self, "codec", self.codec.strip())
         eb = self.error_bound
         if isinstance(eb, (int, float)) and not isinstance(eb, bool):
@@ -302,7 +338,7 @@ class CompressionRequest:
     def from_dict(cls, doc: Mapping) -> "CompressionRequest":
         """Validate + deserialize a ``to_dict`` document (unknown keys and a
         foreign schema id are rejected, not ignored)."""
-        _check_keys(
+        check_keys(
             doc,
             {"schema", "codec", "error_bound", "tiling", "pipeline", "options", "meta"},
             "request",

@@ -25,10 +25,14 @@ Each subcommand's ``--help`` names the documentation file covering it
 ``docs/OPERATIONS.md``).
 
 Input files follow the SDRBench raw convention; dims can be embedded in the
-file name (``name_512_512_512.f32``) or passed via ``-d``.  Exit codes: 0 on
-success, 1 when a batch run had failed fields or verification found
-problems, 2 on usage/input errors (bad manifest, corrupt archive, truncated
-container — all reported cleanly on stderr, never as a traceback).
+file name (``name_512_512_512.f32``) or passed via ``-d``.
+
+Exit codes, the same for every command: 0 when it succeeded; 1 when it ran
+but some of its work failed (batch fields, eval cells, verify problems, a
+cluster job that did not drain); 2 on a usage or input error (bad flag
+value, bad manifest or config, missing or corrupt input, unwritable
+output), reported as one ``error: <message>`` line on stderr, never as a
+traceback.
 """
 
 from __future__ import annotations
@@ -47,42 +51,27 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _read_blob(path: str):
-    """Read + parse one container file into a ``CompressedBlob``; raises
-    ContainerError/OSError."""
-    from .core.container import CompressedBlob
-
-    with open(path, "rb") as fh:
-        return CompressedBlob.from_bytes(fh.read())
-
-
 def _cmd_compress(args) -> int:
-    from .api import CapabilityError, RequestError, UnknownCodecError, build_request, compress
+    from .api import build_request, compress
     from .datasets.io import read_raw
 
     shape = tuple(args.dims) if args.dims else None
     data = read_raw(args.input, shape=shape)
     if data.ndim == 1 and shape is None:
-        print("error: pass -d/--dims (or encode dims in the file name)", file=sys.stderr)
-        return 2
+        return _fail("pass -d/--dims (or encode dims in the file name)")
 
     # Flags parse into the one canonical request; all defaulting/validation
     # (eb, tiling, pipeline, codec capabilities) happens in repro.api.
-    try:
-        request = build_request(
-            codec=args.codec,
-            mode=None if args.codec is not None else args.mode,
-            eb=args.eb,
-            tiles=tuple(args.tiles) if args.tiles else None,
-            workers=args.workers or None,
-            executor=args.executor,
-            pipeline=args.pipeline,
-        )
-        blob = compress(data, request).blob
-    except (RequestError, CapabilityError, UnknownCodecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = blob.to_bytes()
+    request = build_request(
+        codec=args.codec,
+        mode=None if args.codec is not None else args.mode,
+        eb=args.eb,
+        tiles=tuple(args.tiles) if args.tiles else None,
+        workers=args.workers or None,
+        executor=args.executor,
+        pipeline=args.pipeline,
+    )
+    payload = compress(data, request).blob.to_bytes()
     with open(args.output, "wb") as fh:
         fh.write(payload)
     print(
@@ -93,21 +82,11 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    from .api import UnknownCodecError, decompress
-    from .core.container import ContainerError
+    from .api import decompress
+    from .core.container import read_blob
     from .datasets.io import write_raw
 
-    try:
-        blob = _read_blob(args.input)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-    except ContainerError as exc:
-        return _fail(f"{args.input}: {exc}")
-
-    try:
-        recon = decompress(blob)
-    except UnknownCodecError as exc:
-        return _fail(f"{args.input}: {exc}")
+    recon = decompress(read_blob(args.input))
     write_raw(args.output, recon)
     print(f"{args.input}: wrote {recon.nbytes} bytes to {args.output} (shape {recon.shape})")
     return 0
@@ -117,14 +96,9 @@ def _cmd_info(args) -> int:
     import numpy as np
 
     from .api import codec_name
-    from .core.container import ContainerError
+    from .core.container import read_blob
 
-    try:
-        blob = _read_blob(args.input)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-    except ContainerError as exc:
-        return _fail(f"{args.input}: {exc}")
+    blob = read_blob(args.input)
     print(f"codec        : {codec_name(blob.codec)} (id {blob.codec})")
     print(f"shape        : {blob.shape}  dtype {np.dtype(blob.dtype).name}")
     print(f"error bound  : {blob.error_bound:.6g} (absolute)")
@@ -150,8 +124,10 @@ def _cmd_bench(args) -> int:
         return _fail("--codec applies to the pipeline matrix; add --pipeline or --smoke")
     from .analysis.harness import EVAL_ORDER, run_case
     from .analysis.tables import format_table
-    from .datasets.registry import load
+    from .datasets.registry import DATASETS, load
 
+    if args.dataset not in DATASETS:
+        return _fail(f"unknown dataset {args.dataset!r}; known: {sorted(DATASETS)}")
     data = load(args.dataset, seed=args.seed)
     rows = []
     for name in EVAL_ORDER:
@@ -163,19 +139,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bench_pipeline(args) -> int:
-    from .api import CapabilityError, RequestError, UnknownCodecError
     from .bench import format_report, run_pipeline_bench, write_report
 
-    try:
-        report = run_pipeline_bench(
-            smoke=args.smoke, label=args.label, repeats=args.repeats, codec=args.codec
-        )
-    except (RequestError, CapabilityError, UnknownCodecError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        write_report(report, args.output)
-    except OSError as exc:
-        return _fail(f"cannot write report {args.output}: {exc.strerror or exc}")
+    report = run_pipeline_bench(
+        smoke=args.smoke, label=args.label, repeats=args.repeats, codec=args.codec
+    )
+    write_report(report, args.output)
     print(format_report(report))
     print(f"wrote {args.output}")
     return 0
@@ -185,10 +154,7 @@ def _cmd_bench_diff(args) -> int:
     from .bench import diff_reports, load_report
 
     old_path, new_path = args.diff
-    try:
-        old, new = load_report(old_path), load_report(new_path)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        return _fail(str(exc))
+    old, new = load_report(old_path), load_report(new_path)
     result = diff_reports(old, new, threshold=args.threshold, min_wall=args.min_wall)
     for line in result["improvements"]:
         print(f"improved:  {line}")
@@ -213,30 +179,18 @@ def _cmd_bench_diff(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from .service import ArchiveError, ArchiveStore, BatchRunner, ManifestError, load_manifest
+    from .service import BatchRunner, load_manifest
 
-    try:
-        spec = load_manifest(args.manifest)
-    except ManifestError as exc:
-        return _fail(str(exc))
-    try:
-        with ArchiveStore(args.output, mode="a") as archive:
-            runner = BatchRunner(
-                spec,
-                archive,
-                executor=args.executor,
-                workers=args.workers,
-                resume=not args.no_resume,
-            )
-            report = runner.run()
-    except (ArchiveError, OSError) as exc:
-        return _fail(str(exc))
+    spec = load_manifest(args.manifest)
+    report = BatchRunner(
+        spec,
+        args.output,
+        executor=args.executor,
+        workers=args.workers,
+        resume=not args.no_resume,
+    ).run()
     if args.report:
-        try:
-            report.write(args.report)
-        except OSError as exc:
-            # The archive itself is already flushed; only the report is lost.
-            return _fail(f"cannot write report {args.report}: {exc.strerror or exc}")
+        report.write(args.report)
     counts = report.counts
     for r in report.fields:
         if r.status == "ok":
@@ -258,7 +212,6 @@ def _cmd_batch(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation import (
-        ConfigError,
         build_report,
         load_config,
         render_html,
@@ -266,37 +219,27 @@ def _cmd_eval(args) -> int:
         run_eval,
         write_report,
     )
-    from .service import ArchiveError
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    cfg = load_config(args.config)
     archive = args.archive or f"EVAL_{cfg.name}.rpza"
-    try:
-        run = run_eval(
-            cfg,
-            archive,
-            resume=not args.no_resume,
-            executor=args.executor,
-            workers=args.workers,
-        )
-    except (ArchiveError, OSError) as exc:
-        return _fail(str(exc))
+    run = run_eval(
+        cfg,
+        archive,
+        resume=not args.no_resume,
+        executor=args.executor,
+        workers=args.workers,
+    )
     report = build_report(run)
     output = args.output or f"EVAL_{cfg.name}.json"
-    try:
-        write_report(report, output)
-        if args.markdown:
-            with open(args.markdown, "w", encoding="utf-8") as fh:
-                fh.write(render_markdown(report) + "\n")
-        if args.html:
-            with open(args.html, "w", encoding="utf-8") as fh:
-                fh.write(render_html(report))
-    except OSError as exc:
-        # The archive already holds every finished cell; only a rendering
-        # target is lost, and a rerun resumes for free.
-        return _fail(f"cannot write report: {exc.strerror or exc}")
+    # A failed write below loses only a rendering: the archive already holds
+    # every finished cell, and a rerun resumes for free.
+    write_report(report, output)
+    if args.markdown:
+        with open(args.markdown, "w", encoding="utf-8") as fh:
+            fh.write(render_markdown(report) + "\n")
+    if args.html:
+        with open(args.html, "w", encoding="utf-8") as fh:
+            fh.write(render_html(report))
     resumed = set(run.resumed)
     for r in run.cells:
         if r.status == "failed":
@@ -323,13 +266,8 @@ def _open_archive(path: str):
 
 
 def _cmd_archive_ls(args) -> int:
-    from .service import ArchiveError
-
-    try:
-        with _open_archive(args.archive) as arch:
-            entries = arch.entries()
-    except (ArchiveError, OSError) as exc:
-        return _fail(str(exc))
+    with _open_archive(args.archive) as arch:
+        entries = arch.entries()
     print(f"{args.archive}: {len(entries)} entries")
     for e in entries:
         shape = "x".join(str(d) for d in e.shape)
@@ -343,26 +281,22 @@ def _cmd_archive_ls(args) -> int:
 
 def _cmd_archive_get(args) -> int:
     from .datasets.io import write_raw
-    from .service import ArchiveError
 
-    try:
-        with _open_archive(args.archive) as arch:
-            if args.tile is not None:
-                origin, data = arch.get_tile(args.name, args.tile)
-                write_raw(args.output, data)
-                print(
-                    f"{args.name}[tile {args.tile}] @ {origin}: wrote {data.nbytes} bytes "
-                    f"to {args.output} (shape {data.shape})"
-                )
-            else:
-                data = arch.get(args.name)
-                write_raw(args.output, data)
-                print(
-                    f"{args.name}: wrote {data.nbytes} bytes to {args.output} "
-                    f"(shape {data.shape})"
-                )
-    except (ArchiveError, OSError) as exc:
-        return _fail(str(exc))
+    with _open_archive(args.archive) as arch:
+        if args.tile is not None:
+            origin, data = arch.get_tile(args.name, args.tile)
+            write_raw(args.output, data)
+            print(
+                f"{args.name}[tile {args.tile}] @ {origin}: wrote {data.nbytes} bytes "
+                f"to {args.output} (shape {data.shape})"
+            )
+        else:
+            data = arch.get(args.name)
+            write_raw(args.output, data)
+            print(
+                f"{args.name}: wrote {data.nbytes} bytes to {args.output} "
+                f"(shape {data.shape})"
+            )
     return 0
 
 
@@ -421,13 +355,9 @@ def _cmd_archive_verify(args) -> int:
 def _cmd_archive_repair(args) -> int:
     import json
 
-    from .service import ArchiveError
     from .service.archive import ArchiveStore
 
-    try:
-        report = ArchiveStore.repair(args.archive)
-    except (ArchiveError, OSError) as exc:
-        return _fail(str(exc))  # unrepairable: exit 2, like other input errors
+    report = ArchiveStore.repair(args.archive)  # unrepairable: ArchiveError, exit 2
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -447,37 +377,18 @@ def _cmd_archive_repair(args) -> int:
 def _cmd_serve(args) -> int:
     from .server.pool import DEFAULT_CACHE_BYTES, build_pool
 
-    try:
-        pool = build_pool(
-            args.workers_procs,
-            queue_depth=args.queue_depth,
-            cache_bytes=DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    pool = build_pool(
+        args.workers_procs,
+        queue_depth=args.queue_depth,
+        cache_bytes=DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes,
+    )
     # Worker processes boot first: their engine imports run while this
     # process imports the HTTP frontend, which loads no NumPy.
     pool.spawn()
 
     import asyncio
-    import logging
 
     from .server.app import ReproServer
-
-    # Operational events (drain progress, final stats flush, worker
-    # restarts) are emitted on the "repro.server" logger; without a handler
-    # they would be invisible, so give the foreground process one on stderr.
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-
-    try:
-        server = ReproServer(
-            args.root, host=args.host, port=args.port, deadline_ms=args.deadline_ms, pool=pool
-        )
-    except ValueError as exc:
-        pool.close()
-        return _fail(str(exc))
 
     async def _serve() -> None:
         await server.start()
@@ -497,37 +408,31 @@ def _cmd_serve(args) -> int:
             await server.stop()
 
     try:
+        server = ReproServer(
+            args.root, host=args.host, port=args.port, deadline_ms=args.deadline_ms, pool=pool
+        )
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
     except OSError as exc:
         # Anything up to the first successful bind: socket in use, privileged
         # port, unwritable archive root, ...
-        return _fail(
-            f"cannot serve {args.root} on {args.host}:{args.port}: {exc.strerror or exc}"
-        )
+        raise OSError(
+            exc.errno,
+            f"cannot serve {args.root} on {args.host}:{args.port}: {exc.strerror or exc}",
+        ) from None
+    finally:
+        pool.close()  # a server that never started still owns the spawned workers
     return 0
-
-
-def _load_cluster_manifest(path: str):
-    from .service import ManifestError, load_manifest
-
-    try:
-        return load_manifest(path)
-    except ManifestError as exc:
-        raise SystemExit(_fail(str(exc))) from None
 
 
 def _cmd_cluster_coordinator(args) -> int:
     import asyncio
-    import logging
 
     from .cluster import ClusterCoordinator
+    from .service import load_manifest
 
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-    spec = _load_cluster_manifest(args.manifest)
+    spec = load_manifest(args.manifest)
     coordinator = ClusterCoordinator(
         spec, host=args.host, port=args.port, lease_ttl_s=args.lease_ttl
     )
@@ -547,33 +452,20 @@ def _cmd_cluster_coordinator(args) -> int:
         report = asyncio.run(_serve())
     except KeyboardInterrupt:
         return 1
-    except TimeoutError:
-        return _fail(f"job {spec.name!r} did not drain within {args.timeout}s")
-    except OSError as exc:
-        return _fail(f"cannot bind {args.host}:{args.port}: {exc.strerror or exc}")
     return _finish_cluster_report(report, args.report)
 
 
 def _cmd_cluster_worker(args) -> int:
-    import logging
+    from .client import RetryPolicy
+    from .cluster import ClusterWorker
 
-    from .client import ClientError, RetryPolicy
-    from .cluster import ClusterWorker, WorkerError
-
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-    try:
-        worker = ClusterWorker(
-            args.coordinator,
-            args.shard,
-            name=args.name,
-            policy=RetryPolicy(deadline_s=args.deadline if args.deadline > 0 else None),
-            seed=args.seed,
-        )
-        summary = worker.run()
-    except (WorkerError, ClientError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    summary = ClusterWorker(
+        args.coordinator,
+        args.shard,
+        name=args.name,
+        policy=RetryPolicy(deadline_s=args.deadline if args.deadline > 0 else None),
+        seed=args.seed,
+    ).run()
     print(
         f"worker {summary['worker']}: {summary['ok']} ok, {summary['failed']} failed, "
         f"{summary['resumed']} resumed -> {summary['shard']} "
@@ -615,43 +507,32 @@ def _finish_cluster_report(report: dict, report_path: str | None) -> int:
 
 
 def _cmd_cluster_run(args) -> int:
-    import json
-    import logging
-
-    from .cluster import WorkerError, run_cluster
+    from .cluster import run_cluster
     from .faults import FaultPlan
+    from .service import load_manifest
 
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-    spec = _load_cluster_manifest(args.manifest)
+    spec = load_manifest(args.manifest)
     worker_env = None
     if args.faults:
-        try:
-            with open(args.faults) as fh:
-                plan = FaultPlan.from_json(json.load(fh))
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot load fault plan {args.faults}: {exc}")
         if not 0 <= args.fault_worker < args.workers:
             return _fail(
                 f"--fault-worker {args.fault_worker} out of range for {args.workers} workers"
             )
+        with open(args.faults) as fh:
+            plan = FaultPlan.loads(fh.read(), source=args.faults)
         # Arm exactly one victim: every worker arms REPRO_FAULTS at import
         # with its own hit counters, so a plan in the shared environment
         # would fire in all of them at once.
         worker_env = {args.fault_worker: {"REPRO_FAULTS": plan.dumps()}}
-    try:
-        report = run_cluster(
-            spec,
-            args.outdir,
-            workers=args.workers,
-            lease_ttl_s=args.lease_ttl,
-            replicas=args.replicas,
-            timeout_s=args.timeout,
-            worker_env=worker_env,
-        )
-    except (WorkerError, TimeoutError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    report = run_cluster(
+        spec,
+        args.outdir,
+        workers=args.workers,
+        lease_ttl_s=args.lease_ttl,
+        replicas=args.replicas,
+        timeout_s=args.timeout,
+        worker_env=worker_env,
+    )
     report_path = args.report or f"{args.outdir.rstrip('/')}/cluster_report.json"
     return _finish_cluster_report(report, report_path)
 
@@ -1089,9 +970,49 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: Typed errors outside the OSError and ValueError families, by defining
+#: module.  They are looked up in sys.modules rather than imported: a class
+#: whose module never loaded cannot have been raised, and importing one
+#: would load the engine into a command that never needed it.
+_TYPED_ERRORS = (
+    ("repro.api.registry", "UnknownCodecError"),
+    ("repro.client", "ClientError"),
+    ("repro.cluster.worker", "WorkerError"),
+)
+
+
+def _typed_errors() -> tuple[type[Exception], ...]:
+    loaded = [getattr(sys.modules.get(module), name, None) for module, name in _TYPED_ERRORS]
+    return (OSError, ValueError, *(cls for cls in loaded if cls is not None))
+
+
+def _message(exc: Exception) -> str:
+    if isinstance(exc, OSError) and exc.strerror:
+        return f"{exc.filename}: {exc.strerror}" if exc.filename else exc.strerror
+    return str(exc)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the CLI's one error boundary.
+
+    An OSError (TimeoutError included), a ValueError (ManifestError,
+    ConfigError, ArchiveError, ContainerError, RequestError, CapabilityError
+    and the decoders' own), an UnknownCodecError, ClientError or WorkerError
+    becomes one ``error:`` line on stderr and exit code 2.  Anything else is
+    a bug and keeps its traceback.
+    """
+    import logging
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Operational events (serve drain progress, worker restarts, cluster
+    # leases) go to the "repro.*" loggers; give them a handler on stderr.
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
+    )
+    try:
+        return args.func(args)
+    except _typed_errors() as exc:  # evaluated only once something is raised
+        return _fail(_message(exc))
 
 
 if __name__ == "__main__":

@@ -118,7 +118,12 @@ class ClusterCoordinator:
         """Serve until every field is acked; returns the final report."""
         if self._http.port is None:
             await self.start()
-        await asyncio.wait_for(self.drained_event.wait(), timeout_s)
+        try:
+            await asyncio.wait_for(self.drained_event.wait(), timeout_s)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                f"job {self.spec.name!r} did not drain within {timeout_s}s"
+            ) from None
         return self.report()
 
     async def _sweep_loop(self) -> None:

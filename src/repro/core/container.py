@@ -50,6 +50,7 @@ __all__ = [
     "ContainerError",
     "pack_tiled",
     "is_tiled",
+    "read_blob",
     "tile_count",
     "tile_entries",
     "unpack_tile",
@@ -296,6 +297,23 @@ class CompressedBlob:
             meta=meta,
             flags=flags,
         )
+
+
+def read_blob(path: str) -> CompressedBlob:
+    """Read and parse one container file; both failures name ``path``.
+
+    An unreadable file raises ``OSError`` (``cannot read <path>: <reason>``),
+    a corrupt one :class:`ContainerError` (``<path>: <reason>``).
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise OSError(exc.errno, f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return CompressedBlob.from_bytes(raw)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

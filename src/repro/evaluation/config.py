@@ -69,6 +69,7 @@ from ..api import (
     check_executor,
     registry,
 )
+from ..api.request import check_count, check_dims, check_keys, check_name, check_unique, require
 from ..service.manifest import load_document
 
 __all__ = [
@@ -157,35 +158,18 @@ class EvalConfig:
         return doc
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _check_keys(doc: dict, allowed: frozenset, what: str) -> None:
-    _require(isinstance(doc, dict), f"{what} must be a table/object")
-    unknown = set(doc) - allowed
-    _require(not unknown, f"{what}: unknown keys {sorted(unknown)}")
+def _check_table(doc, allowed, what: str) -> None:
+    check_keys(doc, allowed, what, f"{what} must be a table/object")
 
 
 def _as_positive_floats(value, what: str) -> tuple[float, ...]:
-    _require(isinstance(value, list) and value, f"{what} must be a non-empty list of numbers")
+    require(isinstance(value, list) and value, f"{what} must be a non-empty list of numbers")
     out = []
     for i, v in enumerate(value):
         ok = isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 and isfinite(v)
-        _require(ok, f"{what}[{i}] = {v!r}: must be a positive finite number")
+        require(ok, f"{what}[{i}] = {v!r}: must be a positive finite number")
         out.append(float(v))
     return tuple(out)
-
-
-def _as_dims(value, what: str) -> tuple[int, ...]:
-    ok = (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in value)
-    )
-    _require(ok, f"{what} must be a non-empty list of positive integers, got {value!r}")
-    return tuple(int(d) for d in value)
 
 
 _EVAL_KEYS = frozenset(("title", "kind"))
@@ -197,42 +181,37 @@ _EXECUTION_KEYS = frozenset(("executor", "workers"))
 def _parse_datasets(matrix: dict, overrides: dict) -> tuple[DatasetRef, ...]:
     from ..datasets.registry import DATASETS
 
-    raw = matrix.get("datasets")
-    _require(
-        isinstance(raw, list) and raw and all(isinstance(d, str) for d in raw),
+    names = matrix.get("datasets")
+    require(
+        isinstance(names, list) and names and all(isinstance(d, str) for d in names),
         "matrix.datasets must be a non-empty list of dataset names",
     )
-    names = list(raw)
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    _require(not dupes, f"matrix.datasets: duplicate entries {dupes}")
+    check_unique(names, "matrix.datasets: duplicate entries")
     for i, name in enumerate(names):
-        _require(
+        require(
             name in DATASETS,
             f"matrix.datasets[{i}] = {name!r}: unknown dataset; known: {sorted(DATASETS)}",
         )
-    _check_keys(overrides, frozenset(names), "datasets")
+    _check_table(overrides, names, "datasets")
     refs = []
     for name in names:
         over = overrides.get(name, {})
-        _check_keys(over, _DATASET_KEYS, f"datasets.{name}")
-        shape = _as_dims(over["shape"], f"datasets.{name}.shape") if "shape" in over else None
-        seed = over.get("seed", 0)
-        _require(
-            isinstance(seed, int) and not isinstance(seed, bool),
-            f"datasets.{name}.seed must be an integer",
+        _check_table(over, _DATASET_KEYS, f"datasets.{name}")
+        shape = check_dims(over["shape"], f"datasets.{name}.shape") if "shape" in over else None
+        seed = check_count(
+            over.get("seed", 0), f"datasets.{name}.seed must be an integer", minimum=None
         )
-        refs.append(DatasetRef(name=name, shape=shape, seed=int(seed)))
+        refs.append(DatasetRef(name=name, shape=shape, seed=seed))
     return tuple(refs)
 
 
 def _parse_codecs(matrix: dict) -> tuple[str, ...]:
     raw = matrix.get("codecs")
-    _require(
+    require(
         isinstance(raw, list) and raw and all(isinstance(c, str) for c in raw),
         "matrix.codecs must be a non-empty list of codec names",
     )
-    dupes = sorted({c for c in raw if raw.count(c) > 1})
-    _require(not dupes, f"matrix.codecs: duplicate entries {dupes}")
+    check_unique(raw, "matrix.codecs: duplicate entries")
     for i, name in enumerate(raw):
         try:
             registry.entry(name)
@@ -246,14 +225,14 @@ def _parse_codecs(matrix: dict) -> tuple[str, ...]:
 
 def _parse_rates(matrix: dict, codecs: tuple[str, ...]) -> tuple[tuple[str, tuple[float, ...]], ...]:
     raw = matrix.get("rates", {})
-    _require(isinstance(raw, dict), "matrix.rates must be a table of codec -> rate list")
+    require(isinstance(raw, dict), "matrix.rates must be a table of codec -> rate list")
     out = []
     for codec, rates in raw.items():
-        _require(
+        require(
             codec in codecs,
             f"matrix.rates.{codec}: codec is not listed in matrix.codecs",
         )
-        _require(
+        require(
             not registry.capabilities(codec).error_bounded,
             f"matrix.rates.{codec}: codec is error-bounded; it sweeps matrix.ebs, not rates",
         )
@@ -263,8 +242,8 @@ def _parse_rates(matrix: dict, codecs: tuple[str, ...]) -> tuple[tuple[str, tupl
 
 def _parse_tilings(matrix: dict) -> tuple[tuple[int, ...], ...]:
     raw = matrix.get("tilings", [])
-    _require(isinstance(raw, list), "matrix.tilings must be a list of tile-shape lists")
-    return tuple(_as_dims(t, f"matrix.tilings[{i}]") for i, t in enumerate(raw))
+    require(isinstance(raw, list), "matrix.tilings must be a list of tile-shape lists")
+    return tuple(check_dims(t, f"matrix.tilings[{i}]") for i, t in enumerate(raw))
 
 
 def _validate_cells(cfg: EvalConfig) -> None:
@@ -280,12 +259,12 @@ def _validate_cells(cfg: EvalConfig) -> None:
     for ci, codec in enumerate(cfg.codecs):
         caps = registry.capabilities(codec)
         if caps.error_bounded:
-            _require(
+            require(
                 bool(cfg.ebs),
                 f"matrix.ebs: required (matrix.codecs[{ci}] = {codec!r} is error-bounded)",
             )
         else:
-            _require(
+            require(
                 codec in rates,
                 f"matrix.codecs[{ci}] = {codec!r}: fixed-rate codec needs a rate sweep "
                 f"under [matrix.rates] (e.g. {codec} = [4.0, 8.0])",
@@ -319,57 +298,58 @@ def _validate_cells(cfg: EvalConfig) -> None:
 
 def parse_config(doc: dict, name: str = "eval") -> EvalConfig:
     """Validate a decoded config document into an :class:`EvalConfig`."""
-    _require(isinstance(doc, dict), "config root must be a table/object")
-    _check_keys(doc, frozenset(("eval", "matrix", "datasets", "execution")), "config")
+    try:
+        return _parse_config(doc, name)
+    except RequestError as exc:  # the shared spec validators
+        raise ConfigError(str(exc)) from None
+
+
+def _parse_config(doc: dict, name: str) -> EvalConfig:
+    check_keys(
+        doc, ("eval", "matrix", "datasets", "execution"), "config",
+        "config root must be a table/object",
+    )
     ev = doc.get("eval", {})
-    _check_keys(ev, _EVAL_KEYS, "eval")
+    _check_table(ev, _EVAL_KEYS, "eval")
     kind = ev.get("kind")
-    _require(kind in KINDS, f"eval.kind must be one of {list(KINDS)}, got {kind!r}")
-    title = ev.get("title", name)
-    _require(isinstance(title, str) and title.strip(), "eval.title must be a non-empty string")
+    require(kind in KINDS, f"eval.kind must be one of {list(KINDS)}, got {kind!r}")
+    title = check_name(ev.get("title", name), "eval.title must be a non-empty string")
 
     matrix = doc.get("matrix")
-    _require(isinstance(matrix, dict), "config needs a [matrix] table")
-    _check_keys(matrix, _MATRIX_KEYS, "matrix")
+    require(isinstance(matrix, dict), "config needs a [matrix] table")
+    _check_table(matrix, _MATRIX_KEYS, "matrix")
     datasets = _parse_datasets(matrix, doc.get("datasets", {}))
 
     ebs = _as_positive_floats(matrix["ebs"], "matrix.ebs") if "ebs" in matrix else ()
     eb_mode = matrix.get("eb_mode", "rel")
-    _require(eb_mode in ("rel", "abs"), f"matrix.eb_mode must be 'rel' or 'abs', got {eb_mode!r}")
+    require(eb_mode in ("rel", "abs"), f"matrix.eb_mode must be 'rel' or 'abs', got {eb_mode!r}")
 
     execution = doc.get("execution", {})
-    _check_keys(execution, _EXECUTION_KEYS, "execution")
-    executor = execution.get("executor", "serial")
-    try:
-        check_executor(executor, "execution.executor")
-    except RequestError as exc:
-        raise ConfigError(str(exc)) from None
-    workers = execution.get("workers", 0)
-    _require(
-        isinstance(workers, int) and not isinstance(workers, bool) and workers >= 0,
-        "execution.workers must be an integer >= 0 (0 = auto)",
+    _check_table(execution, _EXECUTION_KEYS, "execution")
+    executor = check_executor(execution.get("executor", "serial"), "execution.executor")
+    workers = check_count(
+        execution.get("workers", 0), "execution.workers must be an integer >= 0 (0 = auto)"
     )
 
     if kind == "ablation":
         for key in ("codecs", "rates", "tilings"):
-            _require(
+            require(
                 key not in matrix,
                 f"matrix.{key}: not allowed for kind='ablation' (use matrix.steps)",
             )
-        _require(bool(ebs), "matrix.ebs: required for kind='ablation'")
+        require(bool(ebs), "matrix.ebs: required for kind='ablation'")
         labels = ablation_step_labels()
         raw_steps = matrix.get("steps", list(labels))
-        _require(
+        require(
             isinstance(raw_steps, list) and raw_steps,
             "matrix.steps must be a non-empty list of ablation step labels",
         )
         for i, step in enumerate(raw_steps):
-            _require(
+            require(
                 step in labels,
                 f"matrix.steps[{i}] = {step!r}: unknown ablation step; known: {list(labels)}",
             )
-        dupes = sorted({s for s in raw_steps if raw_steps.count(s) > 1})
-        _require(not dupes, f"matrix.steps: duplicate entries {dupes}")
+        check_unique(raw_steps, "matrix.steps: duplicate entries")
         return EvalConfig(
             name=name,
             title=title,
@@ -379,10 +359,10 @@ def parse_config(doc: dict, name: str = "eval") -> EvalConfig:
             eb_mode=eb_mode,
             steps=tuple(raw_steps),
             executor=executor,
-            workers=int(workers),
+            workers=workers,
         )
 
-    _require("steps" not in matrix, "matrix.steps: only allowed for kind='ablation'")
+    require("steps" not in matrix, "matrix.steps: only allowed for kind='ablation'")
     codecs = _parse_codecs(matrix)
     cfg = EvalConfig(
         name=name,
@@ -395,7 +375,7 @@ def parse_config(doc: dict, name: str = "eval") -> EvalConfig:
         rates=_parse_rates(matrix, codecs),
         tilings=_parse_tilings(matrix),
         executor=executor,
-        workers=int(workers),
+        workers=workers,
     )
     _validate_cells(cfg)
     return cfg

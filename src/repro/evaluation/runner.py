@@ -27,12 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from ..api import build_request, kernel_for
-from ..core.tiling import resolve_workers, tile_fanout
+from ..core.tiling import tile_fanout
 from ..datasets.registry import get_info, load
 from ..faults import fire as _fault_fire
 from ..metrics import max_abs_error, psnr
 from ..service.archive import ArchiveStore
-from ..service.runner import run_units
+from ..service.runner import run_units, run_workers
 from .config import EvalConfig
 from .matrix import EvalCell, expand
 
@@ -194,13 +194,14 @@ def run_eval(
     re-executed; with it disabled every cell reruns and replaces its entry.
     Closes the archive afterwards if it was opened here from a path.
     """
+    workers = run_workers(workers, cfg.workers)  # checked before the archive opens
     owns = not isinstance(archive, ArchiveStore)
     store = archive if isinstance(archive, ArchiveStore) else ArchiveStore(archive, mode="a")
     run = EvalRun(
         config=cfg,
         archive=store.path,
         executor=executor or cfg.executor,
-        workers=resolve_workers(cfg.workers if workers is None else workers),
+        workers=workers,
     )
     t0 = time.perf_counter()
     try:

@@ -165,11 +165,13 @@ class FaultPlan:
         return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
-    def loads(cls, raw: str) -> "FaultPlan":
+    def loads(cls, raw: str, source: str = ENV_VAR) -> "FaultPlan":
+        """Parse a JSON plan; ``source`` (the variable or file it came
+        from) is named when the plan is malformed."""
         try:
             return cls.from_json(json.loads(raw))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed {ENV_VAR} fault plan: {exc}") from None
+            raise ValueError(f"malformed {source} fault plan: {exc}") from None
 
     def rng(self, spec: FaultSpec, hit: int) -> random.Random:
         """The deterministic RNG for one firing: seeded by plan seed, point,

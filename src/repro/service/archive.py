@@ -247,12 +247,28 @@ def _safe_filename(name: str, taken: set[str], suffix: str) -> str:
     return candidate
 
 
-def _entries_of(doc) -> dict[str, ArchiveEntry]:
-    """The entries of a decoded index JSON document, by name."""
+def _entries_of(doc, problems: list[str] | None = None) -> dict[str, ArchiveEntry]:
+    """The entries of a decoded index JSON document, by name.
+
+    A row that :meth:`ArchiveEntry.from_json` rejects fails the whole index,
+    unless ``problems`` is given (repair): then only that row is dropped,
+    and named there.
+    """
     rows = doc.get("entries", []) if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise ArchiveError("archive index holds no entry list")
-    return {e.name: e for e in map(ArchiveEntry.from_json, rows)}
+    entries = {}
+    for i, row in enumerate(rows):
+        try:
+            e = ArchiveEntry.from_json(row)
+        except ArchiveError as exc:
+            if problems is None:
+                raise
+            name = row.get("name") if isinstance(row, dict) else None
+            problems.append(f"index entry {i} ({name!r}) dropped: {exc}")
+            continue
+        entries[e.name] = e
+    return entries
 
 
 def _encode_index_doc(entries: dict[str, ArchiveEntry]) -> bytes:
@@ -833,7 +849,7 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
             and (zlib.crc32(raw) & 0xFFFFFFFF) == idx_crc
         ):
             try:
-                entries = _entries_of(json.loads(raw.decode("utf-8")))
+                entries = _entries_of(json.loads(raw.decode("utf-8")), problems)
                 break
             except (UnicodeDecodeError, json.JSONDecodeError, ArchiveError):
                 problems.append(f"index at byte {off} (seq {s}) does not parse")
@@ -844,7 +860,7 @@ def _repair_file(path: str, quarantine: str | None) -> dict:
         index_recovered = True
         for p, doc in reversed(_salvage_indexes(data)):
             try:
-                entries = _entries_of(doc)
+                entries = _entries_of(doc, problems)
                 problems.append(f"index rebuilt from salvaged block at byte {p}")
                 break
             except ArchiveError:

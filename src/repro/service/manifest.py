@@ -61,6 +61,15 @@ from ..api import (
     check_executor,
     registry,
 )
+from ..api.request import (
+    check_count,
+    check_dims,
+    check_flag,
+    check_keys,
+    check_name,
+    check_unique,
+    require,
+)
 
 try:  # Python >= 3.11; on 3.10 TOML manifests degrade to a clean error
     import tomllib as _toml
@@ -166,23 +175,6 @@ def resolve_field_path(base_dir: str, spec: FieldSpec) -> str:
     return os.path.join(base_dir, spec.path)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ManifestError(msg)
-
-
-def _as_dims(value, what: str) -> tuple[int, ...] | None:
-    if value is None:
-        return None
-    ok = (
-        isinstance(value, (list, tuple))
-        and bool(value)
-        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in value)
-    )
-    _require(ok, f"{what} must be a non-empty list of positive integers, got {value!r}")
-    return tuple(int(d) for d in value)
-
-
 _FIELD_KEYS = frozenset(
     (
         "name",
@@ -209,13 +201,10 @@ def _parse_field(raw: dict, pos: int) -> FieldSpec:
     """Structural validation of one ``[[fields]]`` entry (data source, shape,
     stream geometry); compression knobs are carried raw and validated by the
     request layer in :func:`parse_manifest`."""
-    _require(isinstance(raw, dict), f"fields[{pos}] must be a table/object")
-    unknown = set(raw) - _FIELD_KEYS
-    _require(not unknown, f"fields[{pos}]: unknown keys {sorted(unknown)}")
-    name = raw.get("name")
-    _require(isinstance(name, str) and name.strip(), f"fields[{pos}] needs a non-empty 'name'")
+    check_keys(raw, _FIELD_KEYS, f"fields[{pos}]", f"fields[{pos}] must be a table/object")
+    name = check_name(raw.get("name"), f"fields[{pos}] needs a non-empty 'name'")
     dataset, path = raw.get("dataset"), raw.get("path")
-    _require(
+    require(
         (dataset is None) != (path is None),
         f"field {name!r} must set exactly one of 'dataset' or 'path'",
     )
@@ -226,21 +215,21 @@ def _parse_field(raw: dict, pos: int) -> FieldSpec:
             get_info(dataset)
         except KeyError as exc:
             raise ManifestError(f"field {name!r}: {exc.args[0]}") from None
-    shape = _as_dims(raw.get("shape", raw.get("dims")), f"field {name!r} shape")
-    timesteps = raw.get("timesteps", 1)
-    _require(
-        isinstance(timesteps, int) and timesteps >= 1,
-        f"field {name!r}: timesteps must be an integer >= 1",
+    require(
+        not ("shape" in raw and "dims" in raw),
+        f"field {name!r}: set 'shape' or its alias 'dims', not both",
     )
-    _require(
+    shape = raw.get("shape", raw.get("dims"))
+    if shape is not None:
+        shape = check_dims(shape, f"field {name!r} shape")
+    timesteps = check_count(
+        raw.get("timesteps", 1), f"field {name!r}: timesteps must be an integer >= 1", minimum=1
+    )
+    require(
         timesteps == 1 or path is None,
         f"field {name!r}: snapshot streams (timesteps > 1) need a 'dataset' reference",
     )
-    seed = raw.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        f"field {name!r}: seed must be an integer",
-    )
+    seed = check_count(raw.get("seed", 0), f"field {name!r}: seed must be an integer", minimum=None)
     eb = raw.get("eb")
     tiles = raw.get("tiles")
     return FieldSpec(
@@ -248,15 +237,15 @@ def _parse_field(raw: dict, pos: int) -> FieldSpec:
         dataset=dataset,
         path=path,
         shape=shape,
-        seed=int(seed),
+        seed=seed,
         eb=float(eb) if isinstance(eb, (int, float)) and not isinstance(eb, bool) else eb,
         mode=raw.get("mode"),
         codec=raw.get("codec"),
         tiles=tuple(tiles) if isinstance(tiles, list) else tiles,
         pipeline=raw.get("pipeline"),
         timesteps=timesteps,
-        temporal=bool(raw.get("temporal", False)),
-        hot=bool(raw.get("hot", False)),
+        temporal=check_flag(raw.get("temporal", False), f"field {name!r}: temporal"),
+        hot=check_flag(raw.get("hot", False), f"field {name!r}: hot"),
     )
 
 
@@ -284,15 +273,24 @@ def parse_manifest(doc: dict, base_dir: str = ".", default_name: str = "batch") 
         ...
     repro.service.manifest.ManifestError: manifest needs a non-empty 'fields' array
     """
-    _require(isinstance(doc, dict), "manifest root must be a table/object")
-    unknown_root = set(doc) - {"job", "fields"}
-    _require(not unknown_root, f"manifest: unknown top-level keys {sorted(unknown_root)}")
+    try:
+        return _parse_manifest(doc, base_dir, default_name)
+    except RequestError as exc:  # the shared spec validators
+        raise ManifestError(str(exc)) from None
+
+
+def _parse_manifest(doc: dict, base_dir: str, default_name: str) -> JobSpec:
+    check_keys(
+        doc,
+        ("job", "fields"),
+        "manifest",
+        "manifest root must be a table/object",
+        unknown="unknown top-level keys",
+    )
     job = doc.get("job", {})
-    _require(isinstance(job, dict), "'job' must be a table/object")
-    unknown_job = set(job) - _JOB_KEYS
-    _require(not unknown_job, f"job: unknown keys {sorted(unknown_job)}")
+    check_keys(job, _JOB_KEYS, "job", "'job' must be a table/object")
     raw_fields = doc.get("fields")
-    _require(
+    require(
         isinstance(raw_fields, list) and raw_fields,
         "manifest needs a non-empty 'fields' array",
     )
@@ -301,24 +299,18 @@ def parse_manifest(doc: dict, base_dir: str = ".", default_name: str = "batch") 
         ErrorBoundSpec(value=eb)  # the one shared bound validation
     except RequestError as exc:
         raise ManifestError(f"job.eb: {exc}") from None
-    executor = job.get("executor", "serial")
-    try:
-        check_executor(executor, "job.executor")
-    except RequestError as exc:
-        raise ManifestError(str(exc)) from None
-    workers = job.get("workers", 0)
-    _require(isinstance(workers, int) and workers >= 0, "job.workers must be >= 0 (0 = auto)")
+    executor = check_executor(job.get("executor", "serial"), "job.executor")
+    workers = check_count(job.get("workers", 0), "job.workers must be >= 0 (0 = auto)")
+    name = check_name(job.get("name", default_name), "job.name must be a non-empty string")
     fields = tuple(_parse_field(raw, i) for i, raw in enumerate(raw_fields))
-    names = [f.name for f in fields]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    _require(not dupes, f"duplicate field names: {dupes}")
+    check_unique([f.name for f in fields], "duplicate field names:")
     tiles = job.get("tiles")
     spec = JobSpec(
-        name=str(job.get("name", default_name)),
+        name=name,
         eb=float(eb),
         mode=job.get("mode", "cr"),
         executor=executor,
-        workers=int(workers),
+        workers=workers,
         tiles=tuple(tiles) if isinstance(tiles, list) else tiles,
         pipeline=job.get("pipeline"),
         base_dir=base_dir,

@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from ..api import codec_name
+from ..api.request import check_count
 from ..core.streaming import StreamWriter
 from ..core.tiling import executor_pool, resolve_workers, runs_serially, tile_fanout
 from ..datasets.io import read_raw
@@ -135,6 +136,17 @@ class BatchReport:
 # --------------------------------------------------------------------------
 # The one work-unit executor: batch fields and eval cells both run here.
 # --------------------------------------------------------------------------
+
+
+def run_workers(override: int | None, default: int) -> int:
+    """The worker count of a run: the caller's ``override`` if given,
+    checked like a manifest's ``job.workers``, else the spec's ``default``;
+    0 auto-sizes to the CPU count."""
+    if override is not None:
+        check_count(
+            override, f"workers override must be an integer >= 0 (0 = auto), got {override!r}"
+        )
+    return resolve_workers(default if override is None else override)
 
 
 def run_units(units, cost, job, store, resume, executor, workers, *, blank, present, append):
@@ -356,13 +368,13 @@ class BatchRunner:
         resume: bool = True,
     ):
         self.spec = spec
+        self.executor = executor or spec.executor
+        self.workers = run_workers(workers, spec.workers)  # checked before the archive opens
+        self.resume = resume
         self._owns_archive = not isinstance(archive, ArchiveStore)
         self.archive = (
             archive if isinstance(archive, ArchiveStore) else ArchiveStore(archive, mode="a")
         )
-        self.executor = executor or spec.executor
-        self.workers = resolve_workers(spec.workers if workers is None else workers)
-        self.resume = resume
 
     def run(self) -> BatchReport:
         """Run the job; closes the archive afterwards if this runner opened it

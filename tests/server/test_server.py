@@ -300,6 +300,18 @@ class TestJobLifecycle:
 
         serve(scenario)
 
+    def test_boolean_workers_rejected_at_submit(self, serve, http):
+        """``workers: true`` is not a worker count (it used to run as 1)."""
+        manifest = {"job": {"workers": True}, "fields": [{"name": "a", "dataset": "nyx"}]}
+
+        async def scenario(server):
+            resp = await http(server, "POST", "/jobs", json.dumps(manifest).encode())
+            assert resp.status == 400
+            assert "job.workers" in resp.json()["error"]
+            assert (await http(server, "GET", "/stats")).json()["jobs"]["total"] == 0
+
+        serve(scenario)
+
     def test_unknown_job_404(self, serve, http):
         async def scenario(server):
             assert (await http(server, "GET", "/jobs/job-999")).status == 404

@@ -182,6 +182,23 @@ class TestReplicasAndRepair:
             assert arch.verify(deep=True) == []
             assert arch.read_bytes("alpha") == _blob(1).to_bytes()  # byte-identical
 
+    def test_repair_drops_only_the_hostile_index_row(self, tmp_path, reseal_archive_entry):
+        """One CRC-valid index row that fails ArchiveEntry.from_json costs that
+        row alone: the entries before and after it stay indexed (repair used
+        to fall back to an older index block and forget every later entry)."""
+        path = str(tmp_path / "row.rpza")
+        _seed_archive(path, names=("alpha", "beta", "gamma"))
+        reseal_archive_entry(path, {"offset": "x"}, index=1)
+        with pytest.raises(ArchiveError, match="corrupt archive index entry"):
+            ArchiveStore(path)
+        report = ArchiveStore.repair(path)
+        assert report["ok"] == ["alpha", "gamma"]
+        assert any("index entry 1 ('beta') dropped" in p for p in report["problems"])
+        with ArchiveStore(path) as arch:
+            assert set(arch.names()) == {"alpha", "gamma"}
+            assert arch.read_bytes("alpha") == _blob(1).to_bytes()
+            assert arch.read_bytes("gamma") == _blob(3).to_bytes()
+
     def test_repair_quarantines_unrecoverable_entry(self, tmp_path):
         path = str(tmp_path / "lost.rpza")
         _seed_archive(path, copies=1)  # no replicas: rot is fatal for the entry

@@ -225,3 +225,29 @@ class TestValidation:
         doc = {"jobs": {}, "fields": [{"name": "x", "dataset": "nyx"}]}
         with pytest.raises(ManifestError, match="unknown top-level keys"):
             parse_manifest(doc)
+
+
+_FIELD = {"name": "x", "dataset": "nyx"}
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"job": {"workers": True}, "fields": [_FIELD]}, "job.workers"),
+        ({"fields": [{**_FIELD, "timesteps": True}]}, "timesteps"),
+        ({"fields": [{**_FIELD, "temporal": "no"}]}, "temporal must be true or false"),
+        ({"fields": [{**_FIELD, "hot": "false"}]}, "hot must be true or false"),
+        ({"job": {"name": [1]}, "fields": [_FIELD]}, "job.name must be a non-empty string"),
+        (
+            {"fields": [{**_FIELD, "shape": [8, 8, 8], "dims": [16, 16, 16]}]},
+            "'shape' or its alias 'dims', not both",
+        ),
+    ],
+    ids=["workers-true", "timesteps-true", "temporal-no", "hot-false", "name-list", "shape+dims"],
+)
+def test_values_the_eval_config_refuses_are_refused_here_too(doc, match):
+    """Regressions: the manifest kept its own validators, which let these
+    values through (``workers = true`` ran one worker, ``temporal = "no"``
+    meant true); manifests and eval configs now share one set."""
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(doc)

@@ -514,3 +514,74 @@ class TestTiledFlags:
         text = capsys.readouterr().out
         assert "cusz-hi-tiled" in text
         assert "n_tiles" in text
+
+
+def _huge_rre_count(codes: bytearray) -> None:
+    codes[24:32] = (2**63 - 1).to_bytes(8, "little")
+
+
+class _LeakCases:
+    """Inputs that once escaped the CLI as tracebacks (or as exit 1); each
+    method returns the argv that must now fail cleanly with exit 2."""
+
+    def __init__(self, tmp_path, raw_path, sealed_codes_blob, monkeypatch):
+        self.tmp, self.raw = tmp_path, raw_path
+        self.sealed, self.monkeypatch = sealed_codes_blob, monkeypatch
+
+    def _manifest(self) -> str:
+        path = self.tmp / "m.json"
+        path.write_text(json.dumps({"fields": [{"name": "a", "dataset": "nyx", "shape": [8] * 3}]}))
+        return str(path)
+
+    def compress_missing_input(self):
+        return ["compress", str(self.tmp / "gone_8_8.f32"), "-o", str(self.tmp / "x.rpz")]
+
+    def compress_unwritable_output(self):
+        return ["compress", str(self.raw), "-o", str(self.tmp / "no-dir" / "x.rpz")]
+
+    def decompress_unwritable_output(self):
+        rpz = self.tmp / "ok.rpz"
+        assert main(["compress", str(self.raw), "-o", str(rpz)]) == 0
+        return ["decompress", str(rpz), "-o", str(self.tmp / "no-dir" / "x.f32")]
+
+    def decompress_crc_valid_hostile_blob(self):
+        rpz = self.tmp / "hostile.rpz"
+        rpz.write_bytes(self.sealed("HF+RRE4-TCMS8-RZE1", _huge_rre_count))
+        return ["decompress", str(rpz), "-o", str(self.tmp / "x.f32")]
+
+    def bench_unknown_dataset(self):
+        return ["bench", "--dataset", "mars"]
+
+    def cluster_run_unwritable_report(self):
+        import repro.cluster
+
+        report = {"job": "m", "drained": True, "ok": 1, "failed": 0, "fields": 1,
+                  "elapsed_s": 0.1, "reassignments": [], "workers": {}}
+        self.monkeypatch.setattr(repro.cluster, "run_cluster", lambda *a, **k: report)
+        return ["cluster", "run", self._manifest(), "-o", str(self.tmp / "out"),
+                "--report", "/nonexistent/x.json"]
+
+    def batch_negative_workers(self):
+        return ["batch", self._manifest(), "-o", str(self.tmp / "a.rpza"), "--workers", "-1"]
+
+    def eval_negative_workers(self):
+        path = self.tmp / "c.json"
+        path.write_text(json.dumps({
+            "eval": {"kind": "cr-table"},
+            "matrix": {"datasets": ["nyx"], "codecs": ["cusz-l"], "ebs": [1e-2]},
+        }))
+        return ["eval", str(path), "--archive", str(self.tmp / "a.rpza"), "--workers", "-1"]
+
+
+@pytest.mark.parametrize("case", [n for n in vars(_LeakCases) if not n.startswith("_")])
+def test_input_errors_exit_2_with_one_error_line(
+    case, raw_field, tmp_path, sealed_codes_blob, monkeypatch, capsys
+):
+    argv = getattr(_LeakCases(tmp_path, raw_field[0], sealed_codes_blob, monkeypatch), case)()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert "Traceback" not in err
+    # A refused worker count is refused before the archive is created.
+    assert not (tmp_path / "a.rpza").exists()

@@ -118,6 +118,21 @@ def test_frontend_imports_load_no_numpy(code):
     assert not any(loaded.values()), loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["serve", ".", "--workers-procs", "-3"], ["bench", "--codec", "fzgpu"]],
+    ids=["serve-bad-pool", "bench-usage"],
+)
+def test_failing_command_before_the_engine_loads_no_numpy(argv):
+    """The CLI's error boundary reports a typed error without importing the
+    error classes of layers the command never reached."""
+    loaded = _loaded_after(
+        f"import repro.cli\nassert repro.cli.main({argv!r}) == 2",
+        ["numpy", "repro.api", "repro.core.compressor"],
+    )
+    assert not any(loaded.values()), loaded
+
+
 def test_import_repro_api_loads_the_engine():
     """``import repro.api`` still pays for the whole engine up front, so a
     caller's first compress does not."""

@@ -20,7 +20,7 @@ from repro.predictor.autotune import autotune_levels
 from repro.predictor import interpolation
 from repro.predictor.interpolation import InterpolationPredictor, level_strides
 from repro.predictor.lorenzo import lorenzo_decode, lorenzo_encode
-from repro.predictor.reorder import reorder_permutation
+from repro.predictor.reorder import inverse_reorder, reorder
 from repro.predictor.splines import SPLINES
 
 
@@ -198,18 +198,19 @@ class TestPredictors:
         out = benchmark(run)
         assert np.abs(nyx_field.astype(np.float64) - out.astype(np.float64)).max() <= abs_eb
 
-    def test_reorder_permutation_build(self, benchmark, nyx_field):
-        import importlib
-
-        # The package re-exports the `reorder` *function* under the same
-        # name, so resolve the submodule explicitly.
-        reorder_mod = importlib.import_module("repro.predictor.reorder")
-
-        def build():
-            reorder_mod._PERM_CACHE.clear()
-            return reorder_permutation(nyx_field.shape, 16)
-
-        benchmark(build)
+    @pytest.mark.parametrize("direction", ["write", "read"])
+    def test_eq3_sequence(self, benchmark, codes_64, direction):
+        """A 64^3 code array into the Eq. 3 sequence and back, one strided
+        view per parity plane of every level."""
+        shape = (64, 64, 64)
+        codes = np.frombuffer(codes_64, dtype=np.uint8).reshape(shape)
+        seq = reorder(codes, 16)
+        if direction == "write":
+            out = benchmark(lambda: reorder(codes, 16))
+            assert np.array_equal(out, seq)
+        else:
+            out = benchmark(lambda: inverse_reorder(seq, shape, 16))
+            assert np.array_equal(out, codes)
 
 
 # --------------------------------------------------------------------------
@@ -223,13 +224,10 @@ _LEVELS = [(s, scheme, spline) for s in level_strides(16) for scheme in ("md", "
 
 
 def _clear_geometry_caches():
-    import importlib
-
     from repro.core.compressor import _level_kernels
 
     interpolation._PROGRAMS.clear()
     interpolation._REPLAYS.clear()
-    importlib.import_module("repro.predictor.reorder")._PERM_CACHE.clear()
     _level_kernels.cache_clear()
 
 

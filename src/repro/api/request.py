@@ -104,14 +104,9 @@ def check_keys(
     require(not extra, f"{what}: {unknown} {sorted(extra)}")
 
 
-def check_count(value: Any, message: str, minimum: int | None = 0) -> int:
+def check_count(value: Any, message: str, minimum: int = 0) -> int:
     """An int, not a bool, of at least ``minimum`` (workers, timesteps, seeds)."""
-    require(
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and (minimum is None or value >= minimum),
-        message,
-    )
+    require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum, message)
     return value
 
 

@@ -38,6 +38,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Building the parser and running `serve` load no NumPy: each command
@@ -49,6 +50,13 @@ from .defaults import EXECUTORS, REQUEST_SCHEMA
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse, before a long run, an output path whose directory is missing."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"{path}: no such directory")
 
 
 def _cmd_compress(args) -> int:
@@ -182,6 +190,7 @@ def _cmd_batch(args) -> int:
     from .service import BatchRunner, load_manifest
 
     spec = load_manifest(args.manifest)
+    _check_output_dirs(args.report)
     report = BatchRunner(
         spec,
         args.output,
@@ -221,6 +230,7 @@ def _cmd_eval(args) -> int:
     )
 
     cfg = load_config(args.config)
+    _check_output_dirs(args.output, args.markdown, args.html)
     archive = args.archive or f"EVAL_{cfg.name}.rpza"
     run = run_eval(
         cfg,
@@ -512,6 +522,7 @@ def _cmd_cluster_run(args) -> int:
     from .service import load_manifest
 
     spec = load_manifest(args.manifest)
+    _check_output_dirs(args.report)
     worker_env = None
     if args.faults:
         if not 0 <= args.fault_worker < args.workers:

@@ -181,14 +181,18 @@ class RansCodec:
 
     # ------------------------------------------------------------------ dec
     def decode(self, buf: bytes) -> bytes:
-        n, chunk_size = struct.unpack_from("<QI", buf, 0)
         off = struct.calcsize("<QI")
+        if len(buf) < off:
+            raise ValueError(f"rANS stream of {len(buf)} bytes has no {off}-byte header")
+        n, chunk_size = struct.unpack_from("<QI", buf, 0)
         if n == 0:
             return b""
         if chunk_size == 0:
             raise ValueError("rANS header declares chunk_size 0")
         freqs = np.frombuffer(buf, dtype=np.uint16, count=256, offset=off).astype(np.uint32)
         off += 512
+        if freqs.sum() != PROB_SCALE:
+            raise ValueError(f"rANS frequencies sum to {freqs.sum()}, not the {PROB_SCALE} slots")
         nchunks = (n + chunk_size - 1) // chunk_size
         state = np.frombuffer(buf, dtype=np.uint32, count=nchunks, offset=off).copy()
         off += 4 * nchunks

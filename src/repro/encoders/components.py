@@ -440,6 +440,8 @@ class _MaskReducer(Component):
         return struct.pack("<I", ntail) + blob + kept.tobytes() + tail
 
     def decode(self, buf: bytes) -> bytes:
+        if len(buf) < 4:
+            raise ValueError(f"{self.kind} stream of {len(buf)} bytes has no 4-byte header")
         (ntail,) = struct.unpack_from("<I", buf, 0)
         bits, consumed = _decompress_bitmap(buf[4:])
         off = 4 + consumed

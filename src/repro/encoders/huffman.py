@@ -298,8 +298,10 @@ class HuffmanCodec:
 
     # ------------------------------------------------------------------ dec
     def decode(self, buf: bytes) -> bytes:
-        n, chunk_size, nbits = struct.unpack_from("<QIQ", buf, 0)
         off = struct.calcsize("<QIQ")
+        if len(buf) < off:
+            raise ValueError(f"Huffman stream of {len(buf)} bytes has no {off}-byte header")
+        n, chunk_size, nbits = struct.unpack_from("<QIQ", buf, 0)
         lengths = np.frombuffer(buf, dtype=np.uint8, count=256, offset=off)
         off += 256
         if n == 0:

@@ -198,9 +198,7 @@ def _parse_datasets(matrix: dict, overrides: dict) -> tuple[DatasetRef, ...]:
         over = overrides.get(name, {})
         _check_table(over, _DATASET_KEYS, f"datasets.{name}")
         shape = check_dims(over["shape"], f"datasets.{name}.shape") if "shape" in over else None
-        seed = check_count(
-            over.get("seed", 0), f"datasets.{name}.seed must be an integer", minimum=None
-        )
+        seed = check_count(over.get("seed", 0), f"datasets.{name}.seed must be an integer >= 0")
         refs.append(DatasetRef(name=name, shape=shape, seed=seed))
     return tuple(refs)
 

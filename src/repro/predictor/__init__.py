@@ -16,7 +16,6 @@ from .reorder import (
     level_of_coordinates,
     reorder,
     reorder_permutation,
-    sequence_index,
 )
 from .splines import SPLINES, axis_predict
 
@@ -39,7 +38,6 @@ __all__ = [
     "inverse_reorder",
     "reorder_permutation",
     "level_of_coordinates",
-    "sequence_index",
     "SPLINES",
     "axis_predict",
 ]

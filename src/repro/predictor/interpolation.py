@@ -70,6 +70,12 @@ level's plane 0; at stride 1 decompress interleaves straight into the
 output array, casting to its dtype, and compress does so only when the
 caller keeps ``recon``.
 
+*Codes.*  A level's codes are staged like its level buffer, padding 128,
+and each plane moves to or from the 1-D sequence the coder reads through
+one strided view (:func:`~repro.predictor.reorder.plane_geometry`: Eq. 3
+order, or row-major).  A staged code 0 gives an outlier's plane, round and
+slot, and a closed form its flat position, which orders the outliers.
+
 The arithmetic per point is the expression tree of the earlier sub-block
 formulation (one sub-block per product of the axes' runs), so codes,
 outliers, reconstructions and auto-tune scores are bit-identical to it;
@@ -99,11 +105,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.cache import ByteBudgetLRU
 from ..quantizer.linear import ByteQuantizer
+from .reorder import _row_strides, plane_geometry, strided_view
 from .splines import (
     KIND_COPY,
     KIND_FULL,
@@ -159,7 +167,7 @@ class LevelConfig:
 class PredictorResult:
     """Everything the lossless stage needs, plus the reconstruction."""
 
-    codes: np.ndarray  # uint8, data layout; 128-centered, 0 = outlier
+    codes: np.ndarray  # uint8 sequence, Eq. 3 (1-D) or data layout; 128-centered, 0 = outlier
     anchors: np.ndarray  # raw anchor values, anchor-grid layout
     outlier_values: np.ndarray  # exact values for code==0 positions, flat order
     recon: np.ndarray | None  # reconstructed field (input dtype), if kept
@@ -237,13 +245,6 @@ _CUBIC_TERMS = (
     ),
     ((KIND_FULL, _CUBIC_WEIGHTS[:, 3]), (KIND_QUAD_R, (_QUAD_RIGHT[2],) * 2)),
 )
-
-
-def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(shape)
-    for d in range(len(shape) - 2, -1, -1):
-        out[d] = out[d + 1] * shape[d + 1]
-    return tuple(out)
 
 
 def _outer_sum(vectors, dtype) -> np.ndarray:
@@ -699,7 +700,7 @@ def _align(n: int) -> int:
 
 
 #: workspace regions: the two level buffers (consecutive levels alternate),
-#: a round's predictions, values and codes, and one area that serves the
+#: a round's predictions and values, and one area that serves the
 #: prediction temporaries and then the quantizer's, which are never live at
 #: once
 _REGIONS = (
@@ -707,7 +708,6 @@ _REGIONS = (
     (("level1",),),
     (("pred",),),
     (("values",),),
-    (("codes",),),
     (("tmp", "aux", "wins", "terms"), ("q", "qtmp", "cast", "cast64", "outlier", "flag")),
 )
 
@@ -755,6 +755,27 @@ def _gather_tables(spline: str):
     return shifts, weights, scales
 
 
+_NONE = np.zeros(0, dtype=np.intp)
+
+
+class _Plane(NamedTuple):
+    """One parity plane: basic slices of its valid extent and of its points
+    in the data and the stride-``s`` lattice, its padding slabs, and its
+    codes' :func:`~repro.predictor.reorder.plane_geometry` (``None`` for
+    plane 0 and for a plane with no points)."""
+
+    extent: tuple
+    data: tuple
+    lattice: tuple
+    slabs: list
+    codes: tuple | None
+
+    def sequence(self, seq: np.ndarray, reorder: bool) -> np.ndarray:
+        """The plane's codes in ``seq``, Eq. 3 or row-major, as a view."""
+        counts, layouts = self.codes
+        return strided_view(seq, counts, layouts[reorder])
+
+
 class ReplayProgram:
     """One ``(shape, stride, scheme, spline)`` level, compiled for replay.
 
@@ -766,9 +787,8 @@ class ReplayProgram:
     the parity mask of the plane at position ``p``; plane 0, the previous
     level's lattice, comes first, and ``unused`` lists the positions of the
     planes no round writes (a pass along a size-1 axis has no targets).
-    Per position, ``planes`` holds the valid extent, the basic slices of its
-    points in the data and in the stride-``s`` lattice, and the slabs of its
-    padding.
+    Per position, ``planes`` holds the plane's :class:`_Plane` and
+    ``offsets`` the flat data position of its first point.
 
     ``rounds`` lists ``(start, stop, zero, passes, gather)``: the round
     predicts the planes ``[start, stop)``, which compress quantizes in one
@@ -788,8 +808,8 @@ class ReplayProgram:
     """
 
     __slots__ = (
-        "stride", "spline", "slot", "half", "plane_size", "size", "order", "position",
-        "round_of", "unused", "planes", "rounds", "largest", "needs", "nbytes", "__weakref__",
+        "stride", "spline", "slot", "half", "plane_size", "size", "order", "unused", "planes",
+        "offsets", "rounds", "largest", "needs", "nbytes", "__weakref__",
     )
 
     def __init__(self, stride, spline, half, order, planes, rounds, size):
@@ -800,14 +820,10 @@ class ReplayProgram:
         self.plane_size = prod(half)
         self.size = size
         self.order = order
-        self.position = tuple(order.index(k) for k in range(len(order)))
-        round_of = [-1] * len(order)
-        for r, (start, stop, *_) in enumerate(rounds):
-            for p in range(start, stop):
-                round_of[order[p]] = r
-        self.round_of = tuple(round_of)
-        self.unused = tuple(p for p in range(1, len(order)) if round_of[order[p]] < 0)
+        written = {p for start, stop, *_ in rounds for p in range(start, stop)}
+        self.unused = tuple(p for p in range(1, len(order)) if p not in written)
         self.planes = planes
+        self.offsets = np.array([pl.codes[1][0][0] if pl.codes else 0 for pl in planes])
         self.rounds = rounds
         ps = self.plane_size
         self.largest = largest = max((stop - start for start, stop, *_ in rounds), default=0) * ps
@@ -821,10 +837,20 @@ class ReplayProgram:
             f"level{self.slot}": 8 * size,
             "pred": 8 * largest, "aux": 8 * (axes - 1) * widest, "tmp": 8 * widest,
             "wins": 8 * wins, "q": 8 * largest, "qtmp": 8 * largest, "cast64": 8 * largest,
-            "outlier": largest, "flag": largest, "codes": largest,
+            "outlier": largest, "flag": largest,
             "terms": max((g[0].nbytes for *_, g in rounds if g is not None), default=0),
         }
         self.nbytes = 4096 + sum(a.nbytes for a in arrays)
+
+    def zeros(self, codes: np.ndarray, shape: tuple[int, ...]):
+        """Level-buffer positions (ascending) and flat positions in ``shape`` of
+        the staged ``codes``' zeros; plane point ``h`` of parity ``b`` is at ``2sh + bs``."""
+        if codes.all():
+            return _NONE, _NONE
+        k = np.flatnonzero(codes == 0)
+        p, at = np.divmod(k, self.plane_size)
+        flat = np.ravel_multi_index(np.unravel_index(at, self.half), shape) * (2 * self.stride)
+        return k + self.plane_size, flat + self.offsets[p + 1]
 
 
 def _arrays(winners):
@@ -896,7 +922,9 @@ def _build_replay_program(shape: tuple[int, ...], stride: int, scheme: str, spli
         extent = tuple(slice(0, (c - b + 1) // 2) for c, b in zip(n, bits))
         data = tuple(slice(b * s, dim, 2 * s) for b, dim in zip(bits, shape))
         lattice = tuple(slice(b, c, 2) for b, c in zip(bits, n))
-        planes.append((extent, data, lattice, _slabs(extent, half)))
+        codes = plane_geometry(shape, s, tuple(bits))
+        codes = codes if k and all(codes[0]) else None
+        planes.append(_Plane(extent, data, lattice, _slabs(extent, half), codes))
     # The flat runs read up to two rows of axis 0 past the last plane; the
     # gather programs' -0.0 comes last.
     size = len(order) * ps + 2 * max(row, default=0) + 1
@@ -1010,7 +1038,7 @@ class _Bound:
     """A program's operations over one workspace: every operand a view."""
 
     __slots__ = (
-        "planes", "plane0", "tail", "unused", "rest", "dequant", "pads", "rounds", "interleave",
+        "planes", "plane0", "tail", "unused", "rest", "rounds", "interleave",
     )
 
 
@@ -1105,9 +1133,7 @@ def _bind(program: ReplayProgram, ws: _Workspace, dtype: np.dtype) -> _Bound:
     b.tail = level[nplanes * ps :]  # read by flat runs, and the -0.0 last
     b.unused = [planes[p] for p in program.unused]  # read by flat runs, never written
     b.rest = planes[1:]
-    b.dequant = [(p, planes[(p, *ext)]) for p, (ext, *_) in enumerate(program.planes) if p]
-    b.pads = [planes[p][slab] for p, (*_, slabs) in enumerate(program.planes) if p for slab in slabs]
-    b.interleave = [(lat, planes[(p, *ext, Ellipsis)]) for p, (ext, _, lat, _) in enumerate(program.planes)]
+    b.interleave = [(pl.lattice, planes[(p, *pl.extent, Ellipsis)]) for p, pl in enumerate(program.planes)]
     b.rounds = []
     for start, stop, zero, passes, gather in program.rounds:
         shape = (stop - start,) + half
@@ -1138,7 +1164,6 @@ def _bind(program: ReplayProgram, ws: _Workspace, dtype: np.dtype) -> _Bound:
             if winners is not None:
                 ops += _winner_ops(preds, winners, ws)
         values = ws.view("values", dtype, count).reshape(shape)
-        codes = ws.view("codes", np.uint8, count).reshape(shape)
         scratch = _Scratch(
             quant_q=ws.view("q", np.float64, count).reshape(shape),
             quant_tmp=ws.view("qtmp", np.float64, count).reshape(shape),
@@ -1147,11 +1172,16 @@ def _bind(program: ReplayProgram, ws: _Workspace, dtype: np.dtype) -> _Bound:
             quant_outlier=ws.view("outlier", np.bool_, count).reshape(shape),
             quant_flag=ws.view("flag", np.bool_, count).reshape(shape),
         )
+        # the round's codes, and each plane's, in the level's staged codes
+        codes = slice(start - 1, stop - 1)
         io = [
-            (p, values[p - start][program.planes[p][0]], codes[p - start][program.planes[p][0]])
-            for p in range(start, stop)
+            (pl, values[p - start][pl.extent], (p - 1, *pl.extent))
+            for p, pl in enumerate(program.planes[start:stop], start)
+            if pl.codes
         ]
-        pads = [values[p - start][slab] for p in range(start, stop) for slab in program.planes[p][3]]
+        # zero values over zero predictions: padding codes are 128
+        pads = [a[p - start][slab] for p in range(start, stop) for slab in program.planes[p].slabs
+                for a in (values, pred)]
         zeros = [level[a:z] for a, z in zero]
         b.rounds.append((ops, pred, planes[start:stop], zeros, values, codes, scratch, io, pads))
     return b
@@ -1213,39 +1243,32 @@ def _interleave(bound: _Bound, out: np.ndarray) -> None:
         out[lattice] = src
 
 
-def _outlier_slots(programs, shape, out_pos, values, anchor_stride):
-    """Where every outlier goes, in one pass over them: their level-buffer
-    positions and float64 values ordered by (level, round), and per
-    ``level * rounds + round`` the index of the first one."""
-    nd = len(shape)
-    width = max(len(p.rounds) for p in programs)
-    groups = len(programs) * width
-    coords = [out_pos // r % d for r, d in zip(_row_strides(shape), shape)]
-    merged = np.zeros(out_pos.size, dtype=np.int64)
-    for c in coords:
-        merged |= c
-    low = merged & -merged  # the stride of the level that predicts the point
-    keep = np.flatnonzero((low > 0) & (low < anchor_stride))  # anchors are never outliers
-    low = low[keep]
-    shift = np.frexp(low.astype(np.float64))[1] - 1  # log2, exact on powers of two
-    level = (anchor_stride.bit_length() - 2) - shift  # coarse to fine
-    mask = np.zeros(keep.size, dtype=np.int64)
-    halves = []
-    for j, c in enumerate(coords):
-        q = c[keep] >> shift
-        mask |= (q & 1) << j
-        halves.append(q >> 1)
-    table = np.array([p.position for p in programs], dtype=np.int64)
-    rounds = np.array([p.round_of for p in programs], dtype=np.int64)
-    sizes = np.array([p.plane_size for p in programs], dtype=np.int64)
-    rows = np.array([_row_strides(p.half) for p in programs], dtype=np.int64).reshape(len(programs), nd)
-    pos = table[level, mask] * sizes[level]
-    for j, h in enumerate(halves):
-        pos += h * rows[level, j]
-    group = level * width + rounds[level, mask]
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(groups + 1)).tolist()
-    return pos[order], values[keep][order].astype(np.float64), bounds, width
+def _staged(programs) -> list:
+    """Per level, a buffer of 128s laid out like its level buffer past plane 0."""
+    shapes = [(len(g.order) - 1,) + g.half for g in programs]
+    buf = np.full(sum(prod(s) for s in shapes), 128, dtype=np.uint8)
+    return _carve(buf, *shapes)
+
+
+def _outlier_puts(programs, staged, seq, shape, values, anchor_stride, reorder) -> list:
+    """Per level, its outliers' level-buffer positions, ascending, and float64
+    values, which the segment holds in flat scan order.  A zero in an anchor
+    slot counts against the segment; its value is dropped."""
+    n, held = seq.size - np.count_nonzero(seq), np.size(values)
+    if held != n:
+        raise ValueError(f"the outliers segment holds {held} values but the codes mark {n} outliers")
+    found = [g.zeros(c, shape) if n else (_NONE, _NONE) for g, c in zip(programs, staged)]
+    if not n:
+        return found
+    extent, layouts = plane_geometry(shape, anchor_stride // 2, (0,) * len(shape))
+    k = np.flatnonzero(strided_view(seq, extent, layouts[reorder]) == 0)
+    # the anchor grid's data coordinates; a 0-d field is one point
+    anchor = [c * anchor_stride for c in np.unravel_index(k, extent or (1,))]
+    flat = [f for _, f in found] + [np.ravel_multi_index(anchor, shape or (1,))]
+    exact = np.empty(n)
+    exact[np.argsort(np.concatenate(flat))] = values
+    ends = np.cumsum([slots.size for slots, _ in found]).tolist()
+    return [(slots, exact[end - slots.size : end]) for (slots, _), end in zip(found, ends)]
 
 
 class InterpolationPredictor:
@@ -1258,9 +1281,6 @@ class InterpolationPredictor:
 
     def __init__(self, anchor_stride: int = 16):
         self.anchor_stride = anchor_stride
-
-    def _anchor_slices(self, shape: tuple[int, ...]) -> tuple[slice, ...]:
-        return tuple(slice(0, dim, self.anchor_stride) for dim in shape)
 
     def _programs(self, shape: tuple[int, ...], configs) -> list[ReplayProgram]:
         """The :class:`ReplayProgram` of every level, coarse to fine."""
@@ -1277,34 +1297,38 @@ class InterpolationPredictor:
         eb: float,
         level_configs: dict[int, LevelConfig] | None = None,
         keep_recon: bool = True,
+        reorder: bool = False,
     ) -> PredictorResult:
         """Decompose ``data`` into quantization codes under absolute bound ``eb``.
 
         ``level_configs`` maps stride -> :class:`LevelConfig`; missing levels
         default to the md/cubic configuration.  With ``keep_recon=False`` the
         result's ``recon`` is ``None`` and the last interleave is skipped.
+        The codes are written straight into the sequence the lossless stage
+        reads: the Eq. 3 level order with ``reorder``, else row-major.
         """
         if eb <= 0:
             raise ValueError("error bound must be positive")
         data = np.asarray(data)
         shape = data.shape
         dtype = data.dtype
-        codes = np.full(shape, 128, dtype=np.uint8)
+        seq = np.full(data.size, 128, dtype=np.uint8)  # the anchor slots stay 128
         strides = level_strides(self.anchor_stride)
         configs = {s: (level_configs or {}).get(s, LevelConfig()) for s in strides}
 
         # Always a copy (never ascontiguousarray): a size-1 anchor grid is a
         # trivially contiguous *view* of the input, and the zero-copy
         # container would then alias the caller's buffer through the blob.
-        anchors = data[self._anchor_slices(shape)].copy()
+        anchors = data[tuple(slice(0, dim, self.anchor_stride) for dim in shape)].copy()
 
         quantizer = ByteQuantizer(eb)
         programs = self._programs(shape, configs)
         ws = _workspace(programs, dtype)
         bound = [ws.bind(p, dtype) for p in programs]
         bound[0].plane0[...] = anchors  # exact float64 embedding of the raw anchors
+        staged = _staged(programs)
         recon = None
-        for i, (g, b) in enumerate(zip(programs, bound)):
+        for i, (b, level) in enumerate(zip(bound, staged)):
             b.tail.fill(0.0)
             b.tail[-1] = -0.0
             for v in b.unused:
@@ -1313,27 +1337,25 @@ class InterpolationPredictor:
                 for v in zeros:  # what the flat runs read before it is written
                     v.fill(0.0)
                 _run(ops)
-                for v in pads:  # padding must hold finite garbage
+                for v in pads:  # finite garbage, and zero over zero quantizes to 128
                     v.fill(0.0)
-                for p, v, _ in io:
-                    np.copyto(v, data[g.planes[p][1]])
-                quantizer.quantize_into(values, pred, dtype, scratch, cplanes, out=target)
-                for p, _, c in io:
-                    codes[g.planes[p][1]] = c
+                for plane, v, _ in io:
+                    np.copyto(v, data[plane.data])
+                quantizer.quantize_into(values, pred, dtype, scratch, level[cplanes], out=target)
+                for plane, _, at in io:
+                    np.copyto(plane.sequence(seq, reorder), level[at])
             if i + 1 < len(programs):
                 _interleave(b, bound[i + 1].plane0)
             elif keep_recon:
                 recon = np.empty(shape, dtype=dtype)
                 _interleave(b, recon)
 
-        out_pos = np.flatnonzero(codes.reshape(-1) == 0)
-        # Anchor positions can never be outliers (byte 128), so out_pos are
-        # exactly the predicted points flagged above, in flat scan order.
-        outlier_values = data.reshape(-1)[out_pos].copy()
+        # Every code 0 is an outlier; their values go in flat scan order.
+        out_pos = np.sort(np.concatenate([g.zeros(c, shape)[1] for g, c in zip(programs, staged)]))
         return PredictorResult(
-            codes=codes,
+            codes=seq if reorder else seq.reshape(shape),
             anchors=anchors,
-            outlier_values=outlier_values,
+            outlier_values=data.reshape(-1)[out_pos],
             recon=recon,
             level_configs=configs,
         )
@@ -1348,42 +1370,42 @@ class InterpolationPredictor:
         eb: float,
         level_configs: dict[int, LevelConfig],
         dtype: np.dtype,
+        reorder: bool = False,
     ) -> np.ndarray:
-        """Replay the prediction rounds and rebuild the field exactly."""
+        """Replay the prediction rounds and rebuild the field exactly from
+        ``codes``, the sequence :meth:`compress` wrote in the same order."""
         shape = tuple(shape)
-        out_pos = np.flatnonzero(codes.reshape(-1) == 0)
-        outlier_values = np.asarray(outlier_values)
-        if outlier_values.size != out_pos.size:
+        seq = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
+        if seq.size != prod(shape):
             raise ValueError(
-                f"the outliers segment holds {outlier_values.size} values but the codes "
-                f"mark {out_pos.size} outliers"
+                f"the code sequence holds {seq.size} codes for a field of {prod(shape)} points"
             )
         twoeb = 2.0 * eb
         programs = self._programs(shape, level_configs)
-        slots = None
-        if out_pos.size:
-            slots = _outlier_slots(programs, shape, out_pos, outlier_values, self.anchor_stride)
+        staged = _staged(programs)
+        for g, level in zip(programs, staged):
+            for p, plane in enumerate(g.planes[1:]):
+                if plane.codes:
+                    np.copyto(level[(p, *plane.extent)], plane.sequence(seq, reorder))
+        puts = _outlier_puts(
+            programs, staged, seq, shape, outlier_values, self.anchor_stride, reorder
+        )
         ws = _workspace(programs, dtype)
         bound = [ws.bind(p, dtype) for p in programs]
         bound[0].plane0[...] = anchors
-        for i, (g, b) in enumerate(zip(programs, bound)):
+        for i, (g, b, level, (slots, exact)) in enumerate(zip(programs, bound, staged, puts)):
             b.tail.fill(0.0)
             b.tail[-1] = -0.0
-            # Every target plane starts as its dequantized codes; padding
-            # is zeroed, so it only ever holds finite garbage.
-            for p, v in b.dequant:
-                np.subtract(codes[g.planes[p][1]], 128.0, out=v)  # exact for every byte
-            for v in b.pads:
-                v.fill(0.0)
+            # Every target plane starts as its dequantized codes, exact for
+            # every byte; padding, staged as 128, becomes 0.0.
+            np.subtract(level, 128.0, out=b.rest)
             np.multiply(b.rest, twoeb, out=b.rest)
-            for r, (ops, pred, target, *_) in enumerate(b.rounds):
+            for (ops, pred, target, *_), (_, stop, *_) in zip(b.rounds, g.rounds):
                 _run(ops)
                 np.add(pred, target, out=target)
-                if slots is not None:
-                    pos, exact, bounds, width = slots
-                    lo, hi = bounds[i * width + r], bounds[i * width + r + 1]
-                    if lo < hi:
-                        np.put(b.planes, pos[lo:hi], exact[lo:hi])
+                if slots.size:  # the outliers of this round and the ones before
+                    done = np.searchsorted(slots, stop * g.plane_size)
+                    np.put(b.planes, slots[:done], exact[:done])
             if i + 1 < len(programs):
                 _interleave(b, bound[i + 1].plane0)
         out = np.empty(shape, dtype=dtype)

@@ -10,24 +10,27 @@ order, exactly the sequence Eq. 3 computes in closed form.
 
 ``level_of_coordinates`` assigns each grid point the level it was predicted
 at: the largest ``l <= log2(A)`` such that ``2^l`` divides every coordinate
-(Eq. 3's interp-level term); level ``log2(A)`` marks the anchors.  The
-permutation is cached per ``(shape, anchor_stride)`` because it depends only
-on the geometry, mirroring the fixed mapping the GPU kernel bakes in.
+(Eq. 3's interp-level term); level ``log2(A)`` marks the anchors.
+
+Like the GPU kernel, nothing here permutes or caches: each parity plane of
+a level is one affine strided view of the sequence (:func:`plane_geometry`),
+through which the predictor and :func:`reorder` write and read codes.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
 __all__ = [
     "level_of_coordinates",
-    "sequence_index",
+    "plane_geometry",
+    "strided_view",
     "reorder_permutation",
     "reorder",
     "inverse_reorder",
 ]
-
-_PERM_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
 
 def level_of_coordinates(shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
@@ -50,104 +53,74 @@ def level_of_coordinates(shape: tuple[int, ...], anchor_stride: int) -> np.ndarr
     return level
 
 
-def sequence_index(
-    coords: tuple[np.ndarray, ...], shape: tuple[int, ...], anchor_stride: int
-) -> np.ndarray:
-    """Closed-form Eq. 3: map grid coordinates to 1-D sequence positions.
+def _row_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(prod(shape[d + 1 :]) for d in range(len(shape)))
 
-    This is the arithmetic the GPU kernel evaluates per element — no sort, no
-    gather.  For a point at level ``l`` the index decomposes into
 
-    ``prefix(l)``
-        the population of every coarser level = the size of the stride
-        ``2^(l+1)`` grid (the paper's Eq. 4 ``f``-recurrences compute these
-        grid sizes by repeated halving), and
-    ``rank(l)``
-        the number of level-``l`` points preceding the coordinate in
-        row-major order, obtained by inclusion-exclusion between the stride
-        ``2^l`` and stride ``2^(l+1)`` grids.
+def plane_geometry(shape: tuple[int, ...], stride: int, bits: tuple[int, ...]):
+    """Where the parity plane ``bits`` of the stride-``s`` lattice sits in
+    the 1-D code sequence: ``(extent, (flat, eq3))``, ``flat`` and ``eq3``
+    the ``(offset, strides)`` in elements of the plane's points (lattice
+    coordinates ``2h + bits``) in the row-major and the Eq. 3 sequence.
 
-    Agrees everywhere with :func:`reorder_permutation` (tested), which is the
-    batch construction used on the hot path.
+    With ``n = ceil(shape / s)``, ``c = ceil(n / 2)``, ``N_d`` and ``C_d``
+    the products of ``n_e`` and of ``c_e`` over ``e > d`` and ``d*`` the
+    first set bit, Eq. 3 puts the plane at ``prod(c) + sum(b_d N_d) -
+    C_{d*}`` (the stride-``2s`` lattice comes first; within the level a
+    point's rank is the lattice points before it less the even ones), with
+    stride ``2 N_d - C_d`` along the axes ``d <= d*`` and ``2 N_d`` after.
+    With no bit set the plane is the stride-``2s`` lattice, at the front in
+    row-major order: the anchor grid, when ``2s`` is the anchor stride.
     """
+    n = [-(-dim // stride) for dim in shape]
+    c = [(m + 1) // 2 for m in n]
+    N, C, R = _row_strides(n), _row_strides(c), _row_strides(shape)
+    extent = tuple((m - b + 1) // 2 for m, b in zip(n, bits))
+    flat = (sum(b * stride * r for b, r in zip(bits, R)), tuple(2 * stride * r for r in R))
+    if not any(bits):
+        return extent, (flat, (0, C))
+    first = bits.index(1)
+    offset = prod(c) + sum(b * m for b, m in zip(bits, N)) - C[first]
+    steps = tuple(2 * N[d] - (C[d] if d <= first else 0) for d in range(len(shape)))
+    return extent, (flat, (offset, steps))
+
+
+def strided_view(buf: np.ndarray, extent: tuple[int, ...], geometry: tuple) -> np.ndarray:
+    """The ``extent``-shaped view of the 1-D contiguous ``buf`` at
+    ``geometry = (offset, strides)``, counted in elements."""
+    offset, strides = geometry
+    size = buf.itemsize
+    if size != 1:
+        offset, strides = offset * size, tuple(st * size for st in strides)
+    # through a memoryview, and positional: the constructor's fast path
+    return np.ndarray(extent, buf.dtype, memoryview(buf), offset, strides)
+
+
+def _relayout(codes: np.ndarray, shape, anchor_stride: int, src: int) -> np.ndarray:
+    """``codes`` moved from layout ``src`` (0 row-major, 1 Eq. 3) to the
+    other, as a 1-D array: the anchor grid, then every level's planes past
+    plane 0, coarse to fine."""
+    a = np.ascontiguousarray(codes).reshape(-1)
+    out = np.empty_like(a)
     nd = len(shape)
-    L = int(np.log2(anchor_stride))
-    cs = [np.asarray(c, dtype=np.int64) for c in coords]
-
-    def grid_count(m: int, d: int) -> int:
-        # multiples of m in [0, d)
-        return (d + m - 1) // m
-
-    def grid_size(m: int) -> int:
-        n = 1
-        for d in shape:
-            n *= grid_count(m, d)
-        return n
-
-    level = np.full(cs[0].shape, L, dtype=np.int64)
-    for axis in range(nd):
-        tz = np.full(cs[axis].shape, L, dtype=np.int64)
-        for l in range(L - 1, -1, -1):
-            tz[(cs[axis] % (1 << (l + 1))) != 0] = l
-        np.minimum(level, tz, out=level)
-
-    out = np.zeros(cs[0].shape, dtype=np.int64)
-    for l in range(L, -1, -1):
-        sel = level == l
-        if not sel.any():
-            continue
-        pts = tuple(c[sel] for c in cs)
-        m = 1 << l
-        if l == L:
-            prefix = 0
-            rank = _count_prec_for(pts, shape, m)
-        else:
-            m2 = m << 1
-            prefix = grid_size(m2)
-            rank = _count_prec_for(pts, shape, m) - _count_prec_for(pts, shape, m2)
-        out[sel] = prefix + rank
+    strides = [anchor_stride >> i for i in range(1, anchor_stride.bit_length())]
+    for s, k in [(anchor_stride // 2, 0)] + [(s, k) for s in strides for k in range(1, 1 << nd)]:
+        extent, layouts = plane_geometry(tuple(shape), s, tuple((k >> j) & 1 for j in range(nd)))
+        if all(extent):
+            strided_view(out, extent, layouts[1 - src])[...] = strided_view(a, extent, layouts[src])
     return out
-
-
-def _count_prec_for(
-    pts: tuple[np.ndarray, ...], shape: tuple[int, ...], m: int
-) -> np.ndarray:
-    """Count stride-``m`` grid points strictly preceding each point row-major."""
-    nd = len(shape)
-    total = np.zeros(pts[0].shape, dtype=np.int64)
-    exact = np.ones(pts[0].shape, dtype=bool)
-    for axis in range(nd):
-        tail = 1
-        for d in shape[axis + 1 :]:
-            tail *= (d + m - 1) // m
-        smaller = (pts[axis] + m - 1) // m
-        total += np.where(exact, smaller * tail, 0)
-        exact = exact & (pts[axis] % m == 0)
-    return total
-
-
-def reorder_permutation(shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
-    """Flat indices in emission order: level descending, row-major within."""
-    key = (tuple(shape), int(anchor_stride))
-    perm = _PERM_CACHE.get(key)
-    if perm is None:
-        levels = level_of_coordinates(shape, anchor_stride).reshape(-1)
-        max_level = int(np.log2(anchor_stride))
-        parts = [np.flatnonzero(levels == l) for l in range(max_level, -1, -1)]
-        perm = np.concatenate(parts)
-        _PERM_CACHE[key] = perm
-    return perm
 
 
 def reorder(codes: np.ndarray, anchor_stride: int) -> np.ndarray:
     """Map a code array (data layout) to the level-grouped 1-D sequence."""
-    perm = reorder_permutation(codes.shape, anchor_stride)
-    return codes.reshape(-1)[perm]
+    return _relayout(codes, codes.shape, anchor_stride, 0)
 
 
 def inverse_reorder(seq: np.ndarray, shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
     """Rebuild the data-layout code array from the level-grouped sequence."""
-    perm = reorder_permutation(shape, anchor_stride)
-    out = np.empty(int(np.prod(shape)), dtype=seq.dtype)
-    out[perm] = seq
-    return out.reshape(shape)
+    return _relayout(seq, shape, anchor_stride, 1).reshape(shape)
+
+
+def reorder_permutation(shape: tuple[int, ...], anchor_stride: int) -> np.ndarray:
+    """Flat indices in emission order: level descending, row-major within."""
+    return reorder(np.arange(prod(shape)).reshape(shape), anchor_stride)

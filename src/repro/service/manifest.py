@@ -229,7 +229,7 @@ def _parse_field(raw: dict, pos: int) -> FieldSpec:
         timesteps == 1 or path is None,
         f"field {name!r}: snapshot streams (timesteps > 1) need a 'dataset' reference",
     )
-    seed = check_count(raw.get("seed", 0), f"field {name!r}: seed must be an integer", minimum=None)
+    seed = check_count(raw.get("seed", 0), f"field {name!r}: seed must be an integer >= 0")
     eb = raw.get("eb")
     tiles = raw.get("tiles")
     return FieldSpec(

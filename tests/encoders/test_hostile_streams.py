@@ -158,3 +158,40 @@ def test_fixed_length_zero_block_longer_than_its_count_is_not_allocated():
         tracemalloc.stop()
     assert out.tolist() == [0] * 10
     assert peak < 1 << 20
+
+
+def _put_u32(at: int, value: int):
+    def mutate(codes: bytearray) -> None:
+        codes[at : at + 4] = value.to_bytes(4, "little")
+
+    return mutate
+
+
+@pytest.mark.parametrize("pipeline", ["ndzip", "HF+ndzip"])
+def test_rze_stream_shorter_than_its_header_is_refused(sealed_codes_blob, pipeline):
+    """The RZE stage's u32 header cut off: a stage before it, told by the
+    u32 at byte 8 that it holds 65535 bytes, hands RZE nothing."""
+    with pytest.raises(ValueError, match="RZE stream of 0 bytes has no 4-byte header"):
+        api.decompress(sealed_codes_blob(pipeline, _put_u32(8, 2**16 - 1)))
+
+
+def test_huffman_stream_shorter_than_its_header_is_refused(sealed_codes_blob):
+    """An ``HF+nvCOMP::ANS`` codes stream whose rANS count is 0 hands the
+    Huffman stage an empty stream, not a 20-byte header."""
+    with pytest.raises(ValueError, match="Huffman stream of 0 bytes has no 20-byte header"):
+        api.decompress(sealed_codes_blob("HF+nvCOMP::ANS", _put_u32(0, 0)))
+
+
+def test_rans_stream_shorter_than_its_header_is_refused():
+    from repro.encoders.ans import RansCodec
+
+    with pytest.raises(ValueError, match="rANS stream of 6 bytes has no 12-byte header"):
+        RansCodec().decode(b"\x05" * 6)
+
+
+@pytest.mark.parametrize("pipeline", ["nvCOMP::ANS", "HF+nvCOMP::ANS"])
+def test_rans_frequencies_short_of_the_table_are_refused(sealed_codes_blob, pipeline):
+    """Zeroing two of the frequencies leaves table slots no symbol owns; a
+    state landing there was an IndexError."""
+    with pytest.raises(ValueError, match="rANS frequencies sum to .*, not the 4096 slots"):
+        api.decompress(sealed_codes_blob(pipeline, _put_u32(12, 0)))

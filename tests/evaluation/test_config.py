@@ -178,6 +178,12 @@ class TestKeyNamedErrors:
         doc["datasets"]["nyx"]["seed"] = "zero"
         assert "datasets.nyx.seed" in _err(doc)
 
+    def test_negative_dataset_seed(self):
+        """The generator would refuse it only once the matrix runs."""
+        doc = _doc()
+        doc["datasets"]["nyx"]["seed"] = -1
+        assert "datasets.nyx.seed must be an integer >= 0" in _err(doc)
+
     def test_bad_dataset_shape(self):
         doc = _doc()
         doc["datasets"]["nyx"]["shape"] = [8, 0, 8]

@@ -12,6 +12,8 @@ their own copies of the helpers they need (``ScratchPool``,
   and ``pass_error`` scores are the bytes the whole-pass path must reproduce.
 * :func:`axis_kind_segments_loop` and :func:`level_of_coordinates_loop` —
   the per-target geometry builders that the closed-form ones replaced.
+* :func:`sequence_index` — Eq. 3 evaluated per point, the oracle of the
+  per-plane views the predictor writes its code sequence through.
 """
 
 from __future__ import annotations
@@ -353,3 +355,81 @@ def level_of_coordinates_loop(shape: tuple[int, ...], anchor_stride: int) -> np.
         view[d] = dim
         np.minimum(level, tz.reshape(view), out=level)
     return level
+
+
+def sequence_index(
+    coords: tuple[np.ndarray, ...], shape: tuple[int, ...], anchor_stride: int
+) -> np.ndarray:
+    """Closed-form Eq. 3: map grid coordinates to 1-D sequence positions.
+
+    This is the arithmetic the GPU kernel evaluates per element — no sort, no
+    gather.  For a point at level ``l`` the index decomposes into
+
+    ``prefix(l)``
+        the population of every coarser level = the size of the stride
+        ``2^(l+1)`` grid (the paper's Eq. 4 ``f``-recurrences compute these
+        grid sizes by repeated halving), and
+    ``rank(l)``
+        the number of level-``l`` points preceding the coordinate in
+        row-major order, obtained by inclusion-exclusion between the stride
+        ``2^l`` and stride ``2^(l+1)`` grids.
+
+    The per-point form of the arithmetic; ``repro.predictor.reorder``
+    reaches the same positions plane by plane through
+    :func:`~repro.predictor.reorder.plane_geometry`, and the tests check
+    that the two agree everywhere.
+    """
+    nd = len(shape)
+    L = int(np.log2(anchor_stride))
+    cs = [np.asarray(c, dtype=np.int64) for c in coords]
+
+    def grid_count(m: int, d: int) -> int:
+        # multiples of m in [0, d)
+        return (d + m - 1) // m
+
+    def grid_size(m: int) -> int:
+        n = 1
+        for d in shape:
+            n *= grid_count(m, d)
+        return n
+
+    level = np.full(cs[0].shape, L, dtype=np.int64)
+    for axis in range(nd):
+        tz = np.full(cs[axis].shape, L, dtype=np.int64)
+        for l in range(L - 1, -1, -1):
+            tz[(cs[axis] % (1 << (l + 1))) != 0] = l
+        np.minimum(level, tz, out=level)
+
+    out = np.zeros(cs[0].shape, dtype=np.int64)
+    for l in range(L, -1, -1):
+        sel = level == l
+        if not sel.any():
+            continue
+        pts = tuple(c[sel] for c in cs)
+        m = 1 << l
+        if l == L:
+            prefix = 0
+            rank = _count_prec_for(pts, shape, m)
+        else:
+            m2 = m << 1
+            prefix = grid_size(m2)
+            rank = _count_prec_for(pts, shape, m) - _count_prec_for(pts, shape, m2)
+        out[sel] = prefix + rank
+    return out
+
+
+def _count_prec_for(
+    pts: tuple[np.ndarray, ...], shape: tuple[int, ...], m: int
+) -> np.ndarray:
+    """Count stride-``m`` grid points strictly preceding each point row-major."""
+    nd = len(shape)
+    total = np.zeros(pts[0].shape, dtype=np.int64)
+    exact = np.ones(pts[0].shape, dtype=bool)
+    for axis in range(nd):
+        tail = 1
+        for d in shape[axis + 1 :]:
+            tail *= (d + m - 1) // m
+        smaller = (pts[axis] + m - 1) // m
+        total += np.where(exact, smaller * tail, 0)
+        exact = exact & (pts[axis] % m == 0)
+    return total

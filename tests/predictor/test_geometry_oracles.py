@@ -2,8 +2,8 @@
 
 ``axis_kind_segments`` derives a class run's bounds from three monotone
 neighbor tests, and ``level_of_coordinates`` writes each level with one
-strided slice; both must reproduce the loops in ``interp_oracle`` exactly,
-since every level plan and parity-plane layout is built from them.
+strided slice; both must reproduce the loops in ``interp_oracle`` exactly
+(every level plan and parity-plane layout is built from the first).
 """
 
 from __future__ import annotations

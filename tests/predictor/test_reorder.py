@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from interp_oracle import sequence_index
 from repro.predictor.interpolation import InterpolationPredictor
 from repro.predictor.reorder import (
     inverse_reorder,
     level_of_coordinates,
     reorder,
     reorder_permutation,
-    sequence_index,
 )
 
 
@@ -71,11 +71,6 @@ class TestPermutation:
         lv = level_of_coordinates(shape, 8).reshape(-1)
         oracle = np.argsort(-lv.astype(np.int64), kind="stable")
         assert np.array_equal(perm, oracle)
-
-    def test_cache_returns_same_object(self):
-        a = reorder_permutation((30, 30), 16)
-        b = reorder_permutation((30, 30), 16)
-        assert a is b
 
 
 class TestClosedForm:

@@ -393,6 +393,22 @@ class TestMalformedRequests:
 
         serve(scenario)
 
+    def test_decompress_rejects_short_rans_frequency_table(self, serve, http, sealed_codes_blob):
+        """CRC-valid body whose rANS frequencies no longer cover the table:
+        a typed 400, not a 500 from an IndexError in the worker."""
+
+        def drop_two(codes: bytearray) -> None:
+            codes[12:16] = bytes(4)
+
+        body = sealed_codes_blob("nvCOMP::ANS", drop_two)
+
+        async def scenario(server):
+            resp = await http(server, "POST", "/decompress", body)
+            assert resp.status == 400
+            assert "rANS frequencies sum to" in resp.json()["error"]
+
+        serve(scenario)
+
     def test_unknown_route_404(self, serve, http):
         async def scenario(server):
             assert (await http(server, "GET", "/nope")).status == 404

@@ -216,6 +216,12 @@ class TestValidation:
         with pytest.raises(ManifestError, match="seed must be an integer"):
             parse_manifest({"fields": [{"name": "x", "dataset": "nyx", "seed": "abc"}]})
 
+    def test_negative_seed_refused_at_parse_time(self):
+        """The dataset generator refuses a negative seed only once the job
+        runs, so it is refused here."""
+        with pytest.raises(ManifestError, match="field 'x': seed must be an integer >= 0"):
+            parse_manifest({"fields": [{"name": "x", "dataset": "nyx", "seed": -1}]})
+
     def test_unknown_job_keys(self):
         doc = {"job": {"excutor": "processes"}, "fields": [{"name": "x", "dataset": "nyx"}]}
         with pytest.raises(ManifestError, match="job: unknown keys"):

@@ -520,6 +520,10 @@ def _huge_rre_count(codes: bytearray) -> None:
     codes[24:32] = (2**63 - 1).to_bytes(8, "little")
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the run started before its output paths were checked")
+
+
 class _LeakCases:
     """Inputs that once escaped the CLI as tracebacks (or as exit 1); each
     method returns the argv that must now fail cleanly with exit 2."""
@@ -531,6 +535,14 @@ class _LeakCases:
     def _manifest(self) -> str:
         path = self.tmp / "m.json"
         path.write_text(json.dumps({"fields": [{"name": "a", "dataset": "nyx", "shape": [8] * 3}]}))
+        return str(path)
+
+    def _config(self) -> str:
+        path = self.tmp / "c.json"
+        path.write_text(json.dumps({
+            "eval": {"kind": "cr-table"},
+            "matrix": {"datasets": ["nyx"], "codecs": ["cusz-l"], "ebs": [1e-2]},
+        }))
         return str(path)
 
     def compress_missing_input(self):
@@ -561,16 +573,26 @@ class _LeakCases:
         return ["cluster", "run", self._manifest(), "-o", str(self.tmp / "out"),
                 "--report", "/nonexistent/x.json"]
 
+    def cluster_run_report_in_a_missing_directory(self):
+        import repro.cluster
+
+        self.monkeypatch.setattr(repro.cluster, "run_cluster", _must_not_run)
+        return ["cluster", "run", self._manifest(), "-o", str(self.tmp / "out"),
+                "--report", str(self.tmp / "no-dir" / "x.json")]
+
+    def batch_report_in_a_missing_directory(self):
+        return ["batch", self._manifest(), "-o", str(self.tmp / "a.rpza"),
+                "--report", "/nonexistent/r.json"]
+
+    def eval_markdown_in_a_missing_directory(self):
+        return ["eval", self._config(), "--archive", str(self.tmp / "a.rpza"),
+                "--markdown", str(self.tmp / "no-dir" / "r.md")]
+
     def batch_negative_workers(self):
         return ["batch", self._manifest(), "-o", str(self.tmp / "a.rpza"), "--workers", "-1"]
 
     def eval_negative_workers(self):
-        path = self.tmp / "c.json"
-        path.write_text(json.dumps({
-            "eval": {"kind": "cr-table"},
-            "matrix": {"datasets": ["nyx"], "codecs": ["cusz-l"], "ebs": [1e-2]},
-        }))
-        return ["eval", str(path), "--archive", str(self.tmp / "a.rpza"), "--workers", "-1"]
+        return ["eval", self._config(), "--archive", str(self.tmp / "a.rpza"), "--workers", "-1"]
 
 
 @pytest.mark.parametrize("case", [n for n in vars(_LeakCases) if not n.startswith("_")])
